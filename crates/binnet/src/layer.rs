@@ -468,18 +468,6 @@ impl BinaryLinear {
         // clipping cannot change signs, so no rebinarize needed
     }
 
-    /// Extracts column `k` of the binary weights as bipolar values — the
-    /// trained class hypervector for class `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= k_out`.
-    #[must_use]
-    pub fn binary_column(&self, k: usize) -> Vec<f32> {
-        assert!(k < self.k_out, "class index out of range");
-        (0..self.d_in).map(|r| self.binary.get(r, k)).collect()
-    }
-
     /// Squared Frobenius norm of the latent weights — the `‖C_nb‖²` of the
     /// paper's Eq. 10, for loss reporting.
     #[must_use]
@@ -842,13 +830,6 @@ mod tests {
         layer.clip_latent(1.0);
         assert_eq!(layer.binary(), &before);
         assert!(layer.latent().as_slice().iter().all(|v| v.abs() <= 1.0));
-    }
-
-    #[test]
-    fn binary_column_extracts_class_hypervector() {
-        let layer = BinaryLinear::with_init(3, 2, |r, c| if c == 0 { 1.0 } else { -(r as f32) });
-        assert_eq!(layer.binary_column(0), vec![1.0, 1.0, 1.0]);
-        assert_eq!(layer.binary_column(1), vec![1.0, -1.0, -1.0]); // -0 → +1
     }
 
     #[test]

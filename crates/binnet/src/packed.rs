@@ -32,14 +32,29 @@
 //!   accumulation order matches**: both run over the batch index in
 //!   ascending order ([`packed_transpose_matmul`] chunks threads over
 //!   *output* rows, never over the summed batch dimension).
+//! - The gradient product's AVX2 tier keeps that order as well. It puts 8
+//!   adjacent output *dims* in the lanes of a register, one register per
+//!   class, and adds `broadcast(g[b][k]) XOR flip` for `b` ascending, so
+//!   each lane runs the scalar computation of its own output element: the
+//!   same `+0.0` start, the same terms, the same order. The two tiers are
+//!   therefore bit-identical by construction, with no tolerance. Dropout is
+//!   applied once, at the store, and a dropped dim is `+0.0` in both tiers.
 //!
 //! The parity tests in `tests/packed_parity.rs` enforce exact `==` on the
-//! resulting matrices across shapes, masks, and thread counts.
+//! resulting matrices across shapes, masks, and thread counts, and diff the
+//! AVX2 gradient tier against the scalar one bit for bit.
 //!
 //! [`BinaryHv`]: hdc::BinaryHv
 
-use hdc::kernels::{dot_words, masked_dot_words, QUERY_BLOCK};
+use std::ops::Range;
+
+#[cfg(target_arch = "x86_64")]
+use hdc::kernels::avx2_available;
+use hdc::kernels::{active_tier, dot_words, masked_dot_words, KernelTier, QUERY_BLOCK};
 use threadpool::ThreadPool;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 use crate::dropout::DropMask;
 use crate::error::BinnetError;
@@ -604,20 +619,29 @@ const TILE_F32S: usize = 4096;
 /// [`packed_transpose_matmul`] writing into a caller-owned `D×K` output
 /// buffer — identical results with zero allocation per call.
 ///
-/// The kernel is cache-blocked: each pool chunk walks its output dims in
-/// tiles of at most [`TILE_F32S`] `f32`s, and within a tile iterates the
-/// batch **outer** / dims **inner**, so row `b`'s packed words and gradient
-/// row are loaded once per tile and the tile stays resident while the batch
-/// streams over it (the old dim-outer loop re-walked the whole packed batch,
-/// stride `words_per_row`, for every output dim). The ±1 sign is applied as
-/// a branchless sign-bit flip — IEEE negation is exact — and per output
-/// element the batch index still ascends, so the result stays bit-identical
-/// to the dense reference at any blocking or `pool` width for finite
-/// gradients. Masked dims contribute exactly `+0.0` where the dense
-/// reference accumulates `±0.0`; the two are `==` and indistinguishable to
-/// every downstream consumer (a non-finite gradient under a mask would
-/// differ — the dense reference turns `0.0·∞` into NaN — but softmax
-/// gradients are always finite).
+/// The kernel dispatches on [`hdc::kernels::active_tier`] (the
+/// `LEHDC_KERNEL` override included). Both tiers chunk the pool over output
+/// dims and compute every output element as `+0.0` plus the same `±g` terms
+/// in ascending batch order, so their results are bit-identical:
+///
+/// - **scalar** (the reference, and the path on hosts without AVX2):
+///   cache-blocked — each pool chunk walks its output dims in tiles of at
+///   most [`TILE_F32S`] `f32`s, and within a tile iterates the batch
+///   **outer** / dims **inner**, so row `b`'s packed words and gradient row
+///   are loaded once per tile and the tile stays resident while the batch
+///   streams over it. The ±1 sign is applied as a branchless sign-bit flip —
+///   IEEE negation is exact — rather than a `±1.0` multiply, which pays the
+///   subnormal-assist penalty that softmax gradients trigger at large D.
+/// - **AVX2**: lanes over 8 adjacent output dims with one register per
+///   class (see the `avx2` submodule); chunk heads and tails that are not
+///   8-aligned take the scalar code.
+///
+/// The result equals the dense reference at any `pool` width for finite
+/// gradients. Masked dims are exactly `+0.0` where the dense reference
+/// accumulates `±0.0`; the two are `==` and indistinguishable to every
+/// downstream consumer (a non-finite gradient under a mask would differ —
+/// the dense reference turns `0.0·∞` into NaN — but softmax gradients are
+/// always finite).
 ///
 /// # Errors
 ///
@@ -634,6 +658,65 @@ pub fn packed_transpose_matmul_into(
     pool: &ThreadPool,
     out: &mut Matrix,
 ) -> Result<(), BinnetError> {
+    transpose_matmul_on(active_tier(), x, g, mask, pool, out)
+}
+
+/// [`packed_transpose_matmul_into`] forced onto the scalar reference tier,
+/// for differential testing.
+///
+/// # Errors
+///
+/// As [`packed_transpose_matmul_into`].
+///
+/// # Panics
+///
+/// As [`packed_transpose_matmul_into`].
+pub fn packed_transpose_matmul_into_scalar(
+    x: &PackedMatrix,
+    g: &Matrix,
+    mask: Option<&DropMask>,
+    pool: &ThreadPool,
+    out: &mut Matrix,
+) -> Result<(), BinnetError> {
+    transpose_matmul_on(KernelTier::Scalar, x, g, mask, pool, out)
+}
+
+/// [`packed_transpose_matmul_into`] forced onto the AVX2 tier, for
+/// differential testing.
+///
+/// # Errors
+///
+/// As [`packed_transpose_matmul_into`].
+///
+/// # Panics
+///
+/// As [`packed_transpose_matmul_into`], and if AVX2 is unavailable — check
+/// [`hdc::kernels::avx2_available`] first.
+#[cfg(target_arch = "x86_64")]
+pub fn packed_transpose_matmul_into_avx2(
+    x: &PackedMatrix,
+    g: &Matrix,
+    mask: Option<&DropMask>,
+    pool: &ThreadPool,
+    out: &mut Matrix,
+) -> Result<(), BinnetError> {
+    assert!(
+        avx2_available(),
+        "the AVX2 kernels need an AVX2-capable CPU"
+    );
+    transpose_matmul_on(KernelTier::Avx2, x, g, mask, pool, out)
+}
+
+/// The gradient product on `tier`; the Avx2 tier must only be requested on
+/// CPUs that have it.
+fn transpose_matmul_on(
+    tier: KernelTier,
+    x: &PackedMatrix,
+    g: &Matrix,
+    mask: Option<&DropMask>,
+    pool: &ThreadPool,
+    out: &mut Matrix,
+) -> Result<(), BinnetError> {
     if x.rows != g.rows() {
         return Err(BinnetError::ShapeMismatch {
             op: "packed_transpose_matmul",
@@ -644,50 +727,103 @@ pub fn packed_transpose_matmul_into(
     if let Some(m) = mask {
         assert_eq!(m.dim(), x.cols, "mask width must match input width");
     }
-    let d = x.cols;
-    let k = g.cols();
-    let batch = x.rows;
-    let wpr = x.words_per_row;
+    let (d, k) = (x.cols, g.cols());
     assert_eq!(
         (out.rows(), out.cols()),
         (d, k),
         "output buffer must be D×K"
     );
-    let mask_words = mask.map(DropMask::words);
-    let block = (TILE_F32S / k).max(64);
-    pool.for_each_chunk_mut(out.as_mut_slice(), d, k, |dims, chunk| {
-        chunk.fill(0.0);
-        let first = dims.start;
-        let mut blk = dims.start;
-        while blk < dims.end {
-            let blk_end = dims.end.min(blk + block);
-            let tile = &mut chunk[(blk - first) * k..(blk_end - first) * k];
-            for b in 0..batch {
-                let x_words = &x.words[b * wpr..(b + 1) * wpr];
-                let g_row = g.row(b);
-                for (dim, out_row) in (blk..blk_end).zip(tile.chunks_exact_mut(k)) {
-                    // `±gv` as a sign-bit XOR, not a `±1.0` multiply: both
-                    // are exact and branchless, but the multiply pays the
-                    // subnormal-assist penalty on every subnormal gradient
-                    // entry — and softmax routinely emits subnormal
-                    // probabilities at large D, each one multiplied D times
-                    // here (milliseconds per batch). Integer XOR/AND and an
-                    // f32 add take no such assist.
-                    let bit = (x_words[dim / 64] >> (dim % 64)) & 1;
-                    let flip = ((bit ^ 1) as u32) << 31;
-                    let keep = match mask_words {
-                        Some(m) => (((m[dim / 64] >> (dim % 64)) & 1) as u32).wrapping_neg(),
-                        None => u32::MAX,
-                    };
-                    for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                        *o += f32::from_bits((gv.to_bits() ^ flip) & keep);
-                    }
-                }
-            }
-            blk = blk_end;
-        }
+    let op = Operands {
+        batch: x.rows,
+        x: &x.words,
+        wpr: x.words_per_row,
+        g: g.as_slice(),
+        k,
+        mask: mask.map(DropMask::words),
+    };
+    pool.for_each_chunk_mut(out.as_mut_slice(), d, k, |dims, chunk| match tier {
+        // SAFETY: the Avx2 tier is only requested on CPUs with AVX2.
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx2 => unsafe { gradient_dims_avx2(op, dims, chunk) },
+        _ => gradient_dims_scalar(op, dims, chunk),
     });
     Ok(())
+}
+
+/// The operands of one gradient product, as the tier kernels see them.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    /// Batch rows `B`.
+    batch: usize,
+    /// Packed `B×D` batch, `wpr` words per row.
+    x: &'a [u64],
+    /// Words per packed batch row.
+    wpr: usize,
+    /// Row-major `B×K` gradient.
+    g: &'a [f32],
+    /// Classes `K` (gradient columns).
+    k: usize,
+    /// Packed dropout keep-mask over `D`, if any.
+    mask: Option<&'a [u64]>,
+}
+
+/// AVX2 tier: writes the gradient rows of `dims` into `out` (`dims.len() ×
+/// K`, row-major). The 8-aligned body runs on the vector kernel; a chunk
+/// head or tail that is not 8-aligned takes the scalar code.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+unsafe fn gradient_dims_avx2(op: Operands<'_>, dims: Range<usize>, out: &mut [f32]) {
+    let lanes = avx2::LANES;
+    let head_end = dims.start.next_multiple_of(lanes).min(dims.end);
+    let body_end = head_end + (dims.end - head_end) / lanes * lanes;
+    let (head, rest) = out.split_at_mut((head_end - dims.start) * op.k);
+    let (body, tail) = rest.split_at_mut((body_end - head_end) * op.k);
+    gradient_dims_scalar(op, dims.start..head_end, head);
+    if body_end > head_end {
+        // SAFETY: AVX2 is available (caller contract), the body range is
+        // 8-aligned, and `body` holds exactly its rows.
+        unsafe { avx2::gradient_dims(op, head_end..body_end, body) };
+    }
+    gradient_dims_scalar(op, body_end..dims.end, tail);
+}
+
+/// Scalar reference tier: writes the gradient rows of `dims` into `out`
+/// (`dims.len() × K`, row-major), cache-blocked as described on
+/// [`packed_transpose_matmul_into`].
+fn gradient_dims_scalar(op: Operands<'_>, dims: Range<usize>, out: &mut [f32]) {
+    let k = op.k;
+    out.fill(0.0);
+    let block = (TILE_F32S / k).max(64);
+    let first = dims.start;
+    let mut blk = dims.start;
+    while blk < dims.end {
+        let blk_end = dims.end.min(blk + block);
+        let tile = &mut out[(blk - first) * k..(blk_end - first) * k];
+        for (x_words, g_row) in op.x.chunks_exact(op.wpr).zip(op.g.chunks_exact(k)) {
+            for (dim, out_row) in (blk..blk_end).zip(tile.chunks_exact_mut(k)) {
+                // `±gv` as a sign-bit XOR, not a `±1.0` multiply: both
+                // are exact and branchless, but the multiply pays the
+                // subnormal-assist penalty on every subnormal gradient
+                // entry — and softmax routinely emits subnormal
+                // probabilities at large D, each one multiplied D times
+                // here (milliseconds per batch). Integer XOR/AND and an
+                // f32 add take no such assist.
+                let bit = (x_words[dim / 64] >> (dim % 64)) & 1;
+                let flip = ((bit ^ 1) as u32) << 31;
+                let keep = match op.mask {
+                    Some(m) => (((m[dim / 64] >> (dim % 64)) & 1) as u32).wrapping_neg(),
+                    None => u32::MAX,
+                };
+                for (o, &gv) in out_row.iter_mut().zip(g_row) {
+                    *o += f32::from_bits((gv.to_bits() ^ flip) & keep);
+                }
+            }
+        }
+        blk = blk_end;
+    }
 }
 
 #[cfg(test)]
@@ -743,6 +879,9 @@ mod tests {
             (p.get(1, 0), p.get(1, 1), p.get(1, 2)),
             (false, true, false)
         );
+        // a negative zero is still sgn(0) = +1
+        let z = Matrix::from_rows(&[vec![-0.0]]).unwrap();
+        assert!(PackedMatrix::from_sign_columns(&z).get(0, 0));
     }
 
     #[test]

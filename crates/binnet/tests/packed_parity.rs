@@ -253,3 +253,80 @@ fn layer_forward_is_blocked_identically_to_dense_for_large_batches() {
     assert_eq!(layer.forward_packed(&px), expect);
     assert_eq!(layer.forward(&x), expect);
 }
+
+// ---------------------------------------------------------------------------
+// Kernel tiers: the AVX2 gradient product must equal the scalar reference
+// bit for bit (compared as `to_bits`, so `+0.0` vs `-0.0` would count).
+// ---------------------------------------------------------------------------
+
+/// Gradient entries that stress the float path: subnormals of both signs,
+/// `±0.0`, magnitudes large enough that some sums overflow to `±∞`, and
+/// ordinary softmax-sized values.
+#[cfg(target_arch = "x86_64")]
+fn awkward_gradient(rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|_| {
+            let sign = if rng.random::<bool>() { 1.0f32 } else { -1.0 };
+            sign * match rng.random_range(0u32..5) {
+                0 => f32::from_bits(rng.random_range(1u32..0x0080_0000)), // subnormal
+                1 => 0.0,
+                2 => rng.random_range(1e36f32..3e38),
+                3 => rng.random_range(1e-38f32..1e-30),
+                _ => rng.random_range(0.0f32..1.0),
+            }
+        })
+        .collect();
+    Matrix::from_flat(rows, cols, data).unwrap()
+}
+
+#[cfg(target_arch = "x86_64")]
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_gradient_matches_scalar_bit_for_bit() {
+    use binnet::packed::{packed_transpose_matmul_into_avx2, packed_transpose_matmul_into_scalar};
+
+    if !hdc::kernels::avx2_available() {
+        eprintln!("skipping: no AVX2 on this host");
+        return;
+    }
+    let mut rng = Xoshiro256pp::seed_from_u64(0x7AE5);
+    let pools = [1, 3, 4].map(ThreadPool::new);
+    for d in [1usize, 7, 8, 9, 63, 64, 65, 257, 10_000] {
+        for batch in [1usize, 63, 64, 65, 200] {
+            let x = binnet::layer::random_sign_matrix(batch, d, &mut rng);
+            let px = x.pack_bipolar().unwrap();
+            let mask = Dropout::new(0.5, d as u64 ^ batch as u64)
+                .unwrap()
+                .sample_mask(d)
+                .unwrap();
+            for k in [1usize, 3, 4, 5, 10, 26] {
+                let g = awkward_gradient(batch, k, &mut rng);
+                for mask in [None, Some(&mask)] {
+                    // NaN-filled outputs: every element must be written. The
+                    // scalar tier is thread-invariant (the dense-reference
+                    // tests above pin it), so one reference serves every
+                    // AVX2 pool width.
+                    let nan = Matrix::from_flat(d, k, vec![f32::NAN; d * k]).unwrap();
+                    let mut scalar = nan.clone();
+                    packed_transpose_matmul_into_scalar(&px, &g, mask, &pools[0], &mut scalar)
+                        .unwrap();
+                    let expect = bits(&scalar);
+                    for pool in &pools {
+                        let mut simd = nan.clone();
+                        packed_transpose_matmul_into_avx2(&px, &g, mask, pool, &mut simd).unwrap();
+                        assert!(
+                            bits(&simd) == expect,
+                            "d={d} batch={batch} k={k} masked={} threads={}",
+                            mask.is_some(),
+                            pool.threads()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -58,7 +58,7 @@ pub fn train_baseline_threaded(
     seed: u64,
     threads: usize,
 ) -> Result<HdcModel, LehdcError> {
-    let accumulators = class_accumulators_pooled(train, threads)?;
+    let accumulators = class_accumulators_pooled(train, &all_samples(train), threads)?;
     let mut rng = rng_for(seed, 0xBA5E);
     let class_hvs = accumulators
         .iter()
@@ -67,17 +67,29 @@ pub fn train_baseline_threaded(
     HdcModel::new(class_hvs)
 }
 
-/// Bundles the corpus into one exact bit-sliced [`Accumulator`] per class,
-/// chunked across the pool and merged in chunk order.
-fn class_accumulators_pooled(
+/// Every sample index of `train`, in order.
+fn all_samples(train: &EncodedDataset) -> Vec<usize> {
+    (0..train.len()).collect()
+}
+
+/// Bundles the samples at `indices` into one exact bit-sliced
+/// [`Accumulator`] per class, chunked across the pool and merged in chunk
+/// order.
+///
+/// # Errors
+///
+/// Returns [`LehdcError::InvalidConfig`] if some class has no sample among
+/// `indices`.
+pub(crate) fn class_accumulators_pooled(
     train: &EncodedDataset,
+    indices: &[usize],
     threads: usize,
 ) -> Result<Vec<Accumulator>, LehdcError> {
     let k = train.n_classes();
     let pool = threadpool::ThreadPool::new(threads);
-    let parts = pool.run_chunks(train.len(), |range| {
+    let parts = pool.run_chunks(indices.len(), |range| {
         let mut accs: Vec<Accumulator> = (0..k).map(|_| Accumulator::new(train.dim())).collect();
-        for i in range {
+        for &i in &indices[range] {
             let (hv, label) = train.sample(i);
             accs[label].add(hv);
         }
@@ -123,11 +135,20 @@ pub fn accumulate_class_sums_pooled(
     train: &EncodedDataset,
     threads: usize,
 ) -> Result<Vec<RealHv>, LehdcError> {
-    let accumulators = class_accumulators_pooled(train, threads)?;
-    let mut counts = vec![0u32; train.dim().get()];
-    Ok(accumulators
+    let accumulators = class_accumulators_pooled(train, &all_samples(train), threads)?;
+    Ok(bipolar_sums(&accumulators))
+}
+
+/// The bipolar sums `2·ones − n` of each accumulator as `f32`.
+///
+/// Every partial sum of `n` `±1.0` terms is an integer of magnitude at most
+/// `n`, so for `n < 2²⁴` the sequential `f32` accumulation never rounds and
+/// these values equal it bit for bit (a zero sum is `+0.0` both ways).
+pub(crate) fn bipolar_sums(accumulators: &[Accumulator]) -> Vec<RealHv> {
+    accumulators
         .iter()
         .map(|acc| {
+            let mut counts = vec![0u32; acc.dim().get()];
             acc.counts_into(&mut counts);
             let n = acc.len() as i64;
             RealHv::from_values(
@@ -137,7 +158,7 @@ pub fn accumulate_class_sums_pooled(
                     .collect(),
             )
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]

@@ -34,6 +34,7 @@ use binnet::{
 use hdc::BinaryHv;
 use threadpool::ThreadPool;
 
+use crate::baseline::{bipolar_sums, class_accumulators_pooled};
 use crate::encoded::EncodedDataset;
 use crate::error::LehdcError;
 use crate::history::{EpochRecord, EpochTiming, TrainingHistory};
@@ -408,8 +409,9 @@ fn lehdc_batch_step(
 ///
 /// # Errors
 ///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration, or a
-/// class with no samples when `warm_start` is enabled.
+/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration,
+/// early stopping on fewer than 2 training samples, or a class with no
+/// samples when `warm_start` is enabled.
 pub fn train_lehdc(
     train: &EncodedDataset,
     test: Option<&EncodedDataset>,
@@ -431,8 +433,9 @@ pub fn train_lehdc(
 ///
 /// # Errors
 ///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration, or a
-/// class with no samples when `warm_start` is enabled.
+/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration,
+/// early stopping on fewer than 2 training samples, or a class with no
+/// samples when `warm_start` is enabled.
 pub fn train_lehdc_recorded(
     train: &EncodedDataset,
     test: Option<&EncodedDataset>,
@@ -460,6 +463,13 @@ fn train_lehdc_impl(
     // is requested; otherwise fit on everything.
     let all_indices: Vec<usize> = (0..train.len()).collect();
     let (fit_indices, val_indices): (Vec<usize>, Vec<usize>) = match &config.early_stopping {
+        Some(_) if train.len() < 2 => {
+            return Err(LehdcError::InvalidConfig(format!(
+                "early stopping needs at least 2 training samples to hold out a validation \
+                 split, got {}",
+                train.len()
+            )));
+        }
         Some(es) => {
             use testkit::SliceRandom;
             let mut order = all_indices.clone();
@@ -476,19 +486,10 @@ fn train_lehdc_impl(
     let layer = if config.warm_start {
         // Initialize C_nb from the class sums over the fitting samples,
         // normalized into the latent range so Adam's early steps can still
-        // flip bits.
-        let mut sums = vec![hdc::RealHv::zeros(train.dim()); k];
-        let mut counts = vec![0usize; k];
-        for &i in &fit_indices {
-            let (hv, label) = train.sample(i);
-            sums[label].add_scaled(hv, 1.0);
-            counts[label] += 1;
-        }
-        if let Some(empty) = counts.iter().position(|&c| c == 0) {
-            return Err(LehdcError::InvalidConfig(format!(
-                "class {empty} has no training samples after the validation split"
-            )));
-        }
+        // flip bits. The exact bit-sliced counts convert to the same f32
+        // values a sequential ±1.0 sum would produce.
+        let accumulators = class_accumulators_pooled(train, &fit_indices, config.threads)?;
+        let sums = bipolar_sums(&accumulators);
         let scale = 0.05 / (fit_indices.len() as f32 / k as f32).max(1.0);
         BinaryLinear::with_init(d, k, |r, c| sums[c].values()[r] * scale)
     } else {
@@ -568,7 +569,7 @@ fn train_lehdc_impl(
 
         let eval_timer = rec.start();
         if let Some(es) = early {
-            let model = model_from_layer(&layer, k)?;
+            let model = model_from_layer(&layer)?;
             let acc = accuracy_on(&model, &val_indices);
             val_accuracy = Some(acc);
             match &best {
@@ -586,7 +587,7 @@ fn train_lehdc_impl(
         }
 
         let evaluated = if epoch % config.eval_every == 0 || last_epoch || stop {
-            let model = model_from_layer(&layer, k)?;
+            let model = model_from_layer(&layer)?;
             let train_accuracy =
                 model.accuracy_threaded(train.hvs(), train.labels(), config.threads);
             let test_accuracy =
@@ -668,20 +669,21 @@ fn train_lehdc_impl(
 
     let final_model = match best {
         Some((_, model)) => model, // best-validation snapshot
-        None => model_from_layer(&layer, k)?,
+        None => model_from_layer(&layer)?,
     };
     Ok((final_model, history))
 }
 
-/// Extracts the binary HDC model from the layer's sign weights.
-fn model_from_layer(layer: &BinaryLinear, k: usize) -> Result<HdcModel, LehdcError> {
-    let d = layer.d_in();
-    let hvs: Vec<BinaryHv> = (0..k)
-        .map(|c| {
-            let col = layer.binary_column(c);
-            BinaryHv::from_fn(hdc::Dim::new(d), |i| col[i] > 0.0)
-        })
-        .collect();
+/// Extracts the binary HDC model from the layer's packed sign weights: row
+/// `c` of the packed weights holds bit `latent >= 0.0` of class column `c`,
+/// exactly the [`BinaryHv`] convention (bit `1` ≡ `+1`, `sgn(0) = +1`, zero
+/// tail bits).
+fn model_from_layer(layer: &BinaryLinear) -> Result<HdcModel, LehdcError> {
+    let dim = hdc::Dim::new(layer.d_in());
+    let packed = layer.packed_weights();
+    let hvs = (0..layer.k_out())
+        .map(|c| BinaryHv::from_words(packed.row_words(c).to_vec(), dim))
+        .collect::<Result<Vec<_>, _>>()?;
     HdcModel::new(hvs)
 }
 
@@ -913,6 +915,33 @@ mod tests {
         // patience 3 on 40 epochs almost always stops early; at minimum the
         // history cannot exceed the epoch budget
         assert!(history.len() <= 40);
+    }
+
+    #[test]
+    fn early_stopping_rejects_a_one_sample_training_set() {
+        // No validation split exists for one sample: a typed error, not the
+        // `usize::clamp(1, 0)` panic of the split-size computation.
+        let hv = BinaryHv::random(hdc::Dim::new(100), &mut hdc::rng::rng_for(3, 0));
+        let train = EncodedDataset::from_parts(vec![hv], vec![0], 1).unwrap();
+        let cfg = LehdcConfig::quick()
+            .with_epochs(2)
+            .with_early_stopping(EarlyStopping::default());
+        for warm_start in [true, false] {
+            let cfg = LehdcConfig {
+                warm_start,
+                ..cfg.clone()
+            };
+            match train_lehdc(&train, None, &cfg) {
+                Err(LehdcError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("at least 2 training samples"), "{msg}");
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+        // without early stopping the same sample still trains
+        let cfg = LehdcConfig::quick().with_epochs(2);
+        let (model, _) = train_lehdc(&train, None, &cfg).unwrap();
+        assert_eq!(model.n_classes(), 1);
     }
 
     #[test]
