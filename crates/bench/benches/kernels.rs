@@ -682,12 +682,11 @@ fn bench_serve_batch(c: &mut Bench) {
 }
 
 fn bench_format_load(c: &mut Bench) {
-    // Model-load latency across on-disk formats at deployment scale
-    // (D=10,000, K=26): the container's aligned raw planes should load in
-    // one bulk read; the packed variant trades decode time for bytes; the
-    // legacy path is the baseline the container replaces.
-    use lehdc::format::Compression;
-    use lehdc::io::{read_model, write_model_legacy, write_model_with};
+    // Model-load latency at deployment scale (D=10,000, K=26): the
+    // container's aligned raw planes load in one bulk read; the legacy
+    // `LEHDCMDL` path (a 28-byte header plus raw words, built here since
+    // nothing writes it any more) is the baseline the container replaced.
+    use lehdc::io::{read_model, write_model};
 
     let d = 10_000usize;
     let k = 26usize;
@@ -699,18 +698,19 @@ fn bench_format_load(c: &mut Bench) {
     .unwrap();
 
     let mut stored = Vec::new();
-    write_model_with(&model, &mut stored, Compression::Stored).unwrap();
-    let mut packed = Vec::new();
-    write_model_with(&model, &mut packed, Compression::Packed).unwrap();
-    let mut legacy = Vec::new();
-    write_model_legacy(&model, &mut legacy).unwrap();
+    write_model(&model, &mut stored).unwrap();
+    let mut legacy = b"LEHDCMDL".to_vec();
+    legacy.extend_from_slice(&1u32.to_le_bytes());
+    legacy.extend_from_slice(&(d as u64).to_le_bytes());
+    legacy.extend_from_slice(&(k as u64).to_le_bytes());
+    for hv in model.class_hvs() {
+        for word in hv.as_words() {
+            legacy.extend_from_slice(&word.to_le_bytes());
+        }
+    }
 
     let mut group = c.benchmark_group("format_load");
-    for (name, bytes) in [
-        ("container_stored", &stored),
-        ("container_packed", &packed),
-        ("legacy", &legacy),
-    ] {
+    for (name, bytes) in [("container_stored", &stored), ("legacy", &legacy)] {
         group.throughput(Throughput::Bytes(bytes.len() as u64));
         group.bench_with_input(BenchmarkId::new(name, d), bytes, |bencher, bytes| {
             bencher.iter(|| black_box(read_model(black_box(bytes.as_slice())).unwrap()));

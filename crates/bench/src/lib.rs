@@ -1,36 +1,6 @@
-//! Shared fixtures for the Criterion benchmarks.
-//!
-//! The benches live in `benches/`: kernel microbenchmarks (`kernels`,
-//! `encoding`, `inference`, `training`) and one scaled pipeline bench per
-//! paper artifact (`table1`, `fig3`, `fig5`, `fig6`).
+//! Shared fixtures for the kernel benchmarks in `benches/kernels.rs`.
 
 use hdc::{BinaryHv, Dim, RecordEncoder};
-use hdc_datasets::BenchmarkProfile;
-use lehdc::{EncodedDataset, Pipeline};
-
-/// A tiny benchmark corpus: the PAMAP profile shrunk to bench scale.
-#[must_use]
-pub fn bench_profile() -> BenchmarkProfile {
-    BenchmarkProfile::pamap()
-        .with_features(32)
-        .with_samples(100, 40)
-}
-
-/// Builds a ready pipeline over the bench corpus at dimension `d`.
-///
-/// # Panics
-///
-/// Panics on generation/encoding failure (impossible for the fixed shape).
-#[must_use]
-pub fn bench_pipeline(d: usize) -> Pipeline {
-    let data = bench_profile().generate(7).expect("generate bench data");
-    Pipeline::builder(&data)
-        .dim(Dim::new(d))
-        .seed(7)
-        .threads(1)
-        .build()
-        .expect("build bench pipeline")
-}
 
 /// A pair of random hypervectors of dimension `d`.
 #[must_use]
@@ -58,12 +28,6 @@ pub fn encoder_and_sample(d: usize, n_features: usize) -> (RecordEncoder, Vec<f3
     (encoder, sample)
 }
 
-/// The encoded bench corpus (train split only), for trainer benches.
-#[must_use]
-pub fn bench_encoded(d: usize) -> EncodedDataset {
-    bench_pipeline(d).encoded_train().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,8 +40,5 @@ mod tests {
         let (enc, sample) = encoder_and_sample(256, 16);
         assert_eq!(sample.len(), 16);
         assert_eq!(hdc::Encode::dim(&enc).get(), 256);
-        let encoded = bench_encoded(256);
-        assert_eq!(encoded.len(), 100);
-        assert_eq!(encoded.n_classes(), 5);
     }
 }

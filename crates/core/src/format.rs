@@ -7,33 +7,31 @@
 //! 0       4     magic  "LHDC"
 //! 4       4     format version (u32, currently 1)
 //! 8       1     artifact type  (1 = model, 2 = bundle, 3 = encoded corpus)
-//! 9       1     compression    (0 = stored, 1 = bit-plane RLE)
+//! 9       1     compression    (0 = stored; 1 = bit-plane RLE, read only)
 //! 10      2     reserved, must be zero
 //! 12      4     metadata length in bytes (u32)
 //! 16      8     aux section length in bytes (u64)
 //! 24      8     word-plane payload length in bytes (u64, multiple of 8)
-//! 32      —     metadata: flat JSON object (compressed when compression=1)
-//! …       —     aux section (artifact-specific, compressed when compression=1)
+//! 32      —     metadata: flat JSON object
+//! …       —     aux section (artifact-specific)
 //! …       —     zero padding so the payload starts on a 64-byte boundary
-//! …       —     word planes: packed u64 hypervector words, never compressed
+//! …       —     word planes: packed u64 hypervector words
 //! ```
 //!
-//! The header records the *encoded* metadata/aux lengths, so a reader can
-//! seek straight to the aligned payload and pull every hypervector word
-//! with a single bulk read — no per-field (let alone per-bit) parsing on
-//! the serve SWAP path. Packed binary hypervectors are incompressible by
-//! construction (each bit is a fair coin), so the planes are always stored
-//! raw; compression applies only to the metadata and aux sections, which
-//! hold JSON text, varint label streams, and `f32` normalizer tables —
-//! all byte-structured and highly redundant.
+//! The header records the section lengths, so a reader can seek straight
+//! to the aligned payload and pull every hypervector word with a single
+//! bulk read — no per-field (let alone per-bit) parsing on the serve SWAP
+//! path.
 //!
-//! The compressor is deliberately small and in-tree: an LEB128 varint
-//! layer plus a stride-aware bit-plane RLE. The input is transposed by
-//! `stride` (4 for `f32` tables so same-significance bytes become
-//! contiguous, 1 for text), split into its 8 bit planes, and each plane is
-//! run-length coded with varint run lengths alternating from a `0` run.
-//! Sign/exponent planes of normalizer tables and the high bits of ASCII
-//! collapse into a handful of runs.
+//! Every container is written with stored sections (compression byte 0).
+//! Files written by earlier versions may carry compression byte 1: their
+//! metadata and aux sections were packed with a small bit-plane RLE codec
+//! (an LEB128 varint layer over a stride-transposed, bit-plane-split
+//! input), which [`unpack`] still decodes. Nothing writes it any more: the
+//! word planes are incompressible, and on the sections it saved bytes only
+//! where a bundle carries a wide normalizer table, while its framing made
+//! narrower bundles and distillations bigger (DESIGN.md §10 has the
+//! measurements).
 
 use std::io::{Read, Write};
 
@@ -53,7 +51,8 @@ pub const HEADER_LEN: usize = 32;
 pub const PAYLOAD_ALIGN: usize = 64;
 
 /// Caps on the header length fields: anything beyond these is a corrupt or
-/// hostile file, rejected before any allocation is sized from it.
+/// hostile file. Below them, memory still follows the bytes actually in
+/// the file (see [`read_section`]), never the lengths the header claims.
 const MAX_META_LEN: u64 = 1 << 22; // 4 MiB of metadata JSON
 const MAX_AUX_LEN: u64 = 1 << 31; // 2 GiB of labels / normalizer tables
 const MAX_PLANES_LEN: u64 = 1 << 37; // 128 GiB of packed hypervectors
@@ -105,25 +104,16 @@ impl Artifact {
 }
 
 /// How the metadata and aux sections are encoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Compression {
-    /// Sections stored verbatim.
+    /// Sections stored verbatim: byte 0, the only one written.
     Stored,
-    /// Sections packed with the bit-plane RLE codec ([`pack`]).
-    #[default]
+    /// Sections packed with the bit-plane RLE codec (see [`unpack`]):
+    /// byte 1, read only.
     Packed,
 }
 
 impl Compression {
-    /// The compression byte stored at offset 9.
-    #[must_use]
-    pub fn byte(self) -> u8 {
-        match self {
-            Compression::Stored => 0,
-            Compression::Packed => 1,
-        }
-    }
-
     /// Parses the compression byte, rejecting unknown values.
     pub fn from_byte(b: u8) -> Result<Self, LehdcError> {
         match b {
@@ -183,50 +173,20 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, LehdcError> {
 // Bit-plane RLE codec
 // ---------------------------------------------------------------------------
 
-/// Compresses `data`: `varint raw_len · varint stride · 8 RLE bit planes`.
+/// Decompresses a packed section: `varint raw_len · varint stride · 8 RLE
+/// bit planes`. Each plane holds one bit position of the stride-transposed
+/// input (byte `i` of every `stride`-sized element, then byte `i+1`, …) as
+/// varint run lengths alternating in value from a `0` run.
 ///
-/// The input is first transposed column-major with the given `stride` (use
-/// the element size in bytes — 4 for `f32` tables — so that
-/// same-significance bytes are adjacent), then each of the 8 bit positions
-/// becomes one plane, run-length coded as varint run lengths alternating
-/// in value starting from a `0` run.
-#[must_use]
-pub fn pack(data: &[u8], stride: usize) -> Vec<u8> {
-    let stride = stride.max(1).min(data.len().max(1));
-    let mut out = Vec::with_capacity(16 + data.len() / 4);
-    write_varint(&mut out, data.len() as u64);
-    write_varint(&mut out, stride as u64);
-    if data.is_empty() {
-        return out;
-    }
-    let transposed = transpose(data, stride);
-    for plane in 0..8u32 {
-        // Alternating runs: the decoder assumes the first run holds zeros.
-        let mut current = 0u8;
-        let mut run: u64 = 0;
-        for &byte in &transposed {
-            let bit = (byte >> plane) & 1;
-            if bit == current {
-                run += 1;
-            } else {
-                write_varint(&mut out, run);
-                current = bit;
-                run = 1;
-            }
-        }
-        write_varint(&mut out, run);
-    }
-    out
-}
-
-/// Decompresses a [`pack`]ed stream, validating that every plane covers
-/// exactly `raw_len` bits and that no bytes trail the final plane.
-pub fn unpack(packed: &[u8]) -> Result<Vec<u8>, LehdcError> {
+/// Streams claiming more than `max_len` raw bytes are rejected before any
+/// allocation; every plane must cover exactly `raw_len` bits, and no bytes
+/// may trail the final plane.
+pub fn unpack(packed: &[u8], max_len: u64) -> Result<Vec<u8>, LehdcError> {
     let mut pos = 0usize;
     let raw_len = read_varint(packed, &mut pos)?;
-    if raw_len > MAX_AUX_LEN {
+    if raw_len > max_len {
         return Err(LehdcError::ModelFormat(format!(
-            "compressed stream claims implausible raw length {raw_len}"
+            "compressed stream claims {raw_len} raw bytes, more than the {max_len} allowed"
         )));
     }
     let raw_len = raw_len as usize;
@@ -269,24 +229,8 @@ pub fn unpack(packed: &[u8]) -> Result<Vec<u8>, LehdcError> {
     Ok(untranspose(&transposed, stride))
 }
 
-/// Column-major reorder: byte `i` of every stride-sized element first, then
-/// byte `i+1`, … The tail element may be partial; its bytes keep their
-/// column.
-fn transpose(data: &[u8], stride: usize) -> Vec<u8> {
-    if stride <= 1 {
-        return data.to_vec();
-    }
-    let mut out = Vec::with_capacity(data.len());
-    for col in 0..stride {
-        let mut i = col;
-        while i < data.len() {
-            out.push(data[i]);
-            i += stride;
-        }
-    }
-    out
-}
-
+/// Undoes the column-major reorder: the tail element may be partial; its
+/// bytes keep their column.
 fn untranspose(data: &[u8], stride: usize) -> Vec<u8> {
     if stride <= 1 {
         return data.to_vec();
@@ -614,44 +558,28 @@ pub struct Container {
     pub words: Vec<u64>,
 }
 
-/// Stride hint for aux sections dominated by `f32` tables.
-pub const STRIDE_F32: usize = 4;
-/// Stride hint for text and varint streams.
-pub const STRIDE_BYTES: usize = 1;
-
-/// Writes a complete container.
-///
-/// `planes` are written back-to-back in order; `aux_stride` is the codec
-/// stride used when `compression` is [`Compression::Packed`].
+/// Writes a complete container with stored sections (compression byte 0);
+/// `planes` are written back-to-back in order.
 pub fn write_container<W: Write>(
     writer: &mut W,
     artifact: Artifact,
-    compression: Compression,
     meta_json: &str,
     aux: &[u8],
-    aux_stride: usize,
     planes: &[&[u64]],
 ) -> Result<(), LehdcError> {
-    let (meta_blob, aux_blob) = match compression {
-        Compression::Stored => (meta_json.as_bytes().to_vec(), aux.to_vec()),
-        Compression::Packed => (
-            pack(meta_json.as_bytes(), STRIDE_BYTES),
-            pack(aux, aux_stride),
-        ),
-    };
-    let meta_len = u32::try_from(meta_blob.len())
+    let meta_len = u32::try_from(meta_json.len())
         .map_err(|_| LehdcError::ModelFormat("metadata too large".into()))?;
     let planes_len: usize = planes.iter().map(|p| p.len() * 8).sum();
 
     writer.write_all(&MAGIC)?;
     writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&[artifact.byte(), compression.byte(), 0, 0])?;
+    writer.write_all(&[artifact.byte(), 0, 0, 0])?;
     writer.write_all(&meta_len.to_le_bytes())?;
-    writer.write_all(&(aux_blob.len() as u64).to_le_bytes())?;
+    writer.write_all(&(aux.len() as u64).to_le_bytes())?;
     writer.write_all(&(planes_len as u64).to_le_bytes())?;
-    writer.write_all(&meta_blob)?;
-    writer.write_all(&aux_blob)?;
-    let written = HEADER_LEN + meta_blob.len() + aux_blob.len();
+    writer.write_all(meta_json.as_bytes())?;
+    writer.write_all(aux)?;
+    let written = HEADER_LEN + meta_json.len() + aux.len();
     let pad = (PAYLOAD_ALIGN - written % PAYLOAD_ALIGN) % PAYLOAD_ALIGN;
     writer.write_all(&[0u8; PAYLOAD_ALIGN][..pad])?;
     for plane in planes {
@@ -697,10 +625,8 @@ pub fn read_container_after_magic<R: Read>(reader: &mut R) -> Result<Container, 
         )));
     }
 
-    let mut meta_blob = vec![0u8; meta_len as usize];
-    reader.read_exact(&mut meta_blob).map_err(truncated)?;
-    let mut aux_blob = vec![0u8; aux_len as usize];
-    reader.read_exact(&mut aux_blob).map_err(truncated)?;
+    let meta_blob = read_section(reader, meta_len)?;
+    let aux_blob = read_section(reader, aux_len)?;
     let consumed = HEADER_LEN + meta_blob.len() + aux_blob.len();
     let pad = (PAYLOAD_ALIGN - consumed % PAYLOAD_ALIGN) % PAYLOAD_ALIGN;
     let mut padding = [0u8; PAYLOAD_ALIGN];
@@ -710,21 +636,22 @@ pub fn read_container_after_magic<R: Read>(reader: &mut R) -> Result<Container, 
             "alignment padding is not zeroed".into(),
         ));
     }
+    // The payload is one bulk read — word planes need no parsing.
+    let words = read_words(reader, planes_len / 8)?;
 
+    // Packed sections decode only now, capped by what the file holds: the
+    // metadata by the limit stored metadata obeys, the aux section by the
+    // larger of that and the payload it describes (no earlier writer
+    // produced an aux section bigger than both).
     let (meta_bytes, aux) = match compression {
         Compression::Stored => (meta_blob, aux_blob),
-        Compression::Packed => (unpack(&meta_blob)?, unpack(&aux_blob)?),
+        Compression::Packed => (
+            unpack(&meta_blob, MAX_META_LEN)?,
+            unpack(&aux_blob, MAX_META_LEN.max(planes_len))?,
+        ),
     };
     let meta = String::from_utf8(meta_bytes)
         .map_err(|_| LehdcError::ModelFormat("metadata is not valid UTF-8".into()))?;
-
-    // The payload is one bulk read — word planes need no parsing.
-    let mut payload = vec![0u8; planes_len as usize];
-    reader.read_exact(&mut payload).map_err(truncated)?;
-    let words = payload
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
 
     Ok(Container {
         artifact,
@@ -735,7 +662,30 @@ pub fn read_container_after_magic<R: Read>(reader: &mut R) -> Result<Container, 
     })
 }
 
-fn truncated(e: std::io::Error) -> LehdcError {
+/// Reads exactly `len` bytes. Past its first MiB the buffer grows only as
+/// bytes arrive, so a length field larger than the file costs no more
+/// memory than the file.
+pub(crate) fn read_section<R: Read>(reader: &mut R, len: u64) -> Result<Vec<u8>, LehdcError> {
+    let mut bytes = Vec::with_capacity(len.min(1 << 20) as usize);
+    reader.by_ref().take(len).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 != len {
+        return Err(LehdcError::ModelFormat("file truncated".into()));
+    }
+    Ok(bytes)
+}
+
+/// Reads `n_words` little-endian `u64` words, bounded as [`read_section`].
+pub(crate) fn read_words<R: Read>(reader: &mut R, n_words: u64) -> Result<Vec<u64>, LehdcError> {
+    let len = n_words
+        .checked_mul(8)
+        .ok_or_else(|| LehdcError::ModelFormat(format!("implausible word count {n_words}")))?;
+    Ok(read_section(reader, len)?
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect())
+}
+
+pub(crate) fn truncated(e: std::io::Error) -> LehdcError {
     if e.kind() == std::io::ErrorKind::UnexpectedEof {
         LehdcError::ModelFormat("file truncated".into())
     } else {
@@ -746,12 +696,6 @@ fn truncated(e: std::io::Error) -> LehdcError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip_codec(data: &[u8], stride: usize) {
-        let packed = pack(data, stride);
-        let back = unpack(&packed).expect("unpack");
-        assert_eq!(back, data, "codec roundtrip failed (stride {stride})");
-    }
 
     #[test]
     fn varint_roundtrip_edges() {
@@ -776,51 +720,42 @@ mod tests {
         assert!(read_varint(&over, &mut pos).is_err());
     }
 
-    #[test]
-    fn codec_roundtrips_structured_data() {
-        roundtrip_codec(b"", 1);
-        roundtrip_codec(b"a", 4);
-        roundtrip_codec(b"{\"dim\":10000,\"classes\":26}", 1);
-        let floats: Vec<u8> = (0..256)
-            .flat_map(|i| (i as f32 / 255.0).to_le_bytes())
-            .collect();
-        roundtrip_codec(&floats, 4);
-        // Stride that does not divide the length (partial tail element).
-        roundtrip_codec(&floats[..floats.len() - 3], 4);
-        roundtrip_codec(&floats, 7);
-    }
+    /// `[1, 2, 3, 4]` packed at stride 2: transposed to `[1, 3, 2, 4]`,
+    /// then one run-length plane per bit position.
+    const PACKED_1234: [u8; 15] = [4, 2, 0, 2, 2, 1, 2, 1, 3, 1, 4, 4, 4, 4, 4];
 
     #[test]
-    fn codec_compresses_f32_tables() {
-        // A normalizer-style table: smooth values in [0, 1).
-        let floats: Vec<u8> = (0..1024)
-            .flat_map(|i| (i as f32 / 1024.0).to_le_bytes())
-            .collect();
-        let packed = pack(&floats, STRIDE_F32);
-        assert!(
-            packed.len() < floats.len(),
-            "expected compression: {} -> {}",
-            floats.len(),
-            packed.len()
+    fn unpack_decodes_bit_planes_and_strides() {
+        assert_eq!(unpack(&PACKED_1234, 4).unwrap(), [1, 2, 3, 4]);
+        // Stride 1, one plane per bit of [1, 2].
+        assert_eq!(
+            unpack(&[2, 1, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2], 2).unwrap(),
+            [1, 2]
         );
+        assert_eq!(unpack(&[0, 1], 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn unpack_rejects_corrupt_streams() {
-        let packed = pack(b"hello world, hello world", 1);
         // Truncation at every prefix errors, never panics.
-        for cut in 0..packed.len() {
-            assert!(unpack(&packed[..cut]).is_err(), "cut {cut} accepted");
+        for cut in 0..PACKED_1234.len() {
+            assert!(
+                unpack(&PACKED_1234[..cut], 4).is_err(),
+                "cut {cut} accepted"
+            );
         }
         // Trailing garbage after the final plane.
-        let mut trailing = packed.clone();
+        let mut trailing = PACKED_1234.to_vec();
         trailing.push(0x00);
-        assert!(unpack(&trailing).is_err());
+        assert!(unpack(&trailing, 4).is_err());
+        // A raw length over the cap, before anything is allocated for it.
+        assert!(unpack(&PACKED_1234, 3).is_err());
+        let mut huge = Vec::new();
+        write_varint(&mut huge, 1 << 40);
+        write_varint(&mut huge, 1);
+        assert!(unpack(&huge, MAX_META_LEN).is_err());
         // Zero stride.
-        let mut zero_stride = Vec::new();
-        write_varint(&mut zero_stride, 4);
-        write_varint(&mut zero_stride, 0);
-        assert!(unpack(&zero_stride).is_err());
+        assert!(unpack(&[4, 0], 4).is_err());
     }
 
     #[test]
@@ -865,48 +800,37 @@ mod tests {
     }
 
     #[test]
-    fn container_roundtrips_both_compressions() {
+    fn container_roundtrips_with_stored_sections() {
         let planes: Vec<u64> = (0..37).map(|i| 0x9e37_79b9_7f4a_7c15u64.rotate_left(i)).collect();
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_container(
-                &mut buf,
-                Artifact::Model,
-                compression,
-                "{\"dim\":2368,\"classes\":1}",
-                &[1, 2, 3, 250],
-                STRIDE_BYTES,
-                &[&planes],
-            )
-            .expect("write");
-            let mut reader = &buf[..];
-            let mut magic = [0u8; 4];
-            reader.read_exact(&mut magic).unwrap();
-            assert_eq!(magic, MAGIC);
-            let c = read_container_after_magic(&mut reader).expect("read");
-            assert_eq!(c.artifact, Artifact::Model);
-            assert_eq!(c.compression, compression);
-            assert_eq!(c.meta, "{\"dim\":2368,\"classes\":1}");
-            assert_eq!(c.aux, vec![1, 2, 3, 250]);
-            assert_eq!(c.words, planes);
-            assert!(reader.is_empty(), "reader must consume the whole file");
-        }
+        let mut buf = Vec::new();
+        write_container(
+            &mut buf,
+            Artifact::Model,
+            "{\"dim\":2368,\"classes\":1}",
+            &[1, 2, 3, 250],
+            &[&planes],
+        )
+        .expect("write");
+        assert_eq!(buf[9], 0, "compression byte must be 0 (stored)");
+        let mut reader = &buf[..];
+        let mut magic = [0u8; 4];
+        reader.read_exact(&mut magic).unwrap();
+        assert_eq!(magic, MAGIC);
+        let c = read_container_after_magic(&mut reader).expect("read");
+        assert_eq!(c.artifact, Artifact::Model);
+        assert_eq!(c.compression, Compression::Stored);
+        assert_eq!(c.meta, "{\"dim\":2368,\"classes\":1}");
+        assert_eq!(c.aux, vec![1, 2, 3, 250]);
+        assert_eq!(c.words, planes);
+        assert!(reader.is_empty(), "reader must consume the whole file");
     }
 
     #[test]
     fn payload_is_cache_line_aligned() {
         for meta in ["{}", "{\"k\":1}", &format!("{{\"pad\":{}}}", "9".repeat(100))] {
             let mut buf = Vec::new();
-            write_container(
-                &mut buf,
-                Artifact::Model,
-                Compression::Stored,
-                meta,
-                &[7; 13],
-                STRIDE_BYTES,
-                &[&[u64::MAX]],
-            )
-            .expect("write");
+            write_container(&mut buf, Artifact::Model, meta, &[7; 13], &[&[u64::MAX]])
+                .expect("write");
             let payload_off = buf.len() - 8;
             assert_eq!(payload_off % PAYLOAD_ALIGN, 0, "meta {meta:?}");
             assert_eq!(&buf[payload_off..], &[0xff; 8]);
@@ -916,16 +840,7 @@ mod tests {
     #[test]
     fn header_rejects_bad_fields() {
         let mut buf = Vec::new();
-        write_container(
-            &mut buf,
-            Artifact::Bundle,
-            Compression::Stored,
-            "{}",
-            &[],
-            1,
-            &[],
-        )
-        .expect("write");
+        write_container(&mut buf, Artifact::Bundle, "{}", &[], &[]).expect("write");
         let check = |mutate: fn(&mut Vec<u8>), what: &str| {
             let mut bad = buf.clone();
             mutate(&mut bad);

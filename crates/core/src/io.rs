@@ -2,16 +2,18 @@
 //! readers it replaces.
 //!
 //! Every artifact — bare model, deployable bundle, encoded corpus — is
-//! written as one [`crate::format`] container: magic `LHDC`, version,
-//! artifact/compression bytes, flat JSON metadata, an artifact-specific
-//! aux section, and the packed hypervector word planes on a 64-byte
-//! boundary so the serve SWAP path loads them with a single bulk read.
+//! written as one [`crate::format`] container with stored sections: magic
+//! `LHDC`, version, artifact/compression bytes, flat JSON metadata, an
+//! artifact-specific aux section, and the packed hypervector word planes
+//! on a 64-byte boundary so the serve SWAP path loads them with a single
+//! bulk read.
 //!
-//! The pre-container formats (`LEHDCMDL` / `LEHDCBDL` / `LEHDCENC`)
-//! remain readable: [`read_model`], [`read_bundle`], and [`read_encoded`]
-//! dispatch on the magic, so old artifacts keep loading while everything
-//! written from now on is a container. The legacy writers survive as
-//! `write_*_legacy` for conversion tooling and dispatch tests.
+//! Older files stay readable: [`read_model`], [`read_bundle`], and
+//! [`read_encoded`] dispatch on the magic, so the pre-container formats
+//! (`LEHDCMDL` / `LEHDCBDL` / `LEHDCENC`) and containers with packed
+//! sections keep loading. Every reader sizes the buffers it reads into
+//! from the bytes actually in the file, never from the counts its header
+//! claims.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -22,8 +24,7 @@ use hdc_datasets::MinMaxNormalizer;
 
 use crate::error::LehdcError;
 use crate::format::{
-    self, meta_f32, read_varint, write_varint, Artifact, Compression, MetaWriter, STRIDE_BYTES,
-    STRIDE_F32,
+    self, meta_f32, read_varint, truncated, write_varint, Artifact, Compression, MetaWriter,
 };
 use crate::model::{project_dims, HdcModel};
 
@@ -111,61 +112,18 @@ fn expect_artifact(c: &format::Container, want: Artifact) -> Result<(), LehdcErr
 // Model: container write/read + legacy
 // ---------------------------------------------------------------------------
 
-/// Serializes a model as an `LHDC` container with the given section
-/// compression (the word planes are always raw).
+/// Serializes a model to any writer as an `LHDC` container.
 ///
 /// # Errors
 ///
 /// Returns [`LehdcError::Io`] on write failure.
-pub fn write_model_with<W: Write>(
-    model: &HdcModel,
-    mut writer: W,
-    compression: Compression,
-) -> Result<(), LehdcError> {
+pub fn write_model<W: Write>(model: &HdcModel, mut writer: W) -> Result<(), LehdcError> {
     let mut meta = MetaWriter::new();
     meta.u64("dim", model.dim().get() as u64)
         .u64("classes", model.n_classes() as u64)
         .str("created_by", PROVENANCE);
     let planes: Vec<&[u64]> = model.class_hvs().iter().map(BinaryHv::as_words).collect();
-    format::write_container(
-        &mut writer,
-        Artifact::Model,
-        compression,
-        &meta.finish(),
-        &[],
-        STRIDE_BYTES,
-        &planes,
-    )
-}
-
-/// Serializes a model to any writer in the current (container) format.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::Io`] on write failure.
-pub fn write_model<W: Write>(model: &HdcModel, writer: W) -> Result<(), LehdcError> {
-    // A bare model is essentially all planes; stored sections keep the
-    // write single-pass with nothing worth compressing.
-    write_model_with(model, writer, Compression::Stored)
-}
-
-/// Serializes a model in the legacy `LEHDCMDL` layout (for conversion
-/// tooling and legacy-dispatch tests; new artifacts use [`write_model`]).
-///
-/// # Errors
-///
-/// Returns [`LehdcError::Io`] on write failure.
-pub fn write_model_legacy<W: Write>(model: &HdcModel, mut writer: W) -> Result<(), LehdcError> {
-    writer.write_all(LEGACY_MODEL_MAGIC)?;
-    writer.write_all(&LEGACY_MODEL_VERSION.to_le_bytes())?;
-    writer.write_all(&(model.dim().get() as u64).to_le_bytes())?;
-    writer.write_all(&(model.n_classes() as u64).to_le_bytes())?;
-    for hv in model.class_hvs() {
-        for word in hv.as_words() {
-            writer.write_all(&word.to_le_bytes())?;
-        }
-    }
-    Ok(())
+    format::write_container(&mut writer, Artifact::Model, &meta.finish(), &[], &planes)
 }
 
 fn check_model_shape(dim: usize, k: usize) -> Result<(), LehdcError> {
@@ -195,12 +153,13 @@ fn words_to_hvs(words: &[u64], d: Dim, count: usize, what: &str) -> Result<Vec<B
     }
     words
         .chunks_exact(per)
-        .map(|chunk| {
-            BinaryHv::from_words(chunk.to_vec(), d).map_err(|_| {
-                LehdcError::ModelFormat("padding bits beyond the dimension are set".into())
-            })
-        })
+        .map(|chunk| hv_from_words(chunk, d))
         .collect()
+}
+
+fn hv_from_words(words: &[u64], d: Dim) -> Result<BinaryHv, LehdcError> {
+    BinaryHv::from_words(words.to_vec(), d)
+        .map_err(|_| LehdcError::ModelFormat("padding bits beyond the dimension are set".into()))
 }
 
 fn model_from_container(c: &format::Container) -> Result<HdcModel, LehdcError> {
@@ -229,21 +188,8 @@ fn read_model_legacy_body<R: Read>(reader: &mut R) -> Result<HdcModel, LehdcErro
     let k = read_u64(reader)? as usize;
     check_model_shape(dim, k)?;
     let d = Dim::new(dim);
-    let words_per_hv = d.words();
-    let mut class_hvs = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut buf = [0u8; 8];
-        let mut words = Vec::with_capacity(words_per_hv);
-        for _ in 0..words_per_hv {
-            reader.read_exact(&mut buf).map_err(truncated)?;
-            words.push(u64::from_le_bytes(buf));
-        }
-        let hv = BinaryHv::from_words(words, d).map_err(|_| {
-            LehdcError::ModelFormat("padding bits beyond the dimension are set".into())
-        })?;
-        class_hvs.push(hv);
-    }
-    HdcModel::new(class_hvs)
+    let words = format::read_words(reader, k as u64 * d.words() as u64)?;
+    HdcModel::new(words_to_hvs(&words, d, k, "model")?)
 }
 
 /// Deserializes a model from any reader, dispatching on the magic:
@@ -542,19 +488,14 @@ impl ModelBundle {
 // Bundle: container write/read + legacy
 // ---------------------------------------------------------------------------
 
-/// Serializes a bundle as an `LHDC` container with the given section
-/// compression.
+/// Serializes a bundle to any writer as an `LHDC` container.
 ///
 /// # Errors
 ///
 /// Returns [`LehdcError::InvalidConfig`] if the bundle's shape invariants
 /// fail (see [`ModelBundle::validate_shape`]), or [`LehdcError::Io`] on
 /// write failure.
-pub fn write_bundle_with<W: Write>(
-    bundle: &ModelBundle,
-    mut writer: W,
-    compression: Compression,
-) -> Result<(), LehdcError> {
+pub fn write_bundle<W: Write>(bundle: &ModelBundle, mut writer: W) -> Result<(), LehdcError> {
     bundle.validate_shape()?;
     let enc = &bundle.encoder;
     let mut meta = MetaWriter::new();
@@ -594,78 +535,13 @@ pub fn write_bundle_with<W: Write>(
             aux.extend_from_slice(&v.to_le_bytes());
         }
     }
-    let stride = if bundle.normalizer.is_some() {
-        STRIDE_F32
-    } else {
-        STRIDE_BYTES
-    };
     let planes: Vec<&[u64]> = bundle
         .model
         .class_hvs()
         .iter()
         .map(BinaryHv::as_words)
         .collect();
-    format::write_container(
-        &mut writer,
-        Artifact::Bundle,
-        compression,
-        &meta.finish(),
-        &aux,
-        stride,
-        &planes,
-    )
-}
-
-/// Serializes a bundle to any writer in the current (container) format
-/// with the default (packed) section compression.
-///
-/// # Errors
-///
-/// As [`write_bundle_with`].
-pub fn write_bundle<W: Write>(bundle: &ModelBundle, writer: W) -> Result<(), LehdcError> {
-    write_bundle_with(bundle, writer, Compression::Packed)
-}
-
-/// Serializes a bundle in the legacy `LEHDCBDL` layout. Distilled bundles
-/// cannot be represented (the legacy format has no selection section).
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for a distilled bundle or a
-/// model/encoder/normalizer shape mismatch, or [`LehdcError::Io`] on
-/// write failure.
-pub fn write_bundle_legacy<W: Write>(
-    bundle: &ModelBundle,
-    mut writer: W,
-) -> Result<(), LehdcError> {
-    if bundle.selection.is_some() {
-        return Err(LehdcError::InvalidConfig(
-            "the legacy bundle format cannot hold a distilled selection".into(),
-        ));
-    }
-    bundle.validate_shape()?;
-    writer.write_all(LEGACY_BUNDLE_MAGIC)?;
-    writer.write_all(&LEGACY_BUNDLE_VERSION.to_le_bytes())?;
-    writer.write_all(&(bundle.encoder.dim().get() as u64).to_le_bytes())?;
-    writer.write_all(&(bundle.encoder.n_features() as u64).to_le_bytes())?;
-    writer.write_all(&(bundle.encoder.levels().n_levels() as u64).to_le_bytes())?;
-    let (min, max) = bundle.encoder.quantizer().range();
-    writer.write_all(&min.to_le_bytes())?;
-    writer.write_all(&max.to_le_bytes())?;
-    writer.write_all(&bundle.encoder.seed().to_le_bytes())?;
-    match &bundle.normalizer {
-        None => writer.write_all(&[0u8])?,
-        Some(norm) => {
-            writer.write_all(&[1u8])?;
-            for &v in norm.mins() {
-                writer.write_all(&v.to_le_bytes())?;
-            }
-            for &v in norm.ranges() {
-                writer.write_all(&v.to_le_bytes())?;
-            }
-        }
-    }
-    write_model_legacy(&bundle.model, writer)
+    format::write_container(&mut writer, Artifact::Bundle, &meta.finish(), &aux, &planes)
 }
 
 fn check_encoder_shape(
@@ -716,7 +592,8 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
                 "selection holds {n_sel} dims but the model dimension is {dim}"
             )));
         }
-        let mut dims = Vec::with_capacity(n_sel);
+        // Each delta takes at least one aux byte.
+        let mut dims = Vec::with_capacity(n_sel.min(c.aux.len()));
         let mut current = 0u64;
         for i in 0..n_sel {
             let delta = read_varint(&c.aux, &mut pos)?;
@@ -750,24 +627,16 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
         None
     };
     let normalizer = if has_normalizer {
-        let need = n_features * 8;
-        if c.aux.len() - pos != need {
+        let table = &c.aux[pos..];
+        if table.len() != n_features * 8 {
             return Err(LehdcError::ModelFormat(format!(
-                "normalizer section holds {} bytes but N={n_features} needs {need}",
-                c.aux.len() - pos
+                "normalizer section holds {} bytes but N={n_features} needs {}",
+                table.len(),
+                n_features * 8
             )));
         }
-        let mut read_f32s = |n: usize| {
-            let out: Vec<f32> = c.aux[pos..pos + n * 4]
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-                .collect();
-            pos += n * 4;
-            out
-        };
-        let mins = read_f32s(n_features);
-        let ranges = read_f32s(n_features);
-        Some(MinMaxNormalizer::from_parts(mins, ranges)?)
+        pos = c.aux.len();
+        Some(normalizer_from_le_bytes(table)?)
     } else {
         None
     };
@@ -800,6 +669,20 @@ fn bundle_from_container(c: &format::Container) -> Result<ModelBundle, LehdcErro
     Ok(bundle)
 }
 
+/// Parses a normalizer stored as its `f32` LE mins followed by its `f32`
+/// LE ranges; the caller has checked that `bytes` holds 8 per feature.
+fn normalizer_from_le_bytes(bytes: &[u8]) -> Result<MinMaxNormalizer, LehdcError> {
+    let values: Vec<f32> = bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    let (mins, ranges) = values.split_at(values.len() / 2);
+    Ok(MinMaxNormalizer::from_parts(
+        mins.to_vec(),
+        ranges.to_vec(),
+    )?)
+}
+
 fn read_bundle_legacy_body<R: Read>(reader: &mut R) -> Result<ModelBundle, LehdcError> {
     let version = read_u32(reader)?;
     if version != LEGACY_BUNDLE_VERSION {
@@ -817,17 +700,10 @@ fn read_bundle_legacy_body<R: Read>(reader: &mut R) -> Result<ModelBundle, Lehdc
     let has_normalizer = read_array::<1, _>(reader)?[0];
     let normalizer = match has_normalizer {
         0 => None,
-        1 => {
-            let mut mins = Vec::with_capacity(n_features);
-            for _ in 0..n_features {
-                mins.push(f32::from_le_bytes(read_array(reader)?));
-            }
-            let mut ranges = Vec::with_capacity(n_features);
-            for _ in 0..n_features {
-                ranges.push(f32::from_le_bytes(read_array(reader)?));
-            }
-            Some(MinMaxNormalizer::from_parts(mins, ranges)?)
-        }
+        1 => Some(normalizer_from_le_bytes(&format::read_section(
+            reader,
+            n_features as u64 * 8,
+        )?)?),
         other => {
             return Err(LehdcError::ModelFormat(format!(
                 "invalid normalizer flag {other}"
@@ -876,20 +752,6 @@ pub fn read_bundle<R: Read>(mut reader: R) -> Result<ModelBundle, LehdcError> {
     }
 }
 
-/// Saves a bundle to a file path (atomically: temp file + fsync + rename)
-/// with an explicit section compression.
-///
-/// # Errors
-///
-/// As [`write_bundle_with`], plus file-creation failures.
-pub fn save_bundle_with(
-    bundle: &ModelBundle,
-    path: &Path,
-    compression: Compression,
-) -> Result<(), LehdcError> {
-    write_atomic(path, |w| write_bundle_with(bundle, w, compression))
-}
-
 /// Saves a bundle to a file path (atomically: temp file + fsync + rename, so
 /// an interrupted save never clobbers an existing artifact).
 ///
@@ -898,15 +760,6 @@ pub fn save_bundle_with(
 /// As [`write_bundle`], plus file-creation failures.
 pub fn save_bundle(bundle: &ModelBundle, path: &Path) -> Result<(), LehdcError> {
     write_atomic(path, |w| write_bundle(bundle, w))
-}
-
-/// Saves a bundle in the legacy `LEHDCBDL` layout (conversion tooling).
-///
-/// # Errors
-///
-/// As [`write_bundle_legacy`], plus file-creation failures.
-pub fn save_bundle_legacy(bundle: &ModelBundle, path: &Path) -> Result<(), LehdcError> {
-    write_atomic(path, |w| write_bundle_legacy(bundle, w))
 }
 
 /// Loads a bundle from a file path with full validation and path context:
@@ -936,10 +789,9 @@ pub fn load_bundle(path: &Path) -> Result<ModelBundle, LehdcError> {
 /// # Errors
 ///
 /// Returns [`LehdcError::Io`] on write failure.
-pub fn write_encoded_with<W: Write>(
+pub fn write_encoded<W: Write>(
     encoded: &crate::EncodedDataset,
     mut writer: W,
-    compression: Compression,
 ) -> Result<(), LehdcError> {
     let mut meta = MetaWriter::new();
     meta.u64("dim", encoded.dim().get() as u64)
@@ -954,49 +806,10 @@ pub fn write_encoded_with<W: Write>(
     format::write_container(
         &mut writer,
         Artifact::Encoded,
-        compression,
         &meta.finish(),
         &aux,
-        STRIDE_BYTES,
         &planes,
     )
-}
-
-/// Serializes an encoded corpus in the current (container) format with the
-/// default (packed) section compression.
-///
-/// # Errors
-///
-/// As [`write_encoded_with`].
-pub fn write_encoded<W: Write>(
-    encoded: &crate::EncodedDataset,
-    writer: W,
-) -> Result<(), LehdcError> {
-    write_encoded_with(encoded, writer, Compression::Packed)
-}
-
-/// Serializes an encoded corpus in the legacy `LEHDCENC` layout.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::Io`] on write failure.
-pub fn write_encoded_legacy<W: Write>(
-    encoded: &crate::EncodedDataset,
-    mut writer: W,
-) -> Result<(), LehdcError> {
-    writer.write_all(LEGACY_ENCODED_MAGIC)?;
-    writer.write_all(&LEGACY_ENCODED_VERSION.to_le_bytes())?;
-    writer.write_all(&(encoded.dim().get() as u64).to_le_bytes())?;
-    writer.write_all(&(encoded.n_classes() as u64).to_le_bytes())?;
-    writer.write_all(&(encoded.len() as u64).to_le_bytes())?;
-    for i in 0..encoded.len() {
-        let (hv, label) = encoded.sample(i);
-        writer.write_all(&(label as u64).to_le_bytes())?;
-        for word in hv.as_words() {
-            writer.write_all(&word.to_le_bytes())?;
-        }
-    }
-    Ok(())
 }
 
 fn check_corpus_shape(dim: usize, n_classes: usize, n_samples: usize) -> Result<(), LehdcError> {
@@ -1020,6 +833,9 @@ fn encoded_from_container(c: &format::Container) -> Result<crate::EncodedDataset
     let n_classes = meta.need_u64("classes")? as usize;
     let n_samples = meta.need_u64("samples")? as usize;
     check_corpus_shape(dim, n_classes, n_samples)?;
+    // The payload check comes first: it bounds `n_samples` by the bytes
+    // actually read before the label vector is sized from it.
+    let hvs = words_to_hvs(&c.words, Dim::new(dim), n_samples, "corpus")?;
     let mut pos = 0usize;
     let mut labels = Vec::with_capacity(n_samples);
     for _ in 0..n_samples {
@@ -1030,7 +846,6 @@ fn encoded_from_container(c: &format::Container) -> Result<crate::EncodedDataset
             "trailing bytes in the corpus label section".into(),
         ));
     }
-    let hvs = words_to_hvs(&c.words, Dim::new(dim), n_samples, "corpus")?;
     crate::EncodedDataset::from_parts(hvs, labels, n_classes)
 }
 
@@ -1046,23 +861,14 @@ fn read_encoded_legacy_body<R: Read>(reader: &mut R) -> Result<crate::EncodedDat
     let n_samples = read_u64(reader)? as usize;
     check_corpus_shape(dim, n_classes, n_samples)?;
     let d = Dim::new(dim);
-    let words_per_hv = d.words();
-    let mut hvs = Vec::with_capacity(n_samples);
-    let mut labels = Vec::with_capacity(n_samples);
-    let mut buf = [0u8; 8];
-    for _ in 0..n_samples {
-        reader.read_exact(&mut buf).map_err(truncated)?;
-        labels.push(u64::from_le_bytes(buf) as usize);
-        let mut words = Vec::with_capacity(words_per_hv);
-        for _ in 0..words_per_hv {
-            reader.read_exact(&mut buf).map_err(truncated)?;
-            words.push(u64::from_le_bytes(buf));
-        }
-        let hv = BinaryHv::from_words(words, d).map_err(|_| {
-            LehdcError::ModelFormat("padding bits beyond the dimension are set".into())
-        })?;
-        hvs.push(hv);
-    }
+    // Each sample is its label word followed by its hypervector words.
+    let per = 1 + d.words();
+    let words = format::read_words(reader, n_samples as u64 * per as u64)?;
+    let labels = words.chunks_exact(per).map(|s| s[0] as usize).collect();
+    let hvs = words
+        .chunks_exact(per)
+        .map(|s| hv_from_words(&s[1..], d))
+        .collect::<Result<_, _>>()?;
     crate::EncodedDataset::from_parts(hvs, labels, n_classes)
 }
 
@@ -1206,18 +1012,17 @@ fn read_u64<R: Read>(reader: &mut R) -> Result<u64, LehdcError> {
     Ok(u64::from_le_bytes(buf))
 }
 
-fn truncated(e: std::io::Error) -> LehdcError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        LehdcError::ModelFormat("file truncated".into())
-    } else {
-        LehdcError::Io(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hdc::rng::rng_for;
+
+    // Files written by earlier versions (see tests/fixtures/README.md).
+    const MODEL_LEGACY: &[u8] = include_bytes!("../tests/fixtures/model_legacy.lehdc");
+    const MODEL_PACKED: &[u8] = include_bytes!("../tests/fixtures/model_packed.lehdc");
+    const CORPUS_LEGACY: &[u8] = include_bytes!("../tests/fixtures/corpus_legacy.lehdc");
+    const SMOKE_LEGACY: &[u8] = include_bytes!("../tests/fixtures/smoke_legacy.lehdc");
+    const SMOKE_PACKED: &[u8] = include_bytes!("../tests/fixtures/smoke_packed.lehdc");
 
     fn random_model(k: usize, d: usize, seed: u64) -> HdcModel {
         let mut rng = rng_for(seed, 0);
@@ -1233,24 +1038,12 @@ mod tests {
     fn roundtrip_preserves_the_model() {
         for (k, d) in [(2, 64), (5, 100), (26, 1000), (3, 10_000)] {
             let model = random_model(k, d, k as u64);
-            for compression in [Compression::Stored, Compression::Packed] {
-                let mut buf = Vec::new();
-                write_model_with(&model, &mut buf, compression).unwrap();
-                let loaded = read_model(buf.as_slice()).unwrap();
-                assert_eq!(loaded, model, "roundtrip failed for K={k}, D={d}");
-            }
+            let mut buf = Vec::new();
+            write_model(&model, &mut buf).unwrap();
+            assert_eq!(buf[9], 0, "sections must be stored");
+            let loaded = read_model(buf.as_slice()).unwrap();
+            assert_eq!(loaded, model, "roundtrip failed for K={k}, D={d}");
         }
-    }
-
-    #[test]
-    fn legacy_model_still_loads() {
-        let model = random_model(4, 300, 7);
-        let mut buf = Vec::new();
-        write_model_legacy(&model, &mut buf).unwrap();
-        assert_eq!(&buf[..8], LEGACY_MODEL_MAGIC);
-        assert_eq!(buf.len(), 28 + 4 * Dim::new(300).words() * 8);
-        let loaded = read_model(buf.as_slice()).unwrap();
-        assert_eq!(loaded, model);
     }
 
     #[test]
@@ -1295,15 +1088,12 @@ mod tests {
 
     #[test]
     fn rejects_padding_bit_violations() {
-        // D=65 → second word may only use bit 0. Both formats must reject.
-        let model = random_model(1, 65, 3);
-        let writers: [fn(&HdcModel, &mut Vec<u8>) -> Result<(), LehdcError>; 2] = [
-            |m, w| write_model(m, w),
-            |m, w| write_model_legacy(m, w),
-        ];
-        for write in writers {
-            let mut buf = Vec::new();
-            write(&model, &mut buf).unwrap();
+        // The last byte of each file is the top byte of a word whose high
+        // bits lie beyond D (65 here, 300 in the fixtures): every format
+        // must reject a set padding bit.
+        let mut stored = Vec::new();
+        write_model(&random_model(1, 65, 3), &mut stored).unwrap();
+        for mut buf in [stored, MODEL_LEGACY.to_vec(), MODEL_PACKED.to_vec()] {
             let last = buf.len() - 1;
             buf[last] |= 0x80; // set a padding bit
             assert!(matches!(
@@ -1330,37 +1120,21 @@ mod tests {
     #[test]
     fn bundle_roundtrip_classifies_identically() {
         let bundle = test_bundle(None);
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_bundle_with(&bundle, &mut buf, compression).unwrap();
-            let restored = read_bundle(buf.as_slice()).unwrap();
-            assert_eq!(restored.model, bundle.model);
-            assert!(restored.selection.is_none());
-            // The regenerated encoder is bit-identical in behaviour.
-            let sample: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
-            assert_eq!(
-                restored.classify(&sample).unwrap(),
-                bundle.classify(&sample).unwrap()
-            );
-            assert_eq!(
-                restored.encoder.encode(&sample).unwrap(),
-                bundle.encoder.encode(&sample).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn legacy_bundle_still_loads() {
-        let bundle = test_bundle(None);
         let mut buf = Vec::new();
-        write_bundle_legacy(&bundle, &mut buf).unwrap();
-        assert_eq!(&buf[..8], LEGACY_BUNDLE_MAGIC);
+        write_bundle(&bundle, &mut buf).unwrap();
+        assert_eq!(buf[9], 0, "sections must be stored");
         let restored = read_bundle(buf.as_slice()).unwrap();
         assert_eq!(restored.model, bundle.model);
-        let sample: Vec<f32> = (0..12).map(|i| i as f32 / 24.0).collect();
+        assert!(restored.selection.is_none());
+        // The regenerated encoder is bit-identical in behaviour.
+        let sample: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
         assert_eq!(
             restored.classify(&sample).unwrap(),
             bundle.classify(&sample).unwrap()
+        );
+        assert_eq!(
+            restored.encoder.encode(&sample).unwrap(),
+            bundle.encoder.encode(&sample).unwrap()
         );
     }
 
@@ -1378,18 +1152,16 @@ mod tests {
             normalizer: Some(normalizer),
             selection: None,
         };
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_bundle_with(&bundle, &mut buf, compression).unwrap();
-            let restored = read_bundle(buf.as_slice()).unwrap();
-            assert_eq!(restored.normalizer, bundle.normalizer);
-            // Raw (un-normalized) features classify identically through both.
-            let raw = [0.7f32, 4.2];
-            assert_eq!(
-                restored.classify(&raw).unwrap(),
-                bundle.classify(&raw).unwrap()
-            );
-        }
+        let mut buf = Vec::new();
+        write_bundle(&bundle, &mut buf).unwrap();
+        let restored = read_bundle(buf.as_slice()).unwrap();
+        assert_eq!(restored.normalizer, bundle.normalizer);
+        // Raw (un-normalized) features classify identically through both.
+        let raw = [0.7f32, 4.2];
+        assert_eq!(
+            restored.classify(&raw).unwrap(),
+            bundle.classify(&raw).unwrap()
+        );
     }
 
     #[test]
@@ -1399,27 +1171,22 @@ mod tests {
         let sel = distilled.selection.as_ref().unwrap();
         assert_eq!(sel.len(), 100);
         assert!(sel.windows(2).all(|w| w[0] < w[1]));
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_bundle_with(&distilled, &mut buf, compression).unwrap();
-            let restored = read_bundle(buf.as_slice()).unwrap();
-            assert_eq!(restored.model, distilled.model);
-            assert_eq!(restored.selection, distilled.selection);
-            let sample: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
-            assert_eq!(
-                restored.classify(&sample).unwrap(),
-                distilled.classify(&sample).unwrap()
-            );
-        }
+        let mut buf = Vec::new();
+        write_bundle(&distilled, &mut buf).unwrap();
+        let restored = read_bundle(buf.as_slice()).unwrap();
+        assert_eq!(restored.model, distilled.model);
+        assert_eq!(restored.selection, distilled.selection);
+        let sample: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
+        assert_eq!(
+            restored.classify(&sample).unwrap(),
+            distilled.classify(&sample).unwrap()
+        );
         // Distilling a distilled bundle composes through to encoder dims.
         let twice = distilled.distill(40).unwrap();
         let sel2 = twice.selection.as_ref().unwrap();
         assert_eq!(sel2.len(), 40);
         assert!(sel2.iter().all(|d| sel.contains(d)));
         assert!(twice.validate_shape().is_ok());
-        // The legacy format cannot hold a selection.
-        let mut buf = Vec::new();
-        assert!(write_bundle_legacy(&distilled, &mut buf).is_err());
     }
 
     #[test]
@@ -1454,7 +1221,6 @@ mod tests {
         };
         let mut buf = Vec::new();
         assert!(write_bundle(&bundle, &mut buf).is_err());
-        assert!(write_bundle_legacy(&bundle, &mut buf).is_err());
     }
 
     #[test]
@@ -1480,10 +1246,8 @@ mod tests {
             Err(LehdcError::ModelFormat(msg)) if msg.contains("not a bundle")
         ));
         // Legacy model file: the magic rejects it.
-        let mut buf = Vec::new();
-        write_model_legacy(&model, &mut buf).unwrap();
         assert!(matches!(
-            read_bundle(buf.as_slice()),
+            read_bundle(MODEL_LEGACY),
             Err(LehdcError::ModelFormat(msg)) if msg.contains("magic")
         ));
     }
@@ -1495,38 +1259,27 @@ mod tests {
         let hvs: Vec<BinaryHv> = (0..7).map(|_| BinaryHv::random(d, &mut rng)).collect();
         let labels: Vec<usize> = (0..7).map(|i| i % 3).collect();
         let encoded = crate::EncodedDataset::from_parts(hvs, labels, 3).unwrap();
-        for compression in [Compression::Stored, Compression::Packed] {
-            let mut buf = Vec::new();
-            write_encoded_with(&encoded, &mut buf, compression).unwrap();
-            let restored = read_encoded(buf.as_slice()).unwrap();
-            assert_eq!(restored.len(), encoded.len());
-            assert_eq!(restored.labels(), encoded.labels());
-            assert_eq!(restored.hvs(), encoded.hvs());
-            assert_eq!(restored.n_classes(), 3);
-            // corrupted inputs are rejected
-            assert!(read_encoded(&buf[..buf.len() - 1]).is_err());
-            let mut bad = buf.clone();
-            bad[0] = b'X';
-            assert!(read_encoded(bad.as_slice()).is_err());
-        }
+        let mut buf = Vec::new();
+        write_encoded(&encoded, &mut buf).unwrap();
+        assert_eq!(buf[9], 0, "sections must be stored");
+        let restored = read_encoded(buf.as_slice()).unwrap();
+        assert_eq!(restored.len(), encoded.len());
+        assert_eq!(restored.labels(), encoded.labels());
+        assert_eq!(restored.hvs(), encoded.hvs());
+        assert_eq!(restored.n_classes(), 3);
+        // corrupted inputs are rejected
+        assert!(read_encoded(&buf[..buf.len() - 1]).is_err());
+        let mut bad = buf.clone();
+        bad[0] = b'X';
+        assert!(read_encoded(bad.as_slice()).is_err());
     }
 
     #[test]
-    fn legacy_encoded_corpus_still_loads() {
-        let mut rng = rng_for(9, 9);
-        let d = Dim::new(130);
-        let hvs: Vec<BinaryHv> = (0..5).map(|_| BinaryHv::random(d, &mut rng)).collect();
-        let labels: Vec<usize> = (0..5).map(|i| i % 2).collect();
-        let encoded = crate::EncodedDataset::from_parts(hvs, labels, 2).unwrap();
-        let mut buf = Vec::new();
-        write_encoded_legacy(&encoded, &mut buf).unwrap();
-        assert_eq!(&buf[..8], LEGACY_ENCODED_MAGIC);
-        let restored = read_encoded(buf.as_slice()).unwrap();
-        assert_eq!(restored.hvs(), encoded.hvs());
-        assert_eq!(restored.labels(), encoded.labels());
-        // an out-of-range label is rejected by from_parts at load time
-        // (legacy layout: label u64 at offset 36)
-        let mut bad = buf.clone();
+    fn legacy_corpus_rejects_an_out_of_range_label() {
+        // Legacy layout: the first sample's label u64 sits at offset 36,
+        // and the fixture corpus has 3 classes.
+        assert!(read_encoded(CORPUS_LEGACY).is_ok());
+        let mut bad = CORPUS_LEGACY.to_vec();
         bad[36] = 9;
         assert!(read_encoded(bad.as_slice()).is_err());
     }
@@ -1548,7 +1301,7 @@ mod tests {
         let bundle_path = dir.join("b.lehdc");
         save_bundle(&bundle, &bundle_path).unwrap();
         let legacy_bundle_path = dir.join("bl.lehdc");
-        save_bundle_legacy(&bundle, &legacy_bundle_path).unwrap();
+        std::fs::write(&legacy_bundle_path, SMOKE_LEGACY).unwrap();
         let enc_path = dir.join("e.lehdc");
         save_encoded(&encoded, &enc_path).unwrap();
 
@@ -1587,11 +1340,22 @@ mod tests {
         save_bundle(&bundle, &container).unwrap();
         assert_eq!(
             describe_file(&container).unwrap(),
-            "LHDC container v1, bundle artifact, packed sections"
+            "LHDC container v1, bundle artifact, stored sections"
         );
-        let legacy = dir.join("l.lehdc");
-        save_bundle_legacy(&bundle, &legacy).unwrap();
-        assert_eq!(describe_file(&legacy).unwrap(), "legacy LEHDCBDL bundle");
+        for (name, bytes, want) in [
+            (
+                "p.lehdc",
+                SMOKE_PACKED,
+                "LHDC container v1, bundle artifact, packed sections",
+            ),
+            ("l.lehdc", SMOKE_LEGACY, "legacy LEHDCBDL bundle"),
+            ("m.lehdc", MODEL_LEGACY, "legacy LEHDCMDL model"),
+            ("e.lehdc", CORPUS_LEGACY, "legacy LEHDCENC encoded corpus"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            assert_eq!(describe_file(&path).unwrap(), want);
+        }
         let junk = dir.join("junk.bin");
         std::fs::write(&junk, b"not a model").unwrap();
         assert!(describe_file(&junk).is_err());

@@ -1,18 +1,21 @@
 //! Regression suite for bundle loading: a truncated, corrupted, or padded
 //! bundle must come back as a typed [`LehdcError`] with path context —
 //! never a panic — through the one `load_bundle` code path the CLI and
-//! the serving daemon share. Both the `LHDC` container format and the
-//! legacy `LEHDCBDL` format go through the same sweep.
+//! the serving daemon share. The `LHDC` container this code writes and
+//! the two formats earlier versions wrote (the legacy `LEHDCBDL` layout
+//! and containers with packed sections, pinned by fixtures) all go
+//! through the same sweep.
 
 use std::path::Path;
 
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RecordEncoder};
 use hdc_datasets::MinMaxNormalizer;
-use lehdc::io::{
-    load_bundle, save_bundle, write_bundle, write_bundle_legacy, ModelBundle,
-};
+use lehdc::io::{load_bundle, read_encoded, save_bundle, write_bundle, ModelBundle};
 use lehdc::{HdcModel, LehdcError};
+
+const LEGACY_BUNDLE: &[u8] = include_bytes!("fixtures/smoke_legacy.lehdc");
+const PACKED_BUNDLE: &[u8] = include_bytes!("fixtures/smoke_packed.lehdc");
 
 fn test_bundle() -> ModelBundle {
     let dim = Dim::new(256);
@@ -39,10 +42,13 @@ fn bundle_bytes(bundle: &ModelBundle) -> Vec<u8> {
     buf
 }
 
-fn legacy_bundle_bytes(bundle: &ModelBundle) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_bundle_legacy(bundle, &mut buf).unwrap();
-    buf
+/// One bundle in every format the loader reads.
+fn bundle_files() -> [(&'static str, Vec<u8>); 3] {
+    [
+        ("container", bundle_bytes(&test_bundle())),
+        ("legacy", LEGACY_BUNDLE.to_vec()),
+        ("packed", PACKED_BUNDLE.to_vec()),
+    ]
 }
 
 fn write_temp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
@@ -83,12 +89,9 @@ fn missing_file_names_the_path() {
 #[test]
 fn truncation_at_every_prefix_is_a_typed_error() {
     // Cutting the bundle anywhere — header, metadata, aux sections, packed
-    // payload — must yield a typed error that names the file, for BOTH
-    // on-disk formats. This is the "no panic on truncated bundles" contract.
-    for (tag, bytes) in [
-        ("container", bundle_bytes(&test_bundle())),
-        ("legacy", legacy_bundle_bytes(&test_bundle())),
-    ] {
+    // payload — must yield a typed error that names the file, in every
+    // on-disk format. This is the "no panic on truncated bundles" contract.
+    for (tag, bytes) in bundle_files() {
         // Dense sweep over the header region, sparse over the payload.
         let cuts: Vec<usize> = (0..64.min(bytes.len()))
             .chain((64..bytes.len()).step_by(97))
@@ -109,11 +112,8 @@ fn truncation_at_every_prefix_is_a_typed_error() {
 }
 
 #[test]
-fn trailing_garbage_is_rejected_in_both_formats() {
-    for (tag, mut bytes) in [
-        ("container", bundle_bytes(&test_bundle())),
-        ("legacy", legacy_bundle_bytes(&test_bundle())),
-    ] {
+fn trailing_garbage_is_rejected_in_every_format() {
+    for (tag, mut bytes) in bundle_files() {
         bytes.extend_from_slice(b"junk");
         let path = write_temp("trailing.lehdc", &bytes);
         match load_bundle(&path) {
@@ -130,7 +130,7 @@ fn corrupted_level_count_is_rejected_before_codebook_work() {
     // The legacy layout has n_levels at a fixed offset; flipping it to an
     // absurd value must be caught by validation, not by a panic (or an
     // attempted multi-terabyte allocation) inside item-memory construction.
-    let mut bytes = legacy_bundle_bytes(&test_bundle());
+    let mut bytes = LEGACY_BUNDLE.to_vec();
     // n_levels lives after magic(8) + version(4) + dim(8) + n_features(8).
     let off = 8 + 4 + 8 + 8;
     bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -140,7 +140,7 @@ fn corrupted_level_count_is_rejected_before_codebook_work() {
         other => panic!("expected level-count error, got {other:?}"),
     }
     // L=1 (too coarse to quantize) must also be caught by validation.
-    let mut bytes = legacy_bundle_bytes(&test_bundle());
+    let mut bytes = LEGACY_BUNDLE.to_vec();
     bytes[off..off + 8].copy_from_slice(&1u64.to_le_bytes());
     let path = write_temp("onelevel.lehdc", &bytes);
     assert!(matches!(
@@ -165,9 +165,10 @@ fn model_file_passed_as_bundle_is_a_typed_error() {
         other => panic!("expected artifact-mismatch error, got {other:?}"),
     }
     // Legacy model: distinct 8-byte magic, rejected at the magic check.
-    let mut bytes = Vec::new();
-    lehdc::io::write_model_legacy(&bundle.model, &mut bytes).unwrap();
-    let path = write_temp("notabundle_legacy.lehdc", &bytes);
+    let path = write_temp(
+        "notabundle_legacy.lehdc",
+        include_bytes!("fixtures/model_legacy.lehdc"),
+    );
     match load_bundle(&path) {
         Err(LehdcError::ModelFormat(msg)) => {
             assert!(msg.contains("magic"), "{msg}");
@@ -202,5 +203,74 @@ fn batch_classify_matches_serial_and_reports_bad_rows() {
             assert!(msg.contains("expected 6"), "{msg}");
         }
         other => panic!("expected row-indexed error, got {other:?}"),
+    }
+}
+
+/// A header, then zero padding up to `len`: the lengths it claims are far
+/// beyond the bytes that follow.
+fn crafted(header: &[&[u8]], len: usize) -> Vec<u8> {
+    let mut file = header.concat();
+    file.resize(len, 0);
+    file
+}
+
+#[test]
+fn crafted_headers_fail_fast_without_huge_allocations() {
+    // Each of these once aborted the process (or the daemon's SWAP) on an
+    // allocation sized from the header, or spent seconds and gigabytes
+    // before failing. Memory must follow the bytes actually in the file.
+    let stored_huge_payload = crafted(
+        &[
+            b"LHDC",
+            &1u32.to_le_bytes(),
+            &[2, 0, 0, 0], // bundle, stored sections
+            &0u32.to_le_bytes(),
+            &0u64.to_le_bytes(),
+            &((1u64 << 37) - 64).to_le_bytes(), // a 128 GiB payload
+        ],
+        64,
+    );
+    let raw_2gib = [0x80, 0x80, 0x80, 0x80, 0x08]; // varint 2^31
+    let packed_meta = [&raw_2gib[..], &[0x01], &raw_2gib.repeat(8)].concat();
+    let packed_huge_meta = crafted(
+        &[
+            b"LHDC",
+            &1u32.to_le_bytes(),
+            &[2, 1, 0, 0], // bundle, packed sections
+            &(packed_meta.len() as u32).to_le_bytes(),
+            &0u64.to_le_bytes(),
+            &0u64.to_le_bytes(),
+            &packed_meta, // 2 GiB of zero bits in every plane
+        ],
+        128,
+    );
+    for (name, bytes, want) in [
+        (
+            "stored_huge_payload.lehdc",
+            &stored_huge_payload,
+            "truncated",
+        ),
+        ("packed_huge_meta.lehdc", &packed_huge_meta, "raw bytes"),
+    ] {
+        let path = write_temp(name, bytes);
+        match load_bundle(&path) {
+            Err(LehdcError::ModelFormat(msg)) => assert!(msg.contains(want), "{name}: {msg}"),
+            other => panic!("{name}: expected ModelFormat, got {other:?}"),
+        }
+    }
+
+    let legacy_huge_corpus = crafted(
+        &[
+            b"LEHDCENC",
+            &1u32.to_le_bytes(),
+            &64u64.to_le_bytes(),            // D
+            &2u64.to_le_bytes(),             // classes
+            &1_000_000_000u64.to_le_bytes(), // samples
+        ],
+        36,
+    );
+    match read_encoded(legacy_huge_corpus.as_slice()) {
+        Err(LehdcError::ModelFormat(msg)) => assert!(msg.contains("truncated"), "{msg}"),
+        other => panic!("expected ModelFormat, got {other:?}"),
     }
 }

@@ -29,14 +29,9 @@ proptest! {
 
     #[test]
     fn model_file_size_is_exactly_header_plus_payload(model in arb_model()) {
-        // Legacy format: fixed 28-byte header + packed words, nothing else.
-        let mut buf = Vec::new();
-        lehdc::io::write_model_legacy(&model, &mut buf).unwrap();
-        let expect = 28 + model.n_classes() * model.dim().words() * 8;
-        prop_assert_eq!(buf.len(), expect);
-        // Container format: the word planes sit flush at the end of the
-        // file, starting on a 64-byte boundary, and the header's planes
-        // length field accounts for every plane byte.
+        // The word planes sit flush at the end of the file, starting on a
+        // 64-byte boundary, and the header's planes length field accounts
+        // for every plane byte.
         let mut buf = Vec::new();
         write_model(&model, &mut buf).unwrap();
         let planes = model.n_classes() * model.dim().words() * 8;

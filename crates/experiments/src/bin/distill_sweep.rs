@@ -1,8 +1,7 @@
 //! Accuracy-vs-dimension-vs-bytes sweep for **distilled deployment
 //! models**: train once at full width, then shrink the model to a ladder of
 //! sub-D dimensions via [`HdcModel::distill`] and report, for each rung,
-//! the held-out accuracy and the serialized (packed `LHDC` container)
-//! size.
+//! the held-out accuracy and the serialized (`LHDC` container) size.
 //!
 //! The headline this sweep exists to check: a distilled model at
 //! **D ≤ 2000 stays within 2 percentage points of the full D=10,000
@@ -19,8 +18,7 @@
 
 use hdc::{BinaryHv, Dim};
 use hdc_datasets::BenchmarkProfile;
-use lehdc::format::Compression;
-use lehdc::io::{write_bundle_with, ModelBundle};
+use lehdc::io::{write_bundle, ModelBundle};
 use lehdc::{project_dims, Pipeline, Strategy};
 use lehdc_experiments::Options;
 
@@ -35,7 +33,7 @@ const HEADLINE_MAX_DIM: usize = 2_000;
 
 fn serialized_bytes(bundle: &ModelBundle) -> usize {
     let mut buf = Vec::new();
-    write_bundle_with(bundle, &mut buf, Compression::Packed).expect("in-memory serialize");
+    write_bundle(bundle, &mut buf).expect("in-memory serialize");
     buf.len()
 }
 

@@ -4,13 +4,14 @@
 
 use std::net::TcpStream;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RecordEncoder};
 use hdc_datasets::MinMaxNormalizer;
-use lehdc::io::{save_bundle, ModelBundle};
+use lehdc::io::{load_bundle, save_bundle, ModelBundle};
 use lehdc::HdcModel;
 use lehdc_serve::{Client, ServeConfig, Server};
 use testkit::Rng;
@@ -282,35 +283,42 @@ fn non_finite_features_are_rejected_in_both_protocol_modes() {
 
 #[test]
 fn swap_across_formats_and_distillation_is_bit_identical() {
-    // The deployment story end-to-end: the daemon starts on one bundle,
-    // swaps to (a) the same bundle re-encoded in the legacy format, then
-    // (b) a container-format copy, then (c) a distilled sub-D model —
-    // and every answer matches the corresponding serial classification.
-    use lehdc::format::Compression;
-    use lehdc::io::{save_bundle_legacy, save_bundle_with};
+    // The deployment story end-to-end: the daemon starts on a bundle this
+    // code wrote, swaps to the same model in the files earlier versions
+    // wrote — (a) the legacy format, (b) a container with packed sections
+    // — then to (c) a distilled sub-D model, and every answer matches the
+    // corresponding serial classification.
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures");
+    let legacy_path = fixtures.join("smoke_legacy.lehdc");
+    let packed_path = fixtures.join("smoke_packed.lehdc");
+    let bundle = load_bundle(&packed_path).unwrap();
+    let distilled = bundle.distill(64).unwrap();
 
     let dir = std::env::temp_dir().join("lehdc_serve_format_swap_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let bundle = test_bundle(5);
-    let distilled = bundle.distill(64).unwrap();
-
-    let legacy_path = dir.join("legacy.lehdc");
-    save_bundle_legacy(&bundle, &legacy_path).unwrap();
     let stored_path = dir.join("stored.lehdc");
-    save_bundle_with(&bundle, &stored_path, Compression::Stored).unwrap();
-    let packed_path = dir.join("packed.lehdc");
-    save_bundle_with(&bundle, &packed_path, Compression::Packed).unwrap();
+    save_bundle(&bundle, &stored_path).unwrap();
     let distilled_path = dir.join("distilled.lehdc");
     save_bundle(&distilled, &distilled_path).unwrap();
 
     let server = start(bundle.clone(), 16);
     let addr = server.local_addr();
-    let rows = random_rows(32, 11);
+    let mut rng = rng_for(99, 11);
+    let rows: Vec<Vec<f32>> = (0..32)
+        .map(|_| {
+            (0..bundle.n_features())
+                .map(|_| (rng.random::<u64>() % 2048) as f32 / 1024.0)
+                .collect()
+        })
+        .collect();
     let mut client = Client::connect(addr).unwrap();
 
-    // Full-width swaps: every format encodes the same model, so answers
-    // must be bit-identical to the original bundle across all of them.
-    for (i, path) in [&legacy_path, &stored_path, &packed_path].iter().enumerate() {
+    // Full-width swaps: every file holds the same model, so answers must
+    // be bit-identical to the original bundle across all of them.
+    for (i, path) in [&legacy_path, &packed_path, &stored_path]
+        .iter()
+        .enumerate()
+    {
         let epoch = client.swap(path.to_str().unwrap()).unwrap();
         assert_eq!(epoch, i as u64 + 1);
         for row in &rows {

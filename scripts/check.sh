@@ -87,22 +87,25 @@ for tier in $serve_tiers; do
              cat "$smoke_dir/serve_$tier.err" >&2; exit 1; }
 done
 
-echo "== format gate: conversions preserve predictions bit-for-bit =="
-# The trained smoke model (container, packed by default) converted through
-# every on-disk representation must predict identically: legacy, container
-# stored, and container packed are three encodings of one model.
-./target/release/lehdc_cli convert \
-    --model "$smoke_dir/model.lehdc" --out "$smoke_dir/legacy.lehdc" --format legacy
-./target/release/lehdc_cli convert \
-    --model "$smoke_dir/legacy.lehdc" --out "$smoke_dir/stored.lehdc" --compression stored
-./target/release/lehdc_cli convert \
-    --model "$smoke_dir/stored.lehdc" --out "$smoke_dir/packed.lehdc" --compression packed
-for variant in legacy stored packed; do
+echo "== format gate: old files convert to stored containers that predict the same =="
+# The committed fixtures hold this smoke model as earlier versions wrote it:
+# the legacy LEHDCBDL layout and a container with packed sections. Each
+# must convert to a stored container that predicts the committed
+# predictions bit-for-bit.
+fixtures="$PWD/crates/core/tests/fixtures"
+for variant in legacy packed; do
+    ./target/release/lehdc_cli convert \
+        --model "$fixtures/smoke_$variant.lehdc" --out "$smoke_dir/from_$variant.lehdc"
+    ./target/release/lehdc_cli info --model "$smoke_dir/from_$variant.lehdc" \
+        > "$smoke_dir/info_$variant.txt"
+    grep -q 'stored sections' "$smoke_dir/info_$variant.txt" \
+        || { echo "ERROR: convert of the $variant fixture did not write stored sections" >&2
+             exit 1; }
     ./target/release/lehdc_cli predict \
-        --model "$smoke_dir/$variant.lehdc" --data "$smoke_dir/features.csv" \
+        --model "$smoke_dir/from_$variant.lehdc" --data "$smoke_dir/features.csv" \
         > "$smoke_dir/offline_$variant.txt"
-    cmp "$smoke_dir/offline.txt" "$smoke_dir/offline_$variant.txt" \
-        || { echo "ERROR: $variant format predictions diverged" >&2; exit 1; }
+    cmp "$fixtures/smoke_predictions.txt" "$smoke_dir/offline_$variant.txt" \
+        || { echo "ERROR: $variant fixture predictions diverged after convert" >&2; exit 1; }
 done
 
 echo "== distill gate: sub-D model trains, saves, and predicts =="
@@ -119,11 +122,11 @@ grep -q 'distill:  64 of 256' "$smoke_dir/info_small.txt" \
     || { echo "ERROR: distilled model failed to predict" >&2; exit 1; }
 
 echo "== serve SWAP format gate: daemon is bit-identical across formats =="
-# Start on the packed container, then drive checked runs that hot-swap to
-# the legacy and stored artifacts first: every answer must still match the
-# offline predictions of the one underlying model.
+# Start on the converted stored container, then drive checked runs that
+# hot-swap to the two fixture files themselves: every answer must still
+# match the committed predictions of the one underlying model.
 ./target/release/lehdc_serve \
-    --model "$smoke_dir/model.lehdc" --addr 127.0.0.1:0 --threads 2 \
+    --model "$smoke_dir/from_packed.lehdc" --addr 127.0.0.1:0 --threads 2 \
     > "$smoke_dir/serve_swap.log" 2> "$smoke_dir/serve_swap.err" &
 serve_pid=$!
 serve_addr=""
@@ -136,12 +139,12 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$serve_addr" ] || { echo "ERROR: lehdc_serve never printed its address" >&2; exit 1; }
-for variant in legacy stored; do
+for variant in legacy packed; do
     ./target/release/lehdc_loadgen \
         --addr "$serve_addr" --data "$smoke_dir/features.csv" \
         --requests 180 --connections 2 --window 8 \
-        --swap "$smoke_dir/$variant.lehdc" \
-        --check "$smoke_dir/offline.txt" \
+        --swap "$fixtures/smoke_$variant.lehdc" \
+        --check "$fixtures/smoke_predictions.txt" \
         > /dev/null \
         || { echo "ERROR: responses diverged after swapping to $variant" >&2; exit 1; }
 done

@@ -11,7 +11,7 @@
 //! lehdc_cli predict --model model.lehdc --data features.csv
 //!                   [--threads 1] [--verbose] [--metrics-out run.jsonl]
 //! lehdc_cli distill --model model.lehdc --out small.lehdc --dim 2000
-//! lehdc_cli convert --model model.lehdc --out legacy.lehdc --format legacy
+//! lehdc_cli convert --model old.lehdc --out new.lehdc
 //! lehdc_cli info    --model model.lehdc
 //! ```
 //!
@@ -22,8 +22,8 @@
 //! `predict` reads label-free CSV rows (features only) and prints one
 //! predicted class per line. `distill` shrinks a trained bundle to `--dim`
 //! dimensions by class-margin contribution (train big, deploy small);
-//! `convert` rewrites an artifact between the `LHDC` container and the
-//! legacy format, or between compression modes.
+//! `convert` rewrites any readable bundle (legacy, or a container with
+//! packed sections) as the `LHDC` container every command writes.
 //!
 //! `--verbose` echoes per-epoch timing and throughput to stderr;
 //! `--metrics-out <path>` additionally writes every observability event as
@@ -37,11 +37,9 @@ use std::process::ExitCode;
 use lehdc_suite::datasets::loader::csv::{load_csv, LabelColumn};
 use lehdc_suite::datasets::TrainTest;
 use lehdc_suite::hdc::{Dim, Encode};
-use lehdc_suite::lehdc::format::Compression;
-use lehdc_suite::lehdc::io::{
-    describe_file, load_bundle, save_bundle, save_bundle_legacy, save_bundle_with, ModelBundle,
-};
+use lehdc_suite::lehdc::io::{describe_file, load_bundle, save_bundle, ModelBundle};
 use lehdc_suite::lehdc::{AdaptiveConfig, LehdcConfig, Pipeline, RetrainConfig, Strategy};
+use lehdc_suite::serve::flags::{parse_flags, parse_num, required};
 use lehdc_suite::{obs, threadpool};
 
 fn main() -> ExitCode {
@@ -78,44 +76,8 @@ const USAGE: &str = "usage: lehdc_cli <train|eval|predict|distill|convert|info> 
   predict --model <file> --data <csv-of-features> [--threads T]
           [--verbose] [--metrics-out <jsonl>]
   distill --model <file> --out <file> --dim D
-  convert --model <file> --out <file> [--format container|legacy]
-          [--compression packed|stored]
+  convert --model <file> --out <file>
   info    --model <file>";
-
-/// Parses `--key value` pairs (and bare `--flag` booleans), rejecting any
-/// flag the subcommand does not recognize.
-fn parse_flags(
-    args: &[String],
-    value_flags: &[&str],
-    bool_flags: &[&str],
-) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter();
-    while let Some(key) = it.next() {
-        let Some(name) = key.strip_prefix("--") else {
-            return Err(format!("expected a --flag, found {key:?}"));
-        };
-        if bool_flags.contains(&name) {
-            flags.insert(name.to_string(), "true".to_string());
-        } else if value_flags.contains(&name) {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.insert(name.to_string(), value.clone());
-        } else {
-            let known: Vec<String> = value_flags
-                .iter()
-                .chain(bool_flags)
-                .map(|f| format!("--{f}"))
-                .collect();
-            return Err(format!(
-                "unknown flag --{name} (expected one of: {})",
-                known.join(", ")
-            ));
-        }
-    }
-    Ok(flags)
-}
 
 /// Builds a recorder from `--verbose` / `--metrics-out`. With neither flag
 /// present the recorder stays disabled and every probe is a no-op.
@@ -169,20 +131,6 @@ fn finish_metrics(rec: &obs::Recorder) {
     );
     rec.emit_metric_summaries();
     rec.flush();
-}
-
-fn required(flags: &HashMap<String, String>, name: &str) -> Result<String, String> {
-    flags
-        .get(name)
-        .cloned()
-        .ok_or_else(|| format!("--{name} is required"))
-}
-
-fn parse_num<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad --{name} value {v:?}")),
-    }
 }
 
 fn label_column(flags: &HashMap<String, String>) -> Result<LabelColumn, String> {
@@ -350,26 +298,14 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
             bundle.encoder.n_features()
         ));
     }
-    // Normalize + encode every row up front, then classify the whole batch
-    // through the instrumented bulk path so throughput is observable.
-    let encode_timer = rec.start();
-    let mut hvs = Vec::with_capacity(dataset.len());
-    for i in 0..dataset.len() {
-        let row = dataset.row(i);
-        let hv = match &bundle.normalizer {
-            Some(norm) => {
-                let mut scaled = row.to_vec();
-                norm.apply_row(&mut scaled);
-                bundle.encoder.encode(&scaled)
-            }
-            None => bundle.encoder.encode(row),
-        }
+    // The bundle's bulk path, as in `predict`: it rejects non-finite
+    // features, and normalizes + encodes on `--threads` workers.
+    let rows: Vec<Vec<f32>> = (0..dataset.len())
+        .map(|i| dataset.row(i).to_vec())
+        .collect();
+    let predictions = bundle
+        .classify_all_recorded(&rows, threads, &rec)
         .map_err(|e| e.to_string())?;
-        hvs.push(hv);
-    }
-    rec.observe_since("encode/corpus_ns", &encode_timer);
-    rec.add("encode/samples", dataset.len() as u64);
-    let predictions = bundle.model.classify_all_recorded(&hvs, threads, &rec);
     let mut correct = 0usize;
     let mut confusion = binnet::ConfusionMatrix::new(bundle.model.n_classes());
     for (i, &predicted) in predictions.iter().enumerate() {
@@ -456,35 +392,11 @@ fn cmd_distill(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args, &["model", "out", "format", "compression"], &[])?;
+    let flags = parse_flags(args, &["model", "out"], &[])?;
     let out_path = PathBuf::from(required(&flags, "out")?);
     let bundle = load_bundle(&PathBuf::from(required(&flags, "model")?))
         .map_err(|e| e.to_string())?;
-    match flags.get("format").map(String::as_str) {
-        Some("legacy") => {
-            if flags.contains_key("compression") {
-                return Err("--compression applies only to the container format".into());
-            }
-            save_bundle_legacy(&bundle, &out_path).map_err(|e| e.to_string())?;
-        }
-        None | Some("container") => {
-            let compression = match flags.get("compression").map(String::as_str) {
-                None | Some("packed") => Compression::Packed,
-                Some("stored") => Compression::Stored,
-                Some(other) => {
-                    return Err(format!(
-                        "--compression must be packed or stored, got {other:?}"
-                    ))
-                }
-            };
-            save_bundle_with(&bundle, &out_path, compression).map_err(|e| e.to_string())?;
-        }
-        Some(other) => {
-            return Err(format!(
-                "--format must be container or legacy, got {other:?}"
-            ))
-        }
-    }
+    save_bundle(&bundle, &out_path).map_err(|e| e.to_string())?;
     println!(
         "converted to {} ({})",
         out_path.display(),

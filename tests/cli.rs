@@ -146,6 +146,46 @@ fn eval_rejects_feature_count_mismatch() {
 }
 
 #[test]
+fn eval_rejects_non_finite_features() {
+    let train_csv = write_csv("train_nonfinite.csv", true, 60);
+    let model = model_path("nonfinite.lehdc");
+    let out = cli()
+        .args(["train", "--data"])
+        .arg(&train_csv)
+        .args(["--out"])
+        .arg(&model)
+        .args(["--dim", "256", "--epochs", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "train failed: {out:?}");
+
+    // NaN and inf cannot be quantized: eval must reject them as predict
+    // does, not score them.
+    let bad = model_path("nonfinite.csv");
+    std::fs::write(
+        &bad,
+        "0,0.1,0.2,2.0,0.05\n1,NaN,0.9,1.2,0.4\n2,1.6,inf,0.4,0.8\n",
+    )
+    .unwrap();
+    let out = cli()
+        .args(["eval", "--model"])
+        .arg(&model)
+        .args(["--data"])
+        .arg(&bad)
+        .output()
+        .unwrap();
+    assert!(
+        !out.status.success(),
+        "eval scored non-finite rows: {out:?}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("row 1: feature 0 is not finite"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn unknown_flags_are_rejected_per_subcommand() {
     let train_csv = write_csv("train_flags.csv", true, 30);
     let model = model_path("flags.lehdc");
@@ -157,6 +197,8 @@ fn unknown_flags_are_rejected_per_subcommand() {
         (vec!["eval", "--model", "m", "--data", "x.csv", "--strategy", "lehdc"], "--strategy"),
         (vec!["predict", "--model", "m", "--data", "x.csv", "--epochs", "3"], "--epochs"),
         (vec!["info", "--model", "m", "--data", "x.csv"], "--data"),
+        (vec!["convert", "--model", "m", "--out", "o", "--format", "legacy"], "--format"),
+        (vec!["convert", "--model", "m", "--out", "o", "--compression", "packed"], "--compression"),
     ] {
         let out = cli().args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?} should fail");
