@@ -45,19 +45,6 @@ fn bench_hamming(c: &mut Bench) {
     group.finish();
 }
 
-fn bench_bundle(c: &mut Bench) {
-    let mut group = c.benchmark_group("bundle_add");
-    for &d in DIMS {
-        let (a, _) = random_pair(d);
-        group.throughput(Throughput::Elements(d as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(d), &d, |bencher, _| {
-            let mut acc = Accumulator::new(Dim::new(d));
-            bencher.iter(|| acc.add(black_box(&a)));
-        });
-    }
-    group.finish();
-}
-
 fn bench_threshold(c: &mut Bench) {
     let mut group = c.benchmark_group("bundle_threshold");
     for &d in DIMS {
@@ -225,9 +212,9 @@ fn bench_encode_threads(c: &mut Bench) {
 
 /// Single-sample record encoding (paper Eq. 1) at the MNIST-shaped
 /// `D = 10,000 × 784` features — the per-request cost of the serve path.
-/// This is the group the bit-sliced bundling acceptance criterion gates:
-/// one encode is `n_features` fused bind-accumulates plus one majority
-/// threshold, so its cost tracks `Accumulator::add_bound` directly.
+/// One encode is `n_features` fused bind-accumulates into a fresh
+/// accumulator, grouped by `Accumulator::add_bound_many`, plus one majority
+/// threshold, so its cost tracks the grouped carry-save tree directly.
 fn bench_record_encode(c: &mut Bench) {
     let mut group = c.benchmark_group("record_encode");
     group.sample_size(10);
@@ -240,30 +227,6 @@ fn bench_record_encode(c: &mut Bench) {
             |bencher, _| {
                 use hdc::Encode;
                 bencher.iter(|| black_box(encoder.encode(black_box(&sample)).unwrap()));
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Feature-parallel single-sample encoding across pool widths: the chunks
-/// bind+bundle into partial accumulators that merge in fixed order, so the
-/// output is bit-identical at every width — only the latency moves.
-fn bench_encode_pooled(c: &mut Bench) {
-    let mut group = c.benchmark_group("encode_pooled");
-    group.sample_size(10);
-    let (d, n) = (10_000usize, 784usize);
-    let (encoder, sample) = lehdc_bench::encoder_and_sample(d, n);
-    for &threads in SCALING_THREADS {
-        let pool = ThreadPool::new(threads);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(
-            BenchmarkId::new(format!("threads{threads}"), d),
-            &d,
-            |bencher, _| {
-                bencher.iter(|| {
-                    black_box(encoder.encode_pooled(black_box(&sample), &pool).unwrap())
-                });
             },
         );
     }
@@ -722,7 +685,6 @@ fn bench_format_load(c: &mut Bench) {
 testkit::bench_main!(
     bench_bind,
     bench_hamming,
-    bench_bundle,
     bench_threshold,
     bench_rotate,
     bench_forward,
@@ -731,7 +693,6 @@ testkit::bench_main!(
     bench_backward_threads,
     bench_encode_threads,
     bench_record_encode,
-    bench_encode_pooled,
     bench_classify_threads,
     bench_classify_blocked,
     bench_train_step,

@@ -1,7 +1,7 @@
 //! Baseline binary HDC training: bundle-and-sign (paper Eq. 2).
 
 use hdc::rng::rng_for;
-use hdc::{Accumulator, RealHv};
+use hdc::{Accumulator, BinaryHv, RealHv};
 
 use crate::encoded::EncodedDataset;
 use crate::error::LehdcError;
@@ -74,7 +74,10 @@ fn all_samples(train: &EncodedDataset) -> Vec<usize> {
 
 /// Bundles the samples at `indices` into one exact bit-sliced
 /// [`Accumulator`] per class, chunked across the pool and merged in chunk
-/// order.
+/// order. Within a chunk each class buffers up to [`Accumulator::GROUP`]
+/// samples and adds a full buffer with one carry-save tree
+/// ([`Accumulator::add_many`]); counts are exact, so the grouping changes
+/// no counter.
 ///
 /// # Errors
 ///
@@ -89,9 +92,19 @@ pub(crate) fn class_accumulators_pooled(
     let pool = threadpool::ThreadPool::new(threads);
     let parts = pool.run_chunks(indices.len(), |range| {
         let mut accs: Vec<Accumulator> = (0..k).map(|_| Accumulator::new(train.dim())).collect();
+        let mut pending: Vec<Vec<&BinaryHv>> = (0..k)
+            .map(|_| Vec::with_capacity(Accumulator::GROUP))
+            .collect();
         for &i in &indices[range] {
             let (hv, label) = train.sample(i);
-            accs[label].add(hv);
+            pending[label].push(hv);
+            if pending[label].len() == Accumulator::GROUP {
+                accs[label].add_many(&pending[label]);
+                pending[label].clear();
+            }
+        }
+        for (acc, rest) in accs.iter_mut().zip(&pending) {
+            acc.add_many(rest);
         }
         accs
     });
@@ -248,6 +261,25 @@ mod tests {
                 serial_model,
                 "model threads={threads}"
             );
+        }
+        // The grouped class sums equal one `Accumulator::add` per sample,
+        // with class sizes (11, 29) that leave a remainder after the groups
+        // of 8, whole or split across chunks.
+        for (k, per_class) in [(3, 11), (4, 29)] {
+            let (train, _) = clustered_corpus(k, per_class, 517, 40, 5);
+            let mut per_sample: Vec<Accumulator> =
+                (0..k).map(|_| Accumulator::new(train.dim())).collect();
+            for i in 0..train.len() {
+                let (hv, label) = train.sample(i);
+                per_sample[label].add(hv);
+            }
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    class_accumulators_pooled(&train, &all_samples(&train), threads).unwrap(),
+                    per_sample,
+                    "class sums k={k} threads={threads}"
+                );
+            }
         }
     }
 

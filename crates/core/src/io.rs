@@ -544,20 +544,42 @@ pub fn write_bundle<W: Write>(bundle: &ModelBundle, mut writer: W) -> Result<(),
     format::write_container(&mut writer, Artifact::Bundle, &meta.finish(), &aux, &planes)
 }
 
+/// The most memory a loaded bundle may ask the loader to regenerate for its
+/// encoder: `N` position and `L` level hypervectors of `⌈D/64⌉` words, plus
+/// the level memory's `D`-entry permutation. Every bundle this code writes
+/// for a real corpus needs far less (the MNIST-shaped D = 10,000 bundle
+/// about 1.1 MB); a file claiming more is rejected before any of it is
+/// allocated.
+const MAX_ENCODER_BYTES: u64 = 256 << 20;
+
+/// Validates an encoder shape read from a file before the item memories are
+/// regenerated from it: `L` must satisfy [`hdc::LevelMemory::new`]
+/// (`2 ≤ L` and `L − 1 ≤ ⌊D/2⌋`), and the regeneration must fit
+/// [`MAX_ENCODER_BYTES`].
 fn check_encoder_shape(
     encoder_dim: usize,
     n_features: usize,
     n_levels: usize,
 ) -> Result<(), LehdcError> {
-    if encoder_dim == 0 || n_features == 0 || encoder_dim > 1_000_000_000 || n_features > 100_000_000
-    {
+    if encoder_dim == 0 || n_features == 0 {
         return Err(LehdcError::ModelFormat(format!(
             "implausible encoder shape: D={encoder_dim}, N={n_features}"
         )));
     }
-    if n_levels < 2 || n_levels > encoder_dim {
+    if n_levels < 2 || n_levels - 1 > encoder_dim / 2 {
         return Err(LehdcError::ModelFormat(format!(
-            "implausible level count L={n_levels} for D={encoder_dim} (need 2 ≤ L ≤ D)"
+            "implausible level count L={n_levels} for D={encoder_dim} (need 2 ≤ L ≤ ⌊D/2⌋ + 1)"
+        )));
+    }
+    let hv_bytes = encoder_dim.div_ceil(64) as u64 * 8;
+    let bytes = (n_features as u64)
+        .saturating_add(n_levels as u64)
+        .saturating_mul(hv_bytes)
+        .saturating_add((encoder_dim as u64).saturating_mul(8));
+    if bytes > MAX_ENCODER_BYTES {
+        return Err(LehdcError::ModelFormat(format!(
+            "encoder shape D={encoder_dim}, N={n_features}, L={n_levels} would regenerate \
+             {bytes} bytes of item memory (limit {MAX_ENCODER_BYTES})"
         )));
     }
     Ok(())

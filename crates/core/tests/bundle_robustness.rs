@@ -11,6 +11,7 @@ use std::path::Path;
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RecordEncoder};
 use hdc_datasets::MinMaxNormalizer;
+use lehdc::format::{meta_f32, write_container, write_varint, Artifact, MetaWriter};
 use lehdc::io::{load_bundle, read_encoded, save_bundle, write_bundle, ModelBundle};
 use lehdc::{HdcModel, LehdcError};
 
@@ -273,4 +274,90 @@ fn crafted_headers_fail_fast_without_huge_allocations() {
         Err(LehdcError::ModelFormat(msg)) => assert!(msg.contains("truncated"), "{msg}"),
         other => panic!("expected ModelFormat, got {other:?}"),
     }
+}
+
+/// A well-formed stored bundle of two all-zero class hypervectors of
+/// dimension `dim`, whose metadata claims an encoder of `encoder_dim` ×
+/// `features` × `levels`, distilled to the first `dim` dimensions when the
+/// two dimensions differ. Nothing in the payload backs the encoder shape.
+fn crafted_bundle(dim: u64, encoder_dim: u64, features: u64, levels: u64) -> Vec<u8> {
+    let distilled = dim != encoder_dim;
+    let mut meta = MetaWriter::new();
+    meta.u64("dim", dim)
+        .u64("classes", 2)
+        .u64("encoder_dim", encoder_dim)
+        .u64("features", features)
+        .u64("levels", levels)
+        .u64("seed", 1);
+    meta_f32(&mut meta, "vmin", 0.0);
+    meta_f32(&mut meta, "vmax", 1.0);
+    meta.bool("normalizer", false).bool("distilled", distilled);
+    let mut aux = Vec::new();
+    write_varint(&mut aux, if distilled { dim } else { 0 });
+    if distilled {
+        for i in 0..dim {
+            write_varint(&mut aux, u64::from(i > 0));
+        }
+    }
+    let plane = vec![0u64; dim.div_ceil(64) as usize];
+    let mut file = Vec::new();
+    write_container(
+        &mut file,
+        Artifact::Bundle,
+        &meta.finish(),
+        &aux,
+        &[&plane, &plane],
+    )
+    .unwrap();
+    file
+}
+
+/// Small bundles whose encoder shape would make the loader regenerate
+/// gigabytes of item memory, or that `LevelMemory` cannot build.
+fn oversized_encoder_bundles() -> [(&'static str, Vec<u8>, &'static str); 4] {
+    [
+        // N = 10^8 position hypervectors at D = 256: 3.2 GB.
+        (
+            "huge_features.lehdc",
+            crafted_bundle(256, 256, 100_000_000, 2),
+            "item memory",
+        ),
+        // A distilled D = 64 model of an encoder D = 10^9: an 8 GB permutation.
+        (
+            "huge_encoder_dim.lehdc",
+            crafted_bundle(64, 1_000_000_000, 8, 2),
+            "item memory",
+        ),
+        // L = 2^16 level hypervectors at D = 2^17: 1 GiB.
+        (
+            "huge_levels.lehdc",
+            crafted_bundle(1 << 17, 1 << 17, 8, 1 << 16),
+            "item memory",
+        ),
+        // L − 1 > D/2: too few dimensions to flip between levels.
+        (
+            "too_many_levels.lehdc",
+            crafted_bundle(256, 256, 8, 130),
+            "level count",
+        ),
+    ]
+}
+
+#[test]
+fn crafted_encoder_shapes_fail_fast_without_huge_allocations() {
+    let bundles = oversized_encoder_bundles();
+    for (name, bytes, _) in &bundles[..3] {
+        assert!(bytes.len() < 34 * 1024, "{name} is {} bytes", bytes.len());
+    }
+    for (name, bytes, want) in bundles {
+        let path = write_temp(name, &bytes);
+        match load_bundle(&path) {
+            Err(LehdcError::ModelFormat(msg)) => assert!(msg.contains(want), "{name}: {msg}"),
+            other => panic!("{name}: expected ModelFormat, got {other:?}"),
+        }
+    }
+    // The largest level count the level memory accepts still loads.
+    let path = write_temp("max_levels.lehdc", &crafted_bundle(256, 256, 8, 129));
+    let bundle = load_bundle(&path).unwrap();
+    assert_eq!(bundle.encoder.levels().n_levels(), 129);
 }

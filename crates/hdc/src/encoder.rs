@@ -215,10 +215,12 @@ impl RecordEncoder {
     /// [`encode`](Encode::encode) into a caller-owned output hypervector,
     /// reusing `scratch` across calls — the zero-alloc per-sample path.
     ///
-    /// One fused pass per feature chains the tie-break content hash and feeds
-    /// the position∘level bind straight into the bit-sliced accumulator
-    /// ([`Accumulator::add_bound`]) without materializing any intermediate
-    /// hypervector; the majority threshold then writes directly into `out`
+    /// One pass over the features chains the tie-break content hash and
+    /// collects the position∘level pairs on the stack, a group of
+    /// [`Accumulator::GROUP`] at a time; each group goes into the bit-sliced
+    /// accumulator with the bind fused into one carry-save tree
+    /// ([`Accumulator::add_bound_many`]), so no intermediate hypervector is
+    /// materialized. The majority threshold then writes directly into `out`
     /// ([`Accumulator::threshold_into`]). Output is bit-identical to
     /// [`encode`](Encode::encode).
     ///
@@ -251,94 +253,22 @@ impl RecordEncoder {
         let acc = &mut scratch.acc;
         acc.clear();
         let mut content_hash = self.seed;
-        for (i, &value) in features.iter().enumerate() {
-            let level = self.quantizer.level(value);
-            content_hash = splitmix64(content_hash ^ (level as u64).wrapping_mul(i as u64 + 1));
-            acc.add_bound(
-                self.positions.hv(i).as_words(),
-                self.levels.hv(level).as_words(),
-            );
-        }
-        let mut tie_rng = Xoshiro256pp::seed_from_u64(content_hash);
-        acc.threshold_into(&mut tie_rng, out);
-        Ok(())
-    }
-
-    /// [`encode`](Encode::encode) with the bundle-accumulate loop fanned out
-    /// over `pool`: the features are chunked, every chunk binds and bundles
-    /// into its own partial [`Accumulator`], and the partials merge in fixed
-    /// chunk order.
-    ///
-    /// Per-dimension vote counts are exact integer sums (see
-    /// [`Accumulator::merge`]), and the tie-break stream depends only on the
-    /// sample's level pattern, so the result is **bit-identical** to the
-    /// sequential encode at any worker count. Useful when single-sample
-    /// latency matters more than corpus throughput (corpus encoding should
-    /// prefer the sample-chunked [`encode_all`](Encode::encode_all)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::FeatureCountMismatch`] if
-    /// `features.len() != self.n_features()`.
-    pub fn encode_pooled(
-        &self,
-        features: &[f32],
-        pool: &ThreadPool,
-    ) -> Result<BinaryHv, HdcError> {
-        let n = self.n_features();
-        if features.len() != n {
-            return Err(HdcError::FeatureCountMismatch {
-                expected: n,
-                actual: features.len(),
-            });
-        }
-        // Hash the level pattern so sgn(0) tie-breaking is a deterministic
-        // function of (encoder seed, sample content); the hash chains over
-        // features, so it stays a cheap sequential pass.
-        let mut content_hash = self.seed;
-        for (i, &value) in features.iter().enumerate() {
-            let level = self.quantizer.level(value);
-            content_hash = splitmix64(content_hash ^ (level as u64).wrapping_mul(i as u64 + 1));
-        }
-        let parts = pool.run_chunks(n, |range| {
-            let mut acc = Accumulator::new(self.dim());
-            for i in range {
-                let level = self.quantizer.level(features[i]);
-                acc.add_bound(
+        let mut pairs: [(&[u64], &[u64]); Accumulator::GROUP] = [(&[], &[]); Accumulator::GROUP];
+        for (g, group) in features.chunks(Accumulator::GROUP).enumerate() {
+            for (j, &value) in group.iter().enumerate() {
+                let i = g * Accumulator::GROUP + j;
+                let level = self.quantizer.level(value);
+                content_hash = splitmix64(content_hash ^ (level as u64).wrapping_mul(i as u64 + 1));
+                pairs[j] = (
                     self.positions.hv(i).as_words(),
                     self.levels.hv(level).as_words(),
                 );
             }
-            acc
-        });
-        let mut acc = Accumulator::new(self.dim());
-        for part in &parts {
-            acc.merge(part);
+            acc.add_bound_many(&pairs[..group.len()]);
         }
         let mut tie_rng = Xoshiro256pp::seed_from_u64(content_hash);
-        let mut out = BinaryHv::zeros(self.dim());
-        acc.threshold_into(&mut tie_rng, &mut out);
-        Ok(out)
-    }
-
-    /// [`encode_pooled`](Self::encode_pooled) with single-sample latency
-    /// metrics: records each call into the `encode/sample_ns` histogram.
-    /// Bit-identical output; a disabled recorder reads no clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::FeatureCountMismatch`] if
-    /// `features.len() != self.n_features()`.
-    pub fn encode_pooled_recorded(
-        &self,
-        features: &[f32],
-        pool: &ThreadPool,
-        rec: &obs::Recorder,
-    ) -> Result<BinaryHv, HdcError> {
-        let t = rec.start();
-        let hv = self.encode_pooled(features, pool)?;
-        rec.observe_since("encode/sample_ns", &t);
-        Ok(hv)
+        acc.threshold_into(&mut tie_rng, out);
+        Ok(())
     }
 }
 
@@ -668,18 +598,6 @@ mod tests {
             let par = enc.encode_all(&flat, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn encode_pooled_is_bit_identical_to_sequential() {
-        let enc = encoder(1024, 37);
-        let x = sample(37, 0.4);
-        let seq = enc.encode(&x).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let pooled = enc.encode_pooled(&x, &ThreadPool::new(threads)).unwrap();
-            assert_eq!(pooled, seq, "threads={threads}");
-        }
-        assert!(enc.encode_pooled(&[0.0; 3], &ThreadPool::new(2)).is_err());
     }
 
     #[test]

@@ -252,15 +252,23 @@ pub fn masked_hamming_words_avx2(a: &[u64], b: &[u64], mask: &[u64]) -> usize {
 // packed hypervector is then a word-parallel ripple-carry ladder — each step
 // is `t = plane & carry; plane ^= carry; carry = t` — and the majority
 // threshold is a word-parallel bit-sliced comparison against `n/2`. These
-// kernels are the rungs of that ladder; they follow the same
-// dispatch / `_scalar` / `_avx2` tier pattern as the popcount kernels above
-// and compute exact integers, so tiers are bit-identical.
+// kernels are the rungs of that ladder, plus the 8-input carry-save tree
+// that adds a whole group of hypervectors before one ripple; they follow
+// the same dispatch / `_scalar` / `_avx2` tier pattern as the popcount
+// kernels above and compute exact integers, so tiers are bit-identical.
 // ---------------------------------------------------------------------------
+
+/// Inputs per carry-save tree: [`csa_tree8_words`] and
+/// [`csa_tree8_bind_words`] add this many hypervectors per call.
+pub const TREE_INPUTS: usize = 8;
 
 /// One carry-save ripple step: `t = plane AND carry; plane ^= carry;
 /// carry = t`, word-parallel. Returns the OR of the outgoing carry so
-/// callers can stop rippling as soon as it dies (amortized O(1) planes per
-/// add). Dispatches on [`active_tier`].
+/// callers can stop rippling as soon as it dies. A dead carry is rare on a
+/// whole vector: with `D = 10,000` random inputs some word almost always
+/// still carries, so a single add climbs ~7 planes on the record-encoding
+/// profiles (see [`csa_tree8_words`] for the grouped add that avoids
+/// this). Dispatches on [`active_tier`].
 #[inline]
 pub fn csa_step_words(plane: &mut [u64], carry: &mut [u64]) -> u64 {
     #[cfg(target_arch = "x86_64")]
@@ -397,6 +405,192 @@ pub fn csa_bind_step_words_avx2(
     assert!(avx2_available(), "the AVX2 kernels need an AVX2-capable CPU");
     // SAFETY: availability checked above.
     unsafe { avx2::csa_bind_step_words(plane, a, b, carry) }
+}
+
+/// Carry-save adder on one word: per bit, `a + b + c = 2·carry + sum`.
+/// Returns `(carry, sum)`.
+#[inline(always)]
+fn csa_word(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    ((a & b) | (u & c), u ^ c)
+}
+
+/// The Harley–Seal tree on one word position: adds the eight input bits
+/// `x(0..8)` to the low counter bits `ones`, `twos` and `fours` (weights 1,
+/// 2, 4) in seven carry-save adders, and returns the weight-8 carry.
+#[inline(always)]
+fn tree8_word(ones: &mut u64, twos: &mut u64, fours: &mut u64, x: impl Fn(usize) -> u64) -> u64 {
+    let (twos_a, o) = csa_word(*ones, x(0), x(1));
+    let (twos_b, o) = csa_word(o, x(2), x(3));
+    let (fours_a, t) = csa_word(*twos, twos_a, twos_b);
+    let (twos_c, o) = csa_word(o, x(4), x(5));
+    let (twos_d, o) = csa_word(o, x(6), x(7));
+    let (fours_b, t) = csa_word(t, twos_c, twos_d);
+    let (eights, f) = csa_word(*fours, fours_a, fours_b);
+    *ones = o;
+    *twos = t;
+    *fours = f;
+    eights
+}
+
+/// Splits the low-plane slice of the tree kernels into planes 0, 1 and 2,
+/// checking every length the kernels index by.
+fn split_low_planes(low: &mut [u64], words: usize) -> (&mut [u64], &mut [u64], &mut [u64]) {
+    assert_eq!(
+        low.len(),
+        3 * words,
+        "the tree needs planes 0-2 of the counters"
+    );
+    let (ones, rest) = low.split_at_mut(words);
+    let (twos, fours) = rest.split_at_mut(words);
+    (ones, twos, fours)
+}
+
+/// The scalar tree driver shared by both input kinds: `input(i, w)` is word
+/// `w` of input `i`, and the last word of every input is ANDed with
+/// `last_mask`.
+#[inline(always)]
+fn tree8_scalar(
+    low: &mut [u64],
+    carry: &mut [u64],
+    last_mask: u64,
+    input: impl Fn(usize, usize) -> u64,
+) -> u64 {
+    let words = carry.len();
+    let (ones, twos, fours) = split_low_planes(low, words);
+    let mut or = 0u64;
+    for (w, c) in carry.iter_mut().enumerate() {
+        let mask = if w + 1 == words { last_mask } else { u64::MAX };
+        let eights = tree8_word(&mut ones[w], &mut twos[w], &mut fours[w], |i| {
+            input(i, w) & mask
+        });
+        *c = eights;
+        or |= eights;
+    }
+    or
+}
+
+/// Adds [`TREE_INPUTS`] packed hypervectors to bit-sliced counters at once:
+/// a Harley–Seal carry-save adder tree per word folds the eight inputs into
+/// planes 0–2 (`low`, plane-major, `3·W` words for `W = carry.len()`) and
+/// writes the weight-8 carry into `carry`, returning its OR. The caller
+/// ripples that carry up from plane 3 — once per group, where eight single
+/// adds would ripple eight times. Inputs must be tail-clean. Dispatches on
+/// [`active_tier`].
+///
+/// # Panics
+///
+/// Panics if `low` is not `3·W` words or an input is not `W` words.
+#[inline]
+pub fn csa_tree8_words(low: &mut [u64], carry: &mut [u64], inputs: &[&[u64]; TREE_INPUTS]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == KernelTier::Avx2 {
+        // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
+        return unsafe { avx2::csa_tree8_words(low, carry, inputs) };
+    }
+    csa_tree8_words_scalar(low, carry, inputs)
+}
+
+/// Scalar reference tier of [`csa_tree8_words`].
+///
+/// # Panics
+///
+/// As [`csa_tree8_words`].
+pub fn csa_tree8_words_scalar(
+    low: &mut [u64],
+    carry: &mut [u64],
+    inputs: &[&[u64]; TREE_INPUTS],
+) -> u64 {
+    let words = carry.len();
+    assert!(
+        inputs.iter().all(|s| s.len() == words),
+        "inputs must span the plane words"
+    );
+    tree8_scalar(low, carry, u64::MAX, |i, w| inputs[i][w])
+}
+
+/// [`csa_tree8_words`] forced onto the AVX2 tier, for differential testing.
+///
+/// # Panics
+///
+/// Panics if AVX2 is unavailable — check [`avx2_available`] first — or as
+/// [`csa_tree8_words`].
+#[cfg(target_arch = "x86_64")]
+pub fn csa_tree8_words_avx2(
+    low: &mut [u64],
+    carry: &mut [u64],
+    inputs: &[&[u64]; TREE_INPUTS],
+) -> u64 {
+    assert!(avx2_available(), "the AVX2 kernels need an AVX2-capable CPU");
+    // SAFETY: availability checked above.
+    unsafe { avx2::csa_tree8_words(low, carry, inputs) }
+}
+
+/// [`csa_tree8_words`] over bound pairs: input `i` is the XNOR bind
+/// `NOT (a XOR b)` of `pairs[i]`, fused into the tree's loads like
+/// [`csa_bind_step_words`]. The XNOR sets the tail bits above `D`, so each
+/// input's last word is ANDed with `last_mask` before it enters the tree,
+/// which keeps every plane and the carry tail-clean. Dispatches on
+/// [`active_tier`].
+///
+/// # Panics
+///
+/// Panics if `low` is not `3·W` words or an operand is not `W` words.
+#[inline]
+pub fn csa_tree8_bind_words(
+    low: &mut [u64],
+    carry: &mut [u64],
+    pairs: &[(&[u64], &[u64]); TREE_INPUTS],
+    last_mask: u64,
+) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == KernelTier::Avx2 {
+        // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
+        return unsafe { avx2::csa_tree8_bind_words(low, carry, pairs, last_mask) };
+    }
+    csa_tree8_bind_words_scalar(low, carry, pairs, last_mask)
+}
+
+/// Scalar reference tier of [`csa_tree8_bind_words`].
+///
+/// # Panics
+///
+/// As [`csa_tree8_bind_words`].
+pub fn csa_tree8_bind_words_scalar(
+    low: &mut [u64],
+    carry: &mut [u64],
+    pairs: &[(&[u64], &[u64]); TREE_INPUTS],
+    last_mask: u64,
+) -> u64 {
+    let words = carry.len();
+    assert!(
+        pairs
+            .iter()
+            .all(|(a, b)| a.len() == words && b.len() == words),
+        "operands must span the plane words"
+    );
+    tree8_scalar(low, carry, last_mask, |i, w| {
+        !(pairs[i].0[w] ^ pairs[i].1[w])
+    })
+}
+
+/// [`csa_tree8_bind_words`] forced onto the AVX2 tier, for differential
+/// testing.
+///
+/// # Panics
+///
+/// Panics if AVX2 is unavailable — check [`avx2_available`] first — or as
+/// [`csa_tree8_bind_words`].
+#[cfg(target_arch = "x86_64")]
+pub fn csa_tree8_bind_words_avx2(
+    low: &mut [u64],
+    carry: &mut [u64],
+    pairs: &[(&[u64], &[u64]); TREE_INPUTS],
+    last_mask: u64,
+) -> u64 {
+    assert!(avx2_available(), "the AVX2 kernels need an AVX2-capable CPU");
+    // SAFETY: availability checked above.
+    unsafe { avx2::csa_tree8_bind_words(low, carry, pairs, last_mask) }
 }
 
 /// Word-parallel comparison of bit-sliced counters against the constant `k`:

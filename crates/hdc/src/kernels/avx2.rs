@@ -27,6 +27,11 @@
 //! the load stage of the same CSA tree, which is what makes the XNOR-dot
 //! (`dot = D − 2·hamming`) a single fused pass over the operands.
 //!
+//! The bundling kernels `csa_tree8_*` cut the same tree to 8 inputs and
+//! point it at the accumulator's bit-planes: planes 0–2 are the running
+//! `ones`/`twos`/`fours`, and the `eights` vector is stored as the carry the
+//! accumulator ripples up from plane 3.
+//!
 //! Everything in this module requires AVX2 at runtime: the public functions
 //! are `unsafe fn` with `#[target_feature(enable = "avx2")]`, and the safe
 //! wrappers in [`kernels`](crate::kernels) check [`available`] first.
@@ -301,6 +306,148 @@ pub unsafe fn csa_bind_step_words(
             or |= t;
         }
         or
+    }
+}
+
+/// The shared 8-input carry-save tree driver: `vec_at(i, o)` loads words
+/// `[o, o+4)` of input `i` and `word_at(i, w)` loads its word `w`. Four words
+/// at a time go through the same seven-CSA tree as the popcount blocks, with
+/// planes 0–2 as the running `ones`/`twos`/`fours` and the `eights` stored
+/// as the outgoing carry. The last word always takes the scalar per-word
+/// tree, where each input is ANDed with `last_mask`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and both accessors must be valid for every
+/// input `i < 8` and every word below `W = carry.len()` (the callers check
+/// that each input spans `W` words). `low` is checked here.
+#[inline(always)]
+unsafe fn tree8_stream<V, W>(
+    low: &mut [u64],
+    carry: &mut [u64],
+    last_mask: u64,
+    vec_at: V,
+    word_at: W,
+) -> u64
+where
+    V: Fn(usize, usize) -> __m256i,
+    W: Fn(usize, usize) -> u64,
+{
+    let words = carry.len();
+    let (ones, twos, fours) = super::split_low_planes(low, words);
+    let n_vecs = words.saturating_sub(1) / WORDS_PER_VEC;
+    let (p1, p2, p4, pc) = (
+        ones.as_mut_ptr(),
+        twos.as_mut_ptr(),
+        fours.as_mut_ptr(),
+        carry.as_mut_ptr(),
+    );
+    unsafe {
+        let mut orv = _mm256_setzero_si256();
+        for v in 0..n_vecs {
+            let o = v * WORDS_PER_VEC;
+            let (twos_a, o1) = csa(load(p1.add(o)), vec_at(0, o), vec_at(1, o));
+            let (twos_b, o2) = csa(o1, vec_at(2, o), vec_at(3, o));
+            let (fours_a, t1) = csa(load(p2.add(o)), twos_a, twos_b);
+            let (twos_c, o3) = csa(o2, vec_at(4, o), vec_at(5, o));
+            let (twos_d, o4) = csa(o3, vec_at(6, o), vec_at(7, o));
+            let (fours_b, t2) = csa(t1, twos_c, twos_d);
+            let (eights, f1) = csa(load(p4.add(o)), fours_a, fours_b);
+            store(p1.add(o), o4);
+            store(p2.add(o), t2);
+            store(p4.add(o), f1);
+            store(pc.add(o), eights);
+            orv = _mm256_or_si256(orv, eights);
+        }
+        let mut or = lane_or(orv);
+        for w in (n_vecs * WORDS_PER_VEC)..words {
+            let mask = if w + 1 == words { last_mask } else { u64::MAX };
+            let eights =
+                super::tree8_word(&mut *p1.add(w), &mut *p2.add(w), &mut *p4.add(w), |i| {
+                    word_at(i, w) & mask
+                });
+            *pc.add(w) = eights;
+            or |= eights;
+        }
+        or
+    }
+}
+
+/// AVX2 tier of [`csa_tree8_words`](crate::kernels::csa_tree8_words).
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (check [`available`]).
+///
+/// # Panics
+///
+/// Panics if `low` is not `3·W` words or an input is not `W` words.
+#[target_feature(enable = "avx2")]
+pub unsafe fn csa_tree8_words(
+    low: &mut [u64],
+    carry: &mut [u64],
+    inputs: &[&[u64]; super::TREE_INPUTS],
+) -> u64 {
+    let words = carry.len();
+    assert!(
+        inputs.iter().all(|s| s.len() == words),
+        "inputs must span the plane words"
+    );
+    let px = inputs.map(<[u64]>::as_ptr);
+    // SAFETY: AVX2 is the caller's contract; every input spans the `W`
+    // words the driver reads, checked above.
+    unsafe {
+        tree8_stream(
+            low,
+            carry,
+            u64::MAX,
+            |i, o| load(px[i].add(o)),
+            |i, w| *px[i].add(w),
+        )
+    }
+}
+
+/// AVX2 tier of
+/// [`csa_tree8_bind_words`](crate::kernels::csa_tree8_bind_words): the XNOR
+/// bind is fused into the tree's loads.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (check [`available`]).
+///
+/// # Panics
+///
+/// Panics if `low` is not `3·W` words or an operand is not `W` words.
+#[target_feature(enable = "avx2")]
+pub unsafe fn csa_tree8_bind_words(
+    low: &mut [u64],
+    carry: &mut [u64],
+    pairs: &[(&[u64], &[u64]); super::TREE_INPUTS],
+    last_mask: u64,
+) -> u64 {
+    let words = carry.len();
+    assert!(
+        pairs
+            .iter()
+            .all(|(a, b)| a.len() == words && b.len() == words),
+        "operands must span the plane words"
+    );
+    let pa = pairs.map(|(a, _)| a.as_ptr());
+    let pb = pairs.map(|(_, b)| b.as_ptr());
+    // SAFETY: AVX2 is the caller's contract; every operand spans the `W`
+    // words the driver reads, checked above.
+    unsafe {
+        let all_ones = _mm256_set1_epi8(-1);
+        tree8_stream(
+            low,
+            carry,
+            last_mask,
+            |i, o| {
+                let x = _mm256_xor_si256(load(pa[i].add(o)), load(pb[i].add(o)));
+                _mm256_xor_si256(x, all_ones)
+            },
+            |i, w| !(*pa[i].add(w) ^ *pb[i].add(w)),
+        )
     }
 }
 

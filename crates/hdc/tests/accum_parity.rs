@@ -5,10 +5,11 @@
 //! 1. **Representation parity** — bit-sliced vertical counters agree with a
 //!    plain horizontal `u32`-counter reference across boundary widths,
 //!    odd/even counts (ties), and any chunked-merge order.
-//! 2. **Tier parity** — the AVX2 carry-save and compare kernels are
-//!    bit-identical to their always-compiled scalar references (run when the
-//!    CPU has AVX2; `scripts/check.sh` additionally forces the whole suite
-//!    under both `LEHDC_KERNEL` tiers).
+//! 2. **Tier parity** — the AVX2 carry-save, carry-save tree and compare
+//!    kernels are bit-identical to their always-compiled scalar references
+//!    (run when the CPU has AVX2; `scripts/check.sh` additionally forces the
+//!    whole suite under both `LEHDC_KERNEL` tiers), and the grouped adds
+//!    equal the per-input ripple and the `u32` reference.
 //! 3. **Golden pins** — encoder outputs and the `sgn(0)` tie-break RNG
 //!    stream are byte-identical to the pre-bit-slicing seed encoder, pinned
 //!    as literal words captured from that implementation.
@@ -16,7 +17,6 @@
 use hdc::kernels;
 use hdc::{Accumulator, BinaryHv, Dim, Encode, NgramEncoder, RecordEncoder};
 use testkit::{Rng, Xoshiro256pp};
-use threadpool::ThreadPool;
 
 /// Boundary dimensionalities: single word, word edges, multi-word edges, a
 /// ragged prime, and the paper's D = 10000.
@@ -124,6 +124,122 @@ fn add_bound_matches_u32_reference_on_materialized_binds() {
     }
 }
 
+/// Batch sizes straddling the carry-save tree's group of 8.
+const GROUPED_NS: &[usize] = &[0, 1, 7, 8, 9, 15, 16, 17, 784];
+
+/// Dimensions for the grouped adds: single word, word edges, a ragged
+/// multi-word tail, and the paper's D = 10000.
+const GROUPED_WIDTHS: &[usize] = &[1, 63, 64, 65, 517, 10000];
+
+/// Call boundaries for feeding `0..n` to the grouped adds: one call, and
+/// uneven consecutive calls whose groups straddle the call boundaries.
+fn call_splits(n: usize) -> [Vec<usize>; 2] {
+    [vec![0, n], vec![0, n / 3, (n / 3 + 9).min(n), n]]
+}
+
+/// Asserts that the grouped, per-input ripple and `u32` reference bundles
+/// agree: counters, thresholds under one seed, and the next draw after the
+/// threshold (a misaligned tie-break stream shows there).
+fn assert_bundles_agree(grouped: &Accumulator, ripple: &Accumulator, reference: &RefAccumulator) {
+    let dim = reference.dim;
+    let tag = format!("D={} n={}", dim.get(), reference.n);
+    assert_eq!(grouped, ripple, "grouped vs ripple counters {tag}");
+    assert_eq!(grouped.len(), reference.n as usize, "count {tag}");
+    let mut counts = vec![0u32; dim.get()];
+    grouped.counts_into(&mut counts);
+    assert_eq!(counts, reference.ones, "grouped vs u32 counters {tag}");
+    let mut rng_g = Xoshiro256pp::seed_from_u64(0x7135);
+    let mut rng_r = rng_g.clone();
+    let mut rng_u = rng_g.clone();
+    let t_grouped = grouped.threshold(&mut rng_g);
+    assert_eq!(
+        t_grouped,
+        ripple.threshold(&mut rng_r),
+        "threshold vs ripple {tag}"
+    );
+    assert_eq!(
+        t_grouped,
+        reference.threshold(&mut rng_u),
+        "threshold vs u32 {tag}"
+    );
+    let next = rng_g.random::<u64>();
+    assert_eq!(
+        next,
+        rng_r.random::<u64>(),
+        "tie RNG stream vs ripple {tag}"
+    );
+    assert_eq!(next, rng_u.random::<u64>(), "tie RNG stream vs u32 {tag}");
+}
+
+#[test]
+fn grouped_adds_match_ripple_and_u32_reference() {
+    for &d in GROUPED_WIDTHS {
+        let dim = Dim::new(d);
+        for &n in GROUPED_NS {
+            let hvs = random_hvs(dim, n + 3, 0x6A0 + (d * 1000 + n) as u64);
+            // Three single adds first, so the grouped calls land on an
+            // accumulator that already holds planes.
+            let (seed, batch) = hvs.split_at(3);
+            let mut ripple = Accumulator::new(dim);
+            let mut reference = RefAccumulator::new(dim);
+            for hv in &hvs {
+                ripple.add(hv);
+                reference.add(hv);
+            }
+            let refs: Vec<&BinaryHv> = batch.iter().collect();
+            for calls in call_splits(n) {
+                let mut grouped = Accumulator::new(dim);
+                for hv in seed {
+                    grouped.add(hv);
+                }
+                for call in calls.windows(2) {
+                    grouped.add_many(&refs[call[0]..call[1]]);
+                }
+                assert_bundles_agree(&grouped, &ripple, &reference);
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_bound_adds_match_ripple_and_u32_reference() {
+    for &d in GROUPED_WIDTHS {
+        let dim = Dim::new(d);
+        for &n in GROUPED_NS {
+            let hvs = random_hvs(dim, 2 * n + 6, 0xB06D + (d * 1000 + n) as u64);
+            let pairs: Vec<(&[u64], &[u64])> = hvs
+                .chunks(2)
+                .map(|p| (p[0].as_words(), p[1].as_words()))
+                .collect();
+            let (seed, batch) = pairs.split_at(3);
+            let mut ripple = Accumulator::new(dim);
+            let mut reference = RefAccumulator::new(dim);
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                ripple.add_bound(a, b);
+                reference.add(&hvs[2 * i].bind(&hvs[2 * i + 1]));
+            }
+            for calls in call_splits(n) {
+                let mut grouped = Accumulator::new(dim);
+                for &(a, b) in seed {
+                    grouped.add_bound(a, b);
+                }
+                for call in calls.windows(2) {
+                    grouped.add_bound_many(&batch[call[0]..call[1]]);
+                }
+                assert_bundles_agree(&grouped, &ripple, &reference);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "dimension mismatch in add_many")]
+fn add_many_rejects_dim_mismatch() {
+    let hvs = random_hvs(Dim::new(65), 8, 1);
+    let refs: Vec<&BinaryHv> = hvs.iter().collect();
+    Accumulator::new(Dim::new(64)).add_many(&refs);
+}
+
 #[test]
 fn merge_is_invariant_to_chunking_and_order() {
     let dim = Dim::new(517);
@@ -224,6 +340,91 @@ fn csa_step_kernels_agree_across_tiers() {
             "csa_bind_step OR len={len}"
         );
         assert_eq!((ps, cs), (pv, cv), "csa_bind_step state len={len}");
+    }
+}
+
+/// Checks the tree's counter identity bit by bit: the low counter bits
+/// plus the inputs equal the new low bits plus eight times the carry.
+fn assert_tree_adds(before: &[u64], after: &[u64], carry: &[u64], inputs: &[Vec<u64>], tag: &str) {
+    let words = carry.len();
+    let plane =
+        |p: &[u64], k: usize, w: usize, b: usize| u32::from((p[k * words + w] >> b) & 1 == 1);
+    for w in 0..words {
+        for b in 0..64 {
+            let low = |p: &[u64]| plane(p, 0, w, b) + 2 * plane(p, 1, w, b) + 4 * plane(p, 2, w, b);
+            let added: u32 = inputs.iter().map(|x| u32::from((x[w] >> b) & 1 == 1)).sum();
+            let eights = u32::from((carry[w] >> b) & 1 == 1);
+            assert_eq!(
+                low(before) + added,
+                low(after) + 8 * eights,
+                "{tag} word {w} bit {b}"
+            );
+        }
+    }
+}
+
+#[test]
+fn tree8_kernels_agree_across_tiers_and_with_the_counter_sum() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0x78EE);
+    for &len in WORD_LENS {
+        for last_mask in [u64::MAX, (1u64 << 17) - 1, 1] {
+            let tag = format!("words={len} mask={last_mask:#x}");
+            let low0 = random_words(3 * len, &mut rng);
+            let a: Vec<Vec<u64>> = (0..8).map(|_| random_words(len, &mut rng)).collect();
+            let b: Vec<Vec<u64>> = (0..8).map(|_| random_words(len, &mut rng)).collect();
+            let inputs: [&[u64]; 8] = std::array::from_fn(|i| a[i].as_slice());
+            let pairs: [(&[u64], &[u64]); 8] =
+                std::array::from_fn(|i| (a[i].as_slice(), b[i].as_slice()));
+            let bound: Vec<Vec<u64>> = (0..8)
+                .map(|i| {
+                    let mut x: Vec<u64> = a[i].iter().zip(&b[i]).map(|(p, q)| !(p ^ q)).collect();
+                    x[len - 1] &= last_mask;
+                    x
+                })
+                .collect();
+
+            // Stale carry contents must be overwritten.
+            let (mut low_s, mut carry_s) = (low0.clone(), vec![u64::MAX; len]);
+            let or_s = kernels::csa_tree8_words_scalar(&mut low_s, &mut carry_s, &inputs);
+            assert_tree_adds(&low0, &low_s, &carry_s, &a, &format!("plain {tag}"));
+            assert_eq!(or_s, carry_s.iter().fold(0, |o, c| o | c), "plain OR {tag}");
+
+            let (mut bound_s, mut bcarry_s) = (low0.clone(), vec![u64::MAX; len]);
+            let bor_s = kernels::csa_tree8_bind_words_scalar(
+                &mut bound_s,
+                &mut bcarry_s,
+                &pairs,
+                last_mask,
+            );
+            assert_tree_adds(&low0, &bound_s, &bcarry_s, &bound, &format!("bind {tag}"));
+            assert_eq!(
+                bor_s,
+                bcarry_s.iter().fold(0, |o, c| o | c),
+                "bind OR {tag}"
+            );
+
+            if hdc::avx2_available() {
+                let (mut low_v, mut carry_v) = (low0.clone(), vec![u64::MAX; len]);
+                let or_v = kernels::csa_tree8_words_avx2(&mut low_v, &mut carry_v, &inputs);
+                assert_eq!(
+                    (or_s, &low_s, &carry_s),
+                    (or_v, &low_v, &carry_v),
+                    "plain {tag}"
+                );
+                let (mut bound_v, mut bcarry_v) = (low0.clone(), vec![u64::MAX; len]);
+                let bor_v = kernels::csa_tree8_bind_words_avx2(
+                    &mut bound_v,
+                    &mut bcarry_v,
+                    &pairs,
+                    last_mask,
+                );
+                assert_eq!(
+                    (bor_s, &bound_s, &bcarry_s),
+                    (bor_v, &bound_v, &bcarry_v),
+                    "bind {tag}"
+                );
+            }
+        }
     }
 }
 
@@ -359,8 +560,6 @@ fn golden_vectors_hold_across_threads_and_chunkings() {
         .unwrap();
     let x = sample(37, 0.4);
     for threads in [1usize, 2, 4] {
-        let pooled = enc.encode_pooled(&x, &ThreadPool::new(threads)).unwrap();
-        assert_eq!(pooled.as_words(), GOLDEN_RECORD_517, "pooled t={threads}");
         // Corpus path: three copies of the row, chunked across workers.
         let flat: Vec<f32> = x.iter().chain(&x).chain(&x).copied().collect();
         for hv in enc.encode_all(&flat, threads).unwrap() {

@@ -11,6 +11,7 @@ use std::time::Duration;
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RecordEncoder};
 use hdc_datasets::MinMaxNormalizer;
+use lehdc::format::{meta_f32, write_container, write_varint, Artifact, MetaWriter};
 use lehdc::io::{load_bundle, save_bundle, ModelBundle};
 use lehdc::HdcModel;
 use lehdc_serve::{Client, ServeConfig, Server};
@@ -347,6 +348,85 @@ fn swap_across_formats_and_distillation_is_bit_identical() {
         );
     }
 
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A well-formed stored bundle of two all-zero class hypervectors whose
+/// metadata claims an encoder of `encoder_dim` × `features` × `levels`
+/// (distilled to the first `dim` dimensions when the two differ) that
+/// nothing in the file backs.
+fn crafted_bundle(dim: u64, encoder_dim: u64, features: u64, levels: u64) -> Vec<u8> {
+    let distilled = dim != encoder_dim;
+    let mut meta = MetaWriter::new();
+    meta.u64("dim", dim)
+        .u64("classes", 2)
+        .u64("encoder_dim", encoder_dim)
+        .u64("features", features)
+        .u64("levels", levels)
+        .u64("seed", 1);
+    meta_f32(&mut meta, "vmin", 0.0);
+    meta_f32(&mut meta, "vmax", 1.0);
+    meta.bool("normalizer", false).bool("distilled", distilled);
+    let mut aux = Vec::new();
+    write_varint(&mut aux, if distilled { dim } else { 0 });
+    if distilled {
+        for i in 0..dim {
+            write_varint(&mut aux, u64::from(i > 0));
+        }
+    }
+    let plane = vec![0u64; dim.div_ceil(64) as usize];
+    let mut file = Vec::new();
+    write_container(
+        &mut file,
+        Artifact::Bundle,
+        &meta.finish(),
+        &aux,
+        &[&plane, &plane],
+    )
+    .unwrap();
+    file
+}
+
+#[test]
+fn swap_to_an_oversized_encoder_is_refused_and_the_daemon_keeps_serving() {
+    // Each file is a few hundred bytes to 33 KB, but its metadata would make
+    // the loader regenerate gigabytes of item memory; once that aborted the
+    // daemon mid-SWAP.
+    let dir = std::env::temp_dir().join("lehdc_serve_oversized_swap_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let files = [
+        (
+            "huge_features.lehdc",
+            crafted_bundle(256, 256, 100_000_000, 2),
+        ),
+        (
+            "huge_encoder_dim.lehdc",
+            crafted_bundle(64, 1_000_000_000, 8, 2),
+        ),
+        (
+            "huge_levels.lehdc",
+            crafted_bundle(1 << 17, 1 << 17, 8, 1 << 16),
+        ),
+    ];
+    let bundle = test_bundle(1);
+    let server = start(bundle.clone(), 16);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let rows = random_rows(8, 12);
+    for (name, bytes) in &files {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let err = client.swap(path.to_str().unwrap()).unwrap_err();
+        assert!(err.to_string().contains("item memory"), "{name}: {err}");
+        for row in &rows {
+            let (class, epoch) = client.classify(row).unwrap();
+            assert_eq!(epoch, 0, "{name}: the refused swap must not publish");
+            assert_eq!(class, bundle.classify(row).unwrap() as u32, "{name}");
+        }
+    }
+    let (_, _, _, epoch) = client.info().unwrap();
+    assert_eq!(epoch, 0);
     server.shutdown();
     server.join();
     std::fs::remove_dir_all(&dir).ok();

@@ -176,7 +176,7 @@ if [ "${CHECK_BENCH_COMPARE:-0}" != "0" ]; then
     echo "== bench regression gate (opt-in via CHECK_BENCH_COMPARE=1) =="
     # Compares the run above against the committed snapshot for the groups
     # whose scaling the thread pool is responsible for.
-    ./scripts/bench_compare.sh --rerun classify_all classify_blocked transpose_matmul backward encode record_encode encode_pooled train_step retrain_epoch enhanced_epoch multimodel_classify serve_batch format_load
+    ./scripts/bench_compare.sh --rerun classify_all classify_blocked transpose_matmul backward encode record_encode train_step retrain_epoch enhanced_epoch multimodel_classify serve_batch format_load
 fi
 
 echo "== manifest hermeticity check =="
