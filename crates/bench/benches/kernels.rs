@@ -154,8 +154,9 @@ fn bench_transpose_threads(c: &mut Bench) {
     group.finish();
 }
 
-/// The packed backward gradient `Xᵀ·G` (bit-packed activations) across pool
-/// widths — the product the LeHDC trainer runs once per mini-batch.
+/// The packed backward gradient `Gᵀ·X` (class-major, from bit-packed
+/// activations) across pool widths — the product the LeHDC trainer runs
+/// once per mini-batch.
 fn bench_backward_threads(c: &mut Bench) {
     let mut group = c.benchmark_group("backward");
     let d = 10_000;
@@ -293,9 +294,9 @@ fn bench_classify_blocked(c: &mut Bench) {
 }
 
 /// The trainer's per-batch hot path, zero-alloc variant: the packed
-/// backward product, the fused Adam + rebinarize + incremental-repack
-/// update, and the full fused step (forward → loss → backward → update),
-/// all in reused scratch buffers. `full` is the number the training-time
+/// backward product into the class-major `K×D` gradient, the fused Adam +
+/// repack update, and the full fused step (forward → loss → backward →
+/// update), all in reused scratch buffers. `full` is the number the training-time
 /// claims rest on: it should beat the sum of a separate backward +
 /// apply-gradient pair because the fused update makes one pool fan-out and
 /// repacks only in place.
@@ -313,7 +314,7 @@ fn bench_train_step(c: &mut Bench) {
         for &threads in SCALING_THREADS {
             let mut layer = BinaryLinear::new(d, FWD_CLASSES, 3).with_threads(threads);
             let pool = ThreadPool::new(threads);
-            let mut grad = Matrix::zeros(d, FWD_CLASSES);
+            let mut grad = Matrix::zeros(FWD_CLASSES, d);
             group.throughput(Throughput::Elements((FWD_BATCH * d) as u64));
             group.bench_with_input(
                 BenchmarkId::new(format!("backward/threads{threads}"), d),
@@ -338,7 +339,7 @@ fn bench_train_step(c: &mut Bench) {
                 &d,
                 |bencher, _| {
                     bencher.iter(|| {
-                        layer.apply_gradient_fused(black_box(&grad), &mut opt, None, None);
+                        layer.apply_gradient_fused(black_box(&grad), &mut opt, None);
                         black_box(layer.latent().as_slice()[0])
                     });
                 },
@@ -356,7 +357,7 @@ fn bench_train_step(c: &mut Bench) {
                             binnet::softmax_cross_entropy_into(&logits, &labels, &mut dl).unwrap();
                         binnet::packed_transpose_matmul_into(&px, &dl, None, &pool, &mut grad)
                             .unwrap();
-                        layer.apply_gradient_fused(&grad, &mut full_opt, None, None);
+                        layer.apply_gradient_fused(&grad, &mut full_opt, None);
                         black_box(loss)
                     });
                 },

@@ -16,7 +16,9 @@
 //! - [`BinaryLinear`]: a fully connected layer whose *latent* weights are
 //!   real and whose *effective* weights are their sign (`sgn(0) = +1`),
 //!   trained with the straight-through estimator — exactly the scheme of the
-//!   paper's Eq. 8. Bipolar inputs take the packed kernel automatically.
+//!   paper's Eq. 8. It trains on packed bipolar batches, keeps its latents
+//!   class-major like its packed weight rows, and fuses the Adam step with
+//!   the repack.
 //! - [`softmax_cross_entropy`]: the fused loss/gradient of the paper's
 //!   Eq. 9.
 //! - [`Adam`] / [`Sgd`] optimizers with L2 weight decay (Eq. 10).
@@ -26,10 +28,11 @@
 //!
 //! # Example
 //!
-//! Train a single binary layer on a linearly separable toy problem:
+//! Train a single binary layer on a linearly separable toy problem, on the
+//! packed, buffer-reusing path the LeHDC trainer runs:
 //!
 //! ```
-//! use binnet::{Adam, BinaryLinear, Matrix, softmax_cross_entropy};
+//! use binnet::{Adam, BinaryLinear, Matrix, softmax_cross_entropy_into};
 //!
 //! # fn main() -> Result<(), binnet::BinnetError> {
 //! let d = 16; // input width
@@ -38,15 +41,20 @@
 //! let mut opt = Adam::new(0.05);
 //!
 //! // class 0 → all +1 inputs, class 1 → all −1 inputs
-//! let x = Matrix::from_rows(&[vec![1.0; d], vec![-1.0; d]])?;
+//! let x = Matrix::from_rows(&[vec![1.0; d], vec![-1.0; d]])?
+//!     .pack_bipolar()
+//!     .expect("bipolar batch");
 //! let labels = [0usize, 1];
+//! let mut logits = Matrix::zeros(2, k);
+//! let mut dlogits = Matrix::zeros(2, k);
+//! let mut grad = Matrix::zeros(k, d); // class-major latent gradient
 //! for _ in 0..20 {
-//!     let logits = layer.forward(&x);
-//!     let (_, dlogits) = softmax_cross_entropy(&logits, &labels)?;
-//!     let grad = layer.backward(&x, &dlogits);
-//!     layer.apply_gradient(&grad, &mut opt);
+//!     layer.forward_packed_into(&x, &mut logits);
+//!     softmax_cross_entropy_into(&logits, &labels, &mut dlogits)?;
+//!     layer.backward_packed_into(&x, None, &dlogits, &mut grad);
+//!     layer.apply_gradient_fused(&grad, &mut opt, None);
 //! }
-//! let logits = layer.forward(&x);
+//! layer.forward_packed_into(&x, &mut logits);
 //! assert!(logits.get(0, 0) > logits.get(0, 1));
 //! assert!(logits.get(1, 1) > logits.get(1, 0));
 //! # Ok(())
@@ -71,7 +79,7 @@ pub use layer::{BinaryLinear, DenseLinear};
 pub use loss::{accuracy_from_logits, softmax, softmax_cross_entropy, softmax_cross_entropy_into};
 pub use matrix::Matrix;
 pub use metrics::{accuracy, ConfusionMatrix};
-pub use optim::{Adam, ChunkedOptimizer, Optimizer, Sgd, StepChunk};
+pub use optim::{Adam, Optimizer, Sgd};
 pub use packed::{
     packed_matmul, packed_matmul_into, packed_matmul_masked, packed_matmul_masked_into,
     packed_transpose_matmul, packed_transpose_matmul_into, PackedMatrix,

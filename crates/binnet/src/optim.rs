@@ -196,25 +196,76 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
+
+    /// Starts one step over `len` parameters split at `ranges`, which must
+    /// partition `0..len` in ascending order (e.g. [`threadpool::chunk_ranges`]):
+    /// counts the step, fixes its bias corrections, and hands out each
+    /// range's moment slices.
+    ///
+    /// Every coordinate's update reads and writes only that coordinate's
+    /// state, so applying the chunks in any order, on any threads, is
+    /// bit-identical to one unchunked [`Optimizer::step`] on a gradient
+    /// clamped into `[-grad_clip, grad_clip]` first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BinnetError::ShapeMismatch`] if `len` disagrees with
+    /// existing optimizer state, or [`BinnetError::InvalidConfig`] if
+    /// `ranges` is not an ascending partition of `0..len` or `grad_clip` is
+    /// negative or NaN. A failed call does not count a step.
+    pub(crate) fn begin_step(
+        &mut self,
+        len: usize,
+        ranges: &[Range<usize>],
+        grad_clip: Option<f32>,
+    ) -> Result<Vec<AdamChunk<'_>>, BinnetError> {
+        if !self.m.is_empty() && self.m.len() != len {
+            return Err(BinnetError::ShapeMismatch {
+                op: "adam_step",
+                left: (len, 1),
+                right: (self.m.len(), 1),
+            });
+        }
+        check_partition(ranges, len)?;
+        // `f32::clamp` panics on these bounds; refusing them here keeps
+        // every kernel tier failing the same way.
+        let clip = grad_clip.unwrap_or(f32::INFINITY);
+        if clip.is_nan() || clip < 0.0 {
+            return Err(BinnetError::InvalidConfig(format!(
+                "gradient clip must be non-negative, got {clip}"
+            )));
+        }
+        if self.m.is_empty() {
+            self.m = vec![0.0; len];
+            self.v = vec![0.0; len];
+        }
+        self.t += 1;
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            weight_decay: self.weight_decay,
+            bc1: 1.0 - self.beta1.powi(self.t.min(1_000_000) as i32),
+            bc2: 1.0 - self.beta2.powi(self.t.min(1_000_000) as i32),
+            clip,
+        };
+        let m_parts = split_state(&mut self.m, ranges);
+        let v_parts = split_state(&mut self.v, ranges);
+        Ok(m_parts
+            .into_iter()
+            .zip(v_parts)
+            .map(|(m, v)| AdamChunk { step, m, v })
+            .collect())
+    }
 }
 
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [f32], grads: &[f32]) -> Result<(), BinnetError> {
         check_lengths("adam_step", params, grads, self.m.len())?;
-        if self.m.is_empty() {
-            self.m = vec![0.0; params.len()];
-            self.v = vec![0.0; params.len()];
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t.min(1_000_000) as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t.min(1_000_000) as i32);
-        for i in 0..params.len() {
-            let g = grads[i] + self.weight_decay * params[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let len = params.len();
+        for mut chunk in self.begin_step(len, &threadpool::chunk_ranges(len, 1), None)? {
+            chunk.apply(params, grads);
         }
         Ok(())
     }
@@ -226,55 +277,6 @@ impl Optimizer for Adam {
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
-}
-
-/// One chunk of a split optimizer step: owns the mutable optimizer state of
-/// a contiguous coordinate range and applies the exact per-coordinate update
-/// of [`Optimizer::step`] to it.
-///
-/// Produced by [`ChunkedOptimizer::begin_step`]; the chunks of one step can
-/// run on different pool workers because every coordinate's update reads and
-/// writes only that coordinate's state.
-pub trait StepChunk: Send {
-    /// Updates `params` from `grads` over this chunk's coordinates, with an
-    /// optional symmetric gradient clip applied first (`g.clamp(-c, c)` —
-    /// the same element-wise clamp a caller would run over the gradient
-    /// buffer before an unchunked [`Optimizer::step`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ from the chunk's coordinate count.
-    fn apply(&mut self, params: &mut [f32], grads: &[f32], grad_clip: Option<f32>);
-}
-
-/// An [`Optimizer`] whose per-step state can be pre-split into disjoint
-/// coordinate chunks, so one pool fan-out can run optimizer + sign + repack
-/// fused over the parameter buffer.
-///
-/// The contract mirrors [`Optimizer::step`] exactly: `begin_step` performs
-/// the once-per-step work (Adam's `t` bump and bias corrections), and the
-/// returned chunks together apply the identical per-coordinate math — a
-/// chunked step over any partition is **bit-identical** to an unchunked
-/// `step` because no coordinate's update depends on another's.
-pub trait ChunkedOptimizer: Optimizer {
-    /// The per-chunk stepper borrowing this optimizer's split state.
-    type Chunk<'a>: StepChunk
-    where
-        Self: 'a;
-
-    /// Starts one step over `len` parameters split at `ranges`, which must
-    /// partition `0..len` in ascending order (e.g. [`threadpool::chunk_ranges`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BinnetError::ShapeMismatch`] if `len` disagrees with
-    /// existing optimizer state, or [`BinnetError::InvalidConfig`] if
-    /// `ranges` is not an ascending partition of `0..len`.
-    fn begin_step<'a>(
-        &'a mut self,
-        len: usize,
-        ranges: &[Range<usize>],
-    ) -> Result<Vec<Self::Chunk<'a>>, BinnetError>;
 }
 
 fn check_partition(ranges: &[Range<usize>], len: usize) -> Result<(), BinnetError> {
@@ -306,155 +308,57 @@ fn split_state<'a>(mut state: &'a mut [f32], ranges: &[Range<usize>]) -> Vec<&'a
     parts
 }
 
-/// One coordinate chunk of an SGD step (see [`ChunkedOptimizer`]).
-#[derive(Debug)]
-pub struct SgdChunk<'a> {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Option<&'a mut [f32]>,
+/// The constants of one Adam step, shared by all of its chunks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdamStep {
+    pub(crate) lr: f32,
+    pub(crate) beta1: f32,
+    pub(crate) beta2: f32,
+    pub(crate) eps: f32,
+    pub(crate) weight_decay: f32,
+    /// Bias corrections `1 − β₁ᵗ` and `1 − β₂ᵗ`.
+    pub(crate) bc1: f32,
+    pub(crate) bc2: f32,
+    /// Symmetric gradient clip bound; `+∞` clamps nothing.
+    pub(crate) clip: f32,
 }
 
-impl StepChunk for SgdChunk<'_> {
-    fn apply(&mut self, params: &mut [f32], grads: &[f32], grad_clip: Option<f32>) {
-        assert_eq!(params.len(), grads.len(), "chunk slice lengths must match");
-        if let Some(vel) = &self.velocity {
-            assert_eq!(params.len(), vel.len(), "chunk state length must match");
-        }
-        for i in 0..params.len() {
-            let mut gr = grads[i];
-            if let Some(c) = grad_clip {
-                gr = gr.clamp(-c, c);
-            }
-            let g = gr + self.weight_decay * params[i];
-            let update = match &mut self.velocity {
-                Some(vel) => {
-                    vel[i] = self.momentum * vel[i] + g;
-                    vel[i]
-                }
-                None => g,
-            };
-            params[i] -= self.lr * update;
-        }
+impl AdamStep {
+    /// Updates one coordinate. The AVX2 fused step repeats these IEEE
+    /// operations lane by lane in this order, so keep them in sync.
+    #[inline(always)]
+    pub(crate) fn update(&self, p: &mut f32, grad: f32, m: &mut f32, v: &mut f32) {
+        let g = grad.clamp(-self.clip, self.clip) + self.weight_decay * *p;
+        *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+        *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+        let m_hat = *m / self.bc1;
+        let v_hat = *v / self.bc2;
+        *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
     }
 }
 
-impl ChunkedOptimizer for Sgd {
-    type Chunk<'a> = SgdChunk<'a>;
-
-    fn begin_step<'a>(
-        &'a mut self,
-        len: usize,
-        ranges: &[Range<usize>],
-    ) -> Result<Vec<SgdChunk<'a>>, BinnetError> {
-        if !self.velocity.is_empty() && self.velocity.len() != len {
-            return Err(BinnetError::ShapeMismatch {
-                op: "sgd_step",
-                left: (len, 1),
-                right: (self.velocity.len(), 1),
-            });
-        }
-        check_partition(ranges, len)?;
-        if self.momentum != 0.0 && self.velocity.is_empty() {
-            self.velocity = vec![0.0; len];
-        }
-        let (lr, momentum, weight_decay) = (self.lr, self.momentum, self.weight_decay);
-        let velocities: Vec<Option<&mut [f32]>> = if self.momentum != 0.0 {
-            split_state(&mut self.velocity, ranges)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            ranges.iter().map(|_| None).collect()
-        };
-        Ok(velocities
-            .into_iter()
-            .map(|velocity| SgdChunk {
-                lr,
-                momentum,
-                weight_decay,
-                velocity,
-            })
-            .collect())
-    }
-}
-
-/// One coordinate chunk of an Adam step (see [`ChunkedOptimizer`]): carries
-/// the step's shared bias corrections plus this chunk's moment slices.
+/// One coordinate chunk of an Adam step (see [`Adam::begin_step`]): the
+/// step's constants plus this chunk's moment slices.
 #[derive(Debug)]
-pub struct AdamChunk<'a> {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    bc1: f32,
-    bc2: f32,
-    m: &'a mut [f32],
-    v: &'a mut [f32],
+pub(crate) struct AdamChunk<'a> {
+    pub(crate) step: AdamStep,
+    pub(crate) m: &'a mut [f32],
+    pub(crate) v: &'a mut [f32],
 }
 
-impl StepChunk for AdamChunk<'_> {
-    fn apply(&mut self, params: &mut [f32], grads: &[f32], grad_clip: Option<f32>) {
+impl AdamChunk<'_> {
+    /// Updates `params` from `grads` over this chunk's coordinates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths differ from the chunk's coordinate count.
+    pub(crate) fn apply(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "chunk slice lengths must match");
         assert_eq!(params.len(), self.m.len(), "chunk state length must match");
-        for i in 0..params.len() {
-            let mut gr = grads[i];
-            if let Some(c) = grad_clip {
-                gr = gr.clamp(-c, c);
-            }
-            let g = gr + self.weight_decay * params[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / self.bc1;
-            let v_hat = self.v[i] / self.bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let step = self.step;
+        for (i, p) in params.iter_mut().enumerate() {
+            step.update(p, grads[i], &mut self.m[i], &mut self.v[i]);
         }
-    }
-}
-
-impl ChunkedOptimizer for Adam {
-    type Chunk<'a> = AdamChunk<'a>;
-
-    fn begin_step<'a>(
-        &'a mut self,
-        len: usize,
-        ranges: &[Range<usize>],
-    ) -> Result<Vec<AdamChunk<'a>>, BinnetError> {
-        if !self.m.is_empty() && self.m.len() != len {
-            return Err(BinnetError::ShapeMismatch {
-                op: "adam_step",
-                left: (len, 1),
-                right: (self.m.len(), 1),
-            });
-        }
-        check_partition(ranges, len)?;
-        if self.m.is_empty() {
-            self.m = vec![0.0; len];
-            self.v = vec![0.0; len];
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t.min(1_000_000) as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t.min(1_000_000) as i32);
-        let (lr, beta1, beta2, eps, weight_decay) =
-            (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        let m_parts = split_state(&mut self.m, ranges);
-        let v_parts = split_state(&mut self.v, ranges);
-        Ok(m_parts
-            .into_iter()
-            .zip(v_parts)
-            .map(|(m, v)| AdamChunk {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                weight_decay,
-                bc1,
-                bc2,
-                m,
-                v,
-            })
-            .collect())
     }
 }
 
@@ -537,16 +441,10 @@ mod tests {
         assert_eq!(opt.steps(), 2);
     }
 
-    /// Runs `steps` chunked steps over `partitions` chunks and asserts the
+    /// Runs chunked steps over `partitions` chunks and asserts the
     /// parameters stay bit-identical to the unchunked reference each step.
-    fn assert_chunked_matches_reference<O>(
-        mut reference: O,
-        mut chunked: O,
-        partitions: usize,
-        grad_clip: Option<f32>,
-    ) where
-        O: Optimizer + ChunkedOptimizer,
-    {
+    fn assert_chunked_matches_reference(opt: Adam, partitions: usize, grad_clip: Option<f32>) {
+        let (mut reference, mut chunked) = (opt.clone(), opt);
         let len = 37;
         let mut w_ref: Vec<f32> = (0..len).map(|i| (i as f32 - 20.0) * 0.21).collect();
         let mut w_chk = w_ref.clone();
@@ -562,9 +460,9 @@ mod tests {
             }
             reference.step(&mut w_ref, &clipped).unwrap();
             let ranges = threadpool::chunk_ranges(len, partitions);
-            let chunks = chunked.begin_step(len, &ranges).unwrap();
+            let chunks = chunked.begin_step(len, &ranges, grad_clip).unwrap();
             for (mut chunk, r) in chunks.into_iter().zip(&ranges) {
-                chunk.apply(&mut w_chk[r.clone()], &grads[r.clone()], grad_clip);
+                chunk.apply(&mut w_chk[r.clone()], &grads[r.clone()]);
             }
             assert_eq!(w_ref, w_chk, "partitions={partitions} step={step}");
         }
@@ -573,38 +471,29 @@ mod tests {
     #[test]
     fn chunked_adam_is_bit_identical_to_step() {
         for partitions in [1usize, 2, 5] {
-            let opt = Adam::new(0.07).weight_decay(0.03);
-            assert_chunked_matches_reference(opt.clone(), opt, partitions, None);
+            assert_chunked_matches_reference(Adam::new(0.07).weight_decay(0.03), partitions, None);
         }
     }
 
     #[test]
     fn chunked_adam_clips_like_a_pre_clamped_gradient() {
-        let opt = Adam::new(0.07).weight_decay(0.03);
-        assert_chunked_matches_reference(opt.clone(), opt, 3, Some(0.5));
-    }
-
-    #[test]
-    fn chunked_sgd_is_bit_identical_to_step() {
-        for partitions in [1usize, 3] {
-            let plain = Sgd::new(0.05).weight_decay(0.01);
-            assert_chunked_matches_reference(plain.clone(), plain, partitions, None);
-            let momentum = Sgd::new(0.05).momentum(0.9).weight_decay(0.01);
-            assert_chunked_matches_reference(momentum.clone(), momentum, partitions, Some(1.0));
-        }
+        assert_chunked_matches_reference(Adam::new(0.07).weight_decay(0.03), 3, Some(0.5));
     }
 
     #[test]
     fn begin_step_validates_partition_and_length() {
         let mut opt = Adam::new(0.1);
         // not a partition: gap
-        assert!(opt.begin_step(10, &[0..4, 5..10]).is_err());
+        assert!(opt.begin_step(10, &[0..4, 5..10], None).is_err());
         // not a partition: short
-        assert!(opt.begin_step(10, &[0..4]).is_err());
+        assert!(opt.begin_step(10, &[0..4], None).is_err());
+        // a clip bound `f32::clamp` would refuse
+        assert!(opt.begin_step(10, &[0..4, 4..10], Some(-1.0)).is_err());
+        assert!(opt.begin_step(10, &[0..4, 4..10], Some(f32::NAN)).is_err());
         // good partition establishes state at length 10
-        assert!(opt.begin_step(10, &[0..4, 4..10]).is_ok());
+        assert!(opt.begin_step(10, &[0..4, 4..10], Some(0.0)).is_ok());
         // changing the length afterwards is a shape error
-        assert!(opt.begin_step(12, &[0..12]).is_err());
+        assert!(opt.begin_step(12, &[0..12], None).is_err());
         assert_eq!(opt.steps(), 1, "failed begin_step must not count a step");
     }
 }

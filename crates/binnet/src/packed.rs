@@ -12,8 +12,11 @@
 //! where `x_b` is row `b` of `X` and `c_k` is **column** `k` of `C`, both
 //! packed with the [`BinaryHv`] convention (bit `1` ≡ `+1`). A [`PackedMatrix`]
 //! therefore stores the operand whose *rows* enter the dot products: batches
-//! pack row-by-row, weights pack column-by-column
-//! (see [`PackedMatrix::from_sign_columns`]).
+//! pack row-by-row, and the weights are `K` packed class rows. The layer
+//! keeps its latent weights class-major (`K×D`), so its fused optimizer step
+//! rebuilds each weight word from 64 adjacent latents of one class row;
+//! [`PackedMatrix::from_sign_columns`] packs the same rows from the paper's
+//! `D×K` orientation.
 //!
 //! # Exactness
 //!
@@ -26,12 +29,13 @@
 //!   integers without ever rounding (each partial sum is also an integer
 //!   ≤ `D`), independent of accumulation order. Dropout masks only shrink
 //!   the magnitude.
-//! - Gradient products `Xᵀ·G` are sums of `±g` terms. Multiplying a float by
-//!   ±1.0 is exact, and `o −= g` is IEEE-identical to `o += (−1.0)·g`, so the
-//!   packed path reproduces the reference **as long as the per-element
-//!   accumulation order matches**: both run over the batch index in
-//!   ascending order ([`packed_transpose_matmul`] chunks threads over
-//!   *output* rows, never over the summed batch dimension).
+//! - The gradient product writes `Gᵀ·X` (`K×D`, class-major), the transpose
+//!   of the dense `Xᵀ·G`, as a sum of `±g` terms per element. Multiplying a
+//!   float by ±1.0 is exact, and `o −= g` is IEEE-identical to
+//!   `o += (−1.0)·g`, so the packed path reproduces the reference **as long
+//!   as the per-element accumulation order matches**: both run over the
+//!   batch index in ascending order ([`packed_transpose_matmul`] chunks
+//!   threads over *output dims*, never over the summed batch dimension).
 //! - The gradient product's AVX2 tier keeps that order as well. It puts 8
 //!   adjacent output *dims* in the lanes of a register, one register per
 //!   class, and adds `broadcast(g[b][k]) XOR flip` for `b` ascending, so
@@ -51,7 +55,7 @@ use std::ops::Range;
 #[cfg(target_arch = "x86_64")]
 use hdc::kernels::avx2_available;
 use hdc::kernels::{active_tier, dot_words, masked_dot_words, KernelTier, QUERY_BLOCK};
-use threadpool::ThreadPool;
+use threadpool::{chunk_ranges, ThreadPool};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -59,6 +63,7 @@ mod avx2;
 use crate::dropout::DropMask;
 use crate::error::BinnetError;
 use crate::matrix::Matrix;
+use crate::optim::{AdamChunk, AdamStep};
 
 /// A bit-packed binary matrix: `rows` rows of `cols` bits each, every row
 /// padded to whole `u64` words with zero tail bits (the [`BinaryHv`]
@@ -142,9 +147,8 @@ impl PackedMatrix {
     /// Packs a strictly bipolar `f32` matrix row-by-row (`+1.0` → bit `1`,
     /// `−1.0` → bit `0`), or `None` if any entry is not exactly `±1.0`.
     ///
-    /// The strictness is what makes [`crate::BinaryLinear::forward`] safe:
-    /// inputs that are not purely bipolar (e.g. scaled dropout survivors)
-    /// fall back to the dense `f32` product instead of being silently
+    /// The strictness means inputs that are not purely bipolar (e.g. scaled
+    /// dropout survivors) are refused instead of being silently
     /// mis-binarized.
     #[must_use]
     pub fn from_bipolar(m: &Matrix) -> Option<Self> {
@@ -166,9 +170,11 @@ impl PackedMatrix {
     /// Packs the **columns** of a `D×K` matrix into `K` rows of `D` bits by
     /// sign (`v ≥ 0.0` → bit `1`, matching the layer's `sgn(0) = +1`).
     ///
-    /// This is how binary weights enter the packed forward product: column
-    /// `k` of the weight matrix becomes packed row `k`, so
-    /// `logits[b][k] = dot(x_b, c_k)` is a row-against-row kernel call.
+    /// This is how a `D×K` weight matrix — the paper's orientation, and the
+    /// one [`BinaryLinear::with_init`](crate::BinaryLinear::with_init) fills
+    /// — enters the packed forward product: column `k` becomes packed row
+    /// `k`, so `logits[b][k] = dot(x_b, c_k)` is a row-against-row kernel
+    /// call.
     ///
     /// Each output word is assembled from 64 branchless sign tests and
     /// stored once — no per-bit read-modify-write of scattered words.
@@ -401,8 +407,8 @@ impl PackedMatrix {
     }
 
     /// Mutable access to the whole packed word buffer, for same-crate
-    /// incremental repacking (the fused optimizer step rewrites exactly the
-    /// words whose latent chunk it owns). Row `r`'s words occupy
+    /// incremental repacking (each task of the fused optimizer step rewrites
+    /// exactly the words whose latents it owns). Row `r`'s words occupy
     /// `r * words_per_row ..`; writers must keep tail bits beyond `cols`
     /// zero.
     pub(crate) fn words_mut(&mut self) -> &mut [u64] {
@@ -584,15 +590,17 @@ pub fn packed_matmul_masked_into(
     Ok(())
 }
 
-/// Packed gradient product `Xᵀ·G`: `out[d][k] = Σ_b (±1)·g[b][k]` with the
-/// sign taken from bit `d` of packed batch row `b`. With `mask`, dropped
-/// dimensions produce all-zero gradient rows — exactly what the dense
-/// reference yields for a zeroed input column.
+/// Packed gradient product `Gᵀ·X`, class-major: `out[k][d] = Σ_b (±1)·g[b][k]`
+/// with the sign taken from bit `d` of packed batch row `b`. The result is
+/// `K×D`, the transpose of the dense `Xᵀ·G`, so row `k` is the latent
+/// gradient of class `k`. With `mask`, dropped dimensions produce all-zero
+/// gradient columns — exactly what the dense reference yields for a zeroed
+/// input column.
 ///
-/// Threads chunk over the `D` output rows; the summed batch dimension is
+/// Threads chunk over the `D` output dims; the summed batch dimension is
 /// always walked in ascending order, so the result is bit-identical to
-/// [`Matrix::transpose_matmul`] on the expanded (and mask-zeroed) batch at
-/// any `pool` width.
+/// [`Matrix::transpose_matmul`] on the expanded (and mask-zeroed) batch,
+/// transposed, at any `pool` width.
 ///
 /// # Errors
 ///
@@ -607,7 +615,7 @@ pub fn packed_transpose_matmul(
     mask: Option<&DropMask>,
     pool: &ThreadPool,
 ) -> Result<Matrix, BinnetError> {
-    let mut out = Matrix::zeros(x.cols, g.cols());
+    let mut out = Matrix::zeros(g.cols(), x.cols);
     packed_transpose_matmul_into(x, g, mask, pool, &mut out)?;
     Ok(out)
 }
@@ -616,13 +624,14 @@ pub fn packed_transpose_matmul(
 /// easy fit in L1/L2 alongside one packed batch row and one gradient row).
 const TILE_F32S: usize = 4096;
 
-/// [`packed_transpose_matmul`] writing into a caller-owned `D×K` output
+/// [`packed_transpose_matmul`] writing into a caller-owned `K×D` output
 /// buffer — identical results with zero allocation per call.
 ///
 /// The kernel dispatches on [`hdc::kernels::active_tier`] (the
 /// `LEHDC_KERNEL` override included). Both tiers chunk the pool over output
-/// dims and compute every output element as `+0.0` plus the same `±g` terms
-/// in ascending batch order, so their results are bit-identical:
+/// dims — each chunk owns the `K` class-row sub-slices of its dim range —
+/// and compute every output element as `+0.0` plus the same `±g` terms in
+/// ascending batch order, so their results are bit-identical:
 ///
 /// - **scalar** (the reference, and the path on hosts without AVX2):
 ///   cache-blocked — each pool chunk walks its output dims in tiles of at
@@ -633,8 +642,9 @@ const TILE_F32S: usize = 4096;
 ///   IEEE negation is exact — rather than a `±1.0` multiply, which pays the
 ///   subnormal-assist penalty that softmax gradients trigger at large D.
 /// - **AVX2**: lanes over 8 adjacent output dims with one register per
-///   class (see the `avx2` submodule); chunk heads and tails that are not
-///   8-aligned take the scalar code.
+///   class, each stored with one vector store into its class row (see the
+///   `avx2` submodule); chunk heads and tails that are not 8-aligned take
+///   the scalar code.
 ///
 /// The result equals the dense reference at any `pool` width for finite
 /// gradients. Masked dims are exactly `+0.0` where the dense reference
@@ -650,7 +660,7 @@ const TILE_F32S: usize = 4096;
 /// # Panics
 ///
 /// Panics if a mask is given and `mask.dim() != x.cols()`, or if `out` is
-/// not `x.cols() × g.cols()`.
+/// not `g.cols() × x.cols()`.
 pub fn packed_transpose_matmul_into(
     x: &PackedMatrix,
     g: &Matrix,
@@ -730,8 +740,8 @@ fn transpose_matmul_on(
     let (d, k) = (x.cols, g.cols());
     assert_eq!(
         (out.rows(), out.cols()),
-        (d, k),
-        "output buffer must be D×K"
+        (k, d),
+        "output buffer must be K×D"
     );
     let op = Operands {
         batch: x.rows,
@@ -741,11 +751,25 @@ fn transpose_matmul_on(
         k,
         mask: mask.map(DropMask::words),
     };
-    pool.for_each_chunk_mut(out.as_mut_slice(), d, k, |dims, chunk| match tier {
+    // Split every class row at the chunk boundaries, so each task owns the
+    // K sub-slices of its dim range.
+    let mut tasks: Vec<(Range<usize>, Vec<&mut [f32]>)> = chunk_ranges(d, pool.threads())
+        .into_iter()
+        .map(|dims| (dims, Vec::with_capacity(k)))
+        .collect();
+    let mut rest = out.as_mut_slice();
+    for _ in 0..k {
+        for (dims, rows) in &mut tasks {
+            let (part, tail) = rest.split_at_mut(dims.len());
+            rows.push(part);
+            rest = tail;
+        }
+    }
+    pool.for_each_task(tasks, |_, (dims, mut rows)| match tier {
         // SAFETY: the Avx2 tier is only requested on CPUs with AVX2.
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { gradient_dims_avx2(op, dims, chunk) },
-        _ => gradient_dims_scalar(op, dims, chunk),
+        KernelTier::Avx2 => unsafe { gradient_dims_avx2(op, dims, &mut rows) },
+        _ => gradient_dims_scalar(op, dims.clone(), dims.start, &mut rows),
     });
     Ok(())
 }
@@ -767,43 +791,47 @@ struct Operands<'a> {
     mask: Option<&'a [u64]>,
 }
 
-/// AVX2 tier: writes the gradient rows of `dims` into `out` (`dims.len() ×
-/// K`, row-major). The 8-aligned body runs on the vector kernel; a chunk
-/// head or tail that is not 8-aligned takes the scalar code.
+/// AVX2 tier: writes the gradient of `dims` into `rows`, where `rows[c]`
+/// holds class `c`'s outputs for exactly those dims. The 8-aligned body runs
+/// on the vector kernel; a chunk head or tail that is not 8-aligned takes
+/// the scalar code.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
-unsafe fn gradient_dims_avx2(op: Operands<'_>, dims: Range<usize>, out: &mut [f32]) {
+unsafe fn gradient_dims_avx2(op: Operands<'_>, dims: Range<usize>, rows: &mut [&mut [f32]]) {
     let lanes = avx2::LANES;
+    let first = dims.start;
     let head_end = dims.start.next_multiple_of(lanes).min(dims.end);
     let body_end = head_end + (dims.end - head_end) / lanes * lanes;
-    let (head, rest) = out.split_at_mut((head_end - dims.start) * op.k);
-    let (body, tail) = rest.split_at_mut((body_end - head_end) * op.k);
-    gradient_dims_scalar(op, dims.start..head_end, head);
+    gradient_dims_scalar(op, dims.start..head_end, first, rows);
     if body_end > head_end {
-        // SAFETY: AVX2 is available (caller contract), the body range is
-        // 8-aligned, and `body` holds exactly its rows.
-        unsafe { avx2::gradient_dims(op, head_end..body_end, body) };
+        // SAFETY: AVX2 is available (caller contract) and the body range is
+        // 8-aligned.
+        unsafe { avx2::gradient_dims(op, head_end..body_end, first, rows) };
     }
-    gradient_dims_scalar(op, body_end..dims.end, tail);
+    gradient_dims_scalar(op, body_end..dims.end, first, rows);
 }
 
-/// Scalar reference tier: writes the gradient rows of `dims` into `out`
-/// (`dims.len() × K`, row-major), cache-blocked as described on
-/// [`packed_transpose_matmul_into`].
-fn gradient_dims_scalar(op: Operands<'_>, dims: Range<usize>, out: &mut [f32]) {
-    let k = op.k;
-    out.fill(0.0);
-    let block = (TILE_F32S / k).max(64);
-    let first = dims.start;
+/// Scalar reference tier: writes the gradient of `dims` into `rows`, where
+/// `rows[c][dim - first]` is class `c`'s output for `dim`, cache-blocked as
+/// described on [`packed_transpose_matmul_into`].
+fn gradient_dims_scalar(
+    op: Operands<'_>,
+    dims: Range<usize>,
+    first: usize,
+    rows: &mut [&mut [f32]],
+) {
+    for row in rows.iter_mut() {
+        row[dims.start - first..dims.end - first].fill(0.0);
+    }
+    let block = (TILE_F32S / op.k).max(64);
     let mut blk = dims.start;
     while blk < dims.end {
         let blk_end = dims.end.min(blk + block);
-        let tile = &mut out[(blk - first) * k..(blk_end - first) * k];
-        for (x_words, g_row) in op.x.chunks_exact(op.wpr).zip(op.g.chunks_exact(k)) {
-            for (dim, out_row) in (blk..blk_end).zip(tile.chunks_exact_mut(k)) {
+        for (x_words, g_row) in op.x.chunks_exact(op.wpr).zip(op.g.chunks_exact(op.k)) {
+            for dim in blk..blk_end {
                 // `±gv` as a sign-bit XOR, not a `±1.0` multiply: both
                 // are exact and branchless, but the multiply pays the
                 // subnormal-assist penalty on every subnormal gradient
@@ -817,13 +845,83 @@ fn gradient_dims_scalar(op: Operands<'_>, dims: Range<usize>, out: &mut [f32]) {
                     Some(m) => (((m[dim / 64] >> (dim % 64)) & 1) as u32).wrapping_neg(),
                     None => u32::MAX,
                 };
-                for (o, &gv) in out_row.iter_mut().zip(g_row) {
-                    *o += f32::from_bits((gv.to_bits() ^ flip) & keep);
+                for (row, &gv) in rows.iter_mut().zip(g_row) {
+                    row[dim - first] += f32::from_bits((gv.to_bits() ^ flip) & keep);
                 }
             }
         }
         blk = blk_end;
     }
+}
+
+/// One task of the fused optimizer step
+/// ([`BinaryLinear::apply_gradient_fused`](crate::BinaryLinear::apply_gradient_fused)):
+/// the packed weight words `words` — indices into all `K·wpr` words of the
+/// weight rows — with `packed` holding them, and the contiguous class-major
+/// latent coordinates they cover, with the matching gradient and Adam
+/// moment slices.
+pub(crate) struct FusedChunk<'a> {
+    pub(crate) words: Range<usize>,
+    pub(crate) packed: &'a mut [u64],
+    pub(crate) latent: &'a mut [f32],
+    pub(crate) grad: &'a [f32],
+    pub(crate) adam: AdamChunk<'a>,
+}
+
+/// Runs one fused-step task on `tier`: the Adam update of each coordinate,
+/// then each packed word rebuilt from the signs (`l >= 0.0`) of its
+/// updated latents. Both tiers perform the same IEEE operations per
+/// coordinate in the same order, so they are bit-identical; the Avx2 tier
+/// must only be requested on CPUs that have it.
+pub(crate) fn fused_step_on(tier: KernelTier, d: usize, wpr: usize, chunk: FusedChunk<'_>) {
+    match tier {
+        // SAFETY: the Avx2 tier is only requested on CPUs with AVX2.
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx2 => unsafe { avx2::fused_step(d, wpr, chunk) },
+        _ => {
+            let FusedChunk {
+                words,
+                packed,
+                latent,
+                grad,
+                adam,
+            } = chunk;
+            for (out, r) in packed.iter_mut().zip(word_spans(d, wpr, words)) {
+                *out = step_word_scalar(
+                    adam.step,
+                    &mut latent[r.clone()],
+                    &grad[r.clone()],
+                    &mut adam.m[r.clone()],
+                    &mut adam.v[r],
+                );
+            }
+        }
+    }
+}
+
+/// The chunk-local coordinate range of each word in `words`. Word `i`
+/// covers dims `[w·64, min(w·64 + 64, D))` of class row `i / wpr`, with
+/// `w = i mod wpr`, and row `c` ends where row `c + 1` begins, so a chunk's
+/// words consume its coordinates in order.
+fn word_spans(d: usize, wpr: usize, words: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let mut at = 0;
+    words.map(move |i| {
+        let n = (d - i % wpr * 64).min(64);
+        at += n;
+        at - n..at
+    })
+}
+
+/// Updates up to 64 coordinates and returns their sign bits, bit `j` set
+/// when coordinate `j` ends `>= 0.0` (so `−0.0` packs to 1 and NaN to 0).
+#[inline(always)]
+fn step_word_scalar(step: AdamStep, p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]) -> u64 {
+    let mut word = 0u64;
+    for (j, pj) in p.iter_mut().enumerate() {
+        step.update(pj, g[j], &mut m[j], &mut v[j]);
+        word |= u64::from(*pj >= 0.0) << j;
+    }
+    word
 }
 
 #[cfg(test)]
@@ -1006,7 +1104,7 @@ mod tests {
         let x = random_sign_matrix(b, d, &mut r);
         let mut g = Matrix::zeros(b, k);
         g.map_inplace(|_| r.random_range(-1.0f32..1.0));
-        let expect = x.transpose_matmul(&g).unwrap();
+        let expect = x.transpose_matmul(&g).unwrap().transposed();
         let px = PackedMatrix::from_bipolar(&x).unwrap();
         for threads in [1, 2, 4] {
             let got = packed_transpose_matmul(&px, &g, None, &ThreadPool::new(threads)).unwrap();
@@ -1026,15 +1124,15 @@ mod tests {
 
         let mut x_ref = x.clone();
         mask.apply_to_matrix(&mut x_ref);
-        let expect = x_ref.transpose_matmul(&g).unwrap();
+        let expect = x_ref.transpose_matmul(&g).unwrap().transposed();
 
         let px = PackedMatrix::from_bipolar(&x).unwrap();
         let got = packed_transpose_matmul(&px, &g, Some(&mask), &ThreadPool::new(2)).unwrap();
         assert_eq!(got, expect);
-        // dropped dims have exactly-zero gradient rows
+        // dropped dims have exactly-zero gradient columns
         for dim in 0..d {
             if !mask.is_kept(dim) {
-                assert!(got.row(dim).iter().all(|&v| v == 0.0));
+                assert!((0..k).all(|c| got.get(c, dim) == 0.0));
             }
         }
     }

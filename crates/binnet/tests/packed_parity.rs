@@ -1,7 +1,8 @@
 //! Parity suite: the bit-packed XNOR/popcount kernels must be **exactly**
 //! equal to the dense `f32` reference products — `assert_eq!` on whole
 //! matrices, never an epsilon — across property-generated shapes, dropout
-//! masks, and thread counts.
+//! masks, and thread counts. The gradient product is class-major (`K×D`),
+//! so it is compared with the dense `Xᵀ·G` transposed.
 
 use binnet::{
     packed_matmul, packed_matmul_masked, packed_transpose_matmul, BinaryLinear, Dropout, Matrix,
@@ -108,7 +109,7 @@ proptest! {
         if let Some(m) = &mask {
             m.apply_to_matrix(&mut x_ref);
         }
-        let expect = x_ref.transpose_matmul(&gd).unwrap();
+        let expect = x_ref.transpose_matmul(&gd).unwrap().transposed();
         let got = packed_transpose_matmul(&px, &gd, mask.as_ref(), &pool).unwrap();
         prop_assert_eq!(got, expect);
     }
@@ -121,7 +122,8 @@ fn layer_forward_logits_have_integer_values_up_to_dim() {
     let mut rng = Xoshiro256pp::seed_from_u64(3);
     let layer = BinaryLinear::new(d, 4, 7);
     let x = binnet::layer::random_sign_matrix(8, d, &mut rng);
-    let logits = layer.forward(&x);
+    let mut logits = Matrix::zeros(8, 4);
+    layer.forward_packed_into(&x.pack_bipolar().unwrap(), &mut logits);
     for &v in logits.as_slice() {
         assert_eq!(v, v.trunc(), "logit {v} must be an integer");
         assert!(v.abs() <= d as f32);
@@ -165,7 +167,7 @@ fn blocked_backward_matches_dense_at_dims_crossing_cache_blocks() {
         let x = binnet::layer::random_sign_matrix(batch, d, &mut rng);
         let g_data: Vec<f32> = (0..batch * k).map(|_| rng.random_range(-50.0f32..50.0)).collect();
         let g = Matrix::from_flat(batch, k, g_data).unwrap();
-        let expect = x.transpose_matmul(&g).unwrap();
+        let expect = x.transpose_matmul(&g).unwrap().transposed();
         let px = x.pack_bipolar().unwrap();
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
@@ -191,7 +193,7 @@ fn into_variants_match_allocating_variants_and_reuse_buffers() {
     // the raw `_into` kernels take pre-shaped buffers (the layer wrappers
     // own the reshape) and are reused across thread counts below
     let mut fwd = Matrix::zeros(batch, k);
-    let mut bwd = Matrix::zeros(d, k);
+    let mut bwd = Matrix::zeros(k, d);
     for threads in [1, 2, 4] {
         let pool = ThreadPool::new(threads);
 
@@ -243,15 +245,18 @@ fn blocked_forward_matches_dense_at_batches_crossing_query_blocks() {
 #[test]
 fn layer_forward_is_blocked_identically_to_dense_for_large_batches() {
     // End-to-end through BinaryLinear: a batch wider than one query block
-    // still produces dense-exact logits from the layer's packed path.
+    // still produces dense-exact logits from the layer's packed path. The
+    // dense reference multiplies by the layer's signs as a D×K ±1 matrix.
     let mut rng = Xoshiro256pp::seed_from_u64(24);
     let (batch, d, k) = (97, 257, 5);
     let x = binnet::layer::random_sign_matrix(batch, d, &mut rng);
     let layer = BinaryLinear::new(d, k, 77).with_threads(2);
-    let expect = x.matmul(layer.binary()).unwrap();
-    let px = x.pack_bipolar().unwrap();
-    assert_eq!(layer.forward_packed(&px), expect);
-    assert_eq!(layer.forward(&x), expect);
+    let mut dense_weights = layer.latent().transposed();
+    dense_weights.map_inplace(|l| if l >= 0.0 { 1.0 } else { -1.0 });
+    let expect = x.matmul(&dense_weights).unwrap();
+    let mut got = Matrix::zeros(1, 1);
+    layer.forward_packed_into(&x.pack_bipolar().unwrap(), &mut got);
+    assert_eq!(got, expect);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +315,7 @@ fn avx2_gradient_matches_scalar_bit_for_bit() {
                     // scalar tier is thread-invariant (the dense-reference
                     // tests above pin it), so one reference serves every
                     // AVX2 pool width.
-                    let nan = Matrix::from_flat(d, k, vec![f32::NAN; d * k]).unwrap();
+                    let nan = Matrix::from_flat(k, d, vec![f32::NAN; d * k]).unwrap();
                     let mut scalar = nan.clone();
                     packed_transpose_matmul_into_scalar(&px, &g, mask, &pools[0], &mut scalar)
                         .unwrap();

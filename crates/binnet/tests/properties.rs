@@ -100,8 +100,9 @@ proptest! {
     #[test]
     fn binary_layer_logits_are_bounded_by_d(d in 1usize..64, seed in any::<u64>()) {
         let layer = BinaryLinear::new(d, 3, seed);
-        let x = Matrix::from_flat(1, d, vec![1.0; d]).unwrap();
-        let logits = layer.forward(&x);
+        let x = Matrix::from_flat(1, d, vec![1.0; d]).unwrap().pack_bipolar().unwrap();
+        let mut logits = Matrix::zeros(1, 3);
+        layer.forward_packed_into(&x, &mut logits);
         for j in 0..3 {
             prop_assert!(logits.get(0, j).abs() <= d as f32);
         }

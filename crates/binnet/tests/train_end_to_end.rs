@@ -1,10 +1,11 @@
 //! End-to-end: a single binary layer trained with the full LeHDC recipe
-//! (Adam + dropout + weight decay + plateau LR decay) must learn a noisy
+//! (Adam + dropout + weight decay + plateau LR decay) on the packed,
+//! buffer-reusing path the LeHDC trainer runs, must learn a noisy
 //! multi-class bipolar problem that plain averaging cannot solve perfectly.
 
 use binnet::{
-    accuracy_from_logits, softmax_cross_entropy, Adam, BatchSampler, BinaryLinear, Dropout,
-    Matrix, Optimizer, PlateauDecay,
+    accuracy_from_logits, softmax_cross_entropy_into, Adam, BatchSampler, BinaryLinear, Dropout,
+    Matrix, Optimizer, PackedMatrix, PlateauDecay,
 };
 use testkit::{Rng, Xoshiro256pp};
 
@@ -41,8 +42,61 @@ fn make_dataset(n_per_class: usize, proto_seed: u64, noise_seed: u64) -> (Matrix
     (Matrix::from_rows(&rows).unwrap(), labels)
 }
 
-fn gather(x: &Matrix, idx: &[usize]) -> Matrix {
-    Matrix::from_rows(&idx.iter().map(|&i| x.row(i).to_vec()).collect::<Vec<_>>()).unwrap()
+fn gather(x: &Matrix, idx: &[usize]) -> PackedMatrix {
+    let rows: Vec<Vec<f32>> = idx.iter().map(|&i| x.row(i).to_vec()).collect();
+    Matrix::from_rows(&rows).unwrap().pack_bipolar().expect("bipolar rows")
+}
+
+/// The layer's logits on a dense bipolar batch.
+fn logits_of(layer: &BinaryLinear, x: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(1, 1);
+    layer.forward_packed_into(&x.pack_bipolar().expect("bipolar rows"), &mut out);
+    out
+}
+
+/// Per-step buffers, reused across batches as the trainer reuses its own.
+struct Scratch {
+    logits: Matrix,
+    dlogits: Matrix,
+    grad: Matrix,
+}
+
+impl Scratch {
+    fn new() -> Scratch {
+        Scratch {
+            logits: Matrix::zeros(1, 1),
+            dlogits: Matrix::zeros(1, 1),
+            grad: Matrix::zeros(K, D),
+        }
+    }
+}
+
+/// One trainer-style step: masked forward with the dropout scale applied
+/// once to the integer logits (and again to dlogits), packed backward,
+/// fused Adam update. Returns the batch loss.
+fn train_step(
+    layer: &mut BinaryLinear,
+    opt: &mut Adam,
+    dropout: &mut Dropout,
+    x: &PackedMatrix,
+    y: &[usize],
+    s: &mut Scratch,
+) -> f64 {
+    let mask = dropout.sample_mask(D);
+    match &mask {
+        Some(m) => {
+            layer.forward_packed_masked_into(x, m, &mut s.logits);
+            s.logits.scale(m.scale());
+        }
+        None => layer.forward_packed_into(x, &mut s.logits),
+    }
+    let loss = softmax_cross_entropy_into(&s.logits, y, &mut s.dlogits).unwrap();
+    if let Some(m) = &mask {
+        s.dlogits.scale(m.scale());
+    }
+    layer.backward_packed_into(x, mask.as_ref(), &s.dlogits, &mut s.grad);
+    layer.apply_gradient_fused(&s.grad, opt, None);
+    loss
 }
 
 #[test]
@@ -55,27 +109,23 @@ fn full_recipe_learns_multimodal_classes() {
     let mut dropout = Dropout::new(0.2, 5).unwrap();
     let mut sched = PlateauDecay::new(0.5, 1e-5).unwrap();
     let sampler = BatchSampler::new(train_y.len(), 32, 7).unwrap();
+    let mut scratch = Scratch::new();
 
     for epoch in 0..30 {
         let mut epoch_loss = 0.0;
         let mut batches = 0;
         for batch in sampler.epoch(epoch) {
-            let mut x = gather(&train_x, &batch);
+            let x = gather(&train_x, &batch);
             let y: Vec<usize> = batch.iter().map(|&i| train_y[i]).collect();
-            dropout.apply(&mut x);
-            let logits = layer.forward(&x);
-            let (loss, dlogits) = softmax_cross_entropy(&logits, &y).unwrap();
-            let grad = layer.backward(&x, &dlogits);
-            layer.apply_gradient(&grad, &mut opt);
-            epoch_loss += loss;
+            epoch_loss += train_step(&mut layer, &mut opt, &mut dropout, &x, &y, &mut scratch);
             batches += 1;
         }
         let lr = sched.observe(epoch_loss / batches as f64, opt.learning_rate());
         opt.set_learning_rate(lr);
     }
 
-    let train_acc = accuracy_from_logits(&layer.forward(&train_x), &train_y);
-    let test_acc = accuracy_from_logits(&layer.forward(&test_x), &test_y);
+    let train_acc = accuracy_from_logits(&logits_of(&layer, &train_x), &train_y);
+    let test_acc = accuracy_from_logits(&logits_of(&layer, &test_x), &test_y);
     assert!(train_acc > 0.9, "train accuracy {train_acc}");
     assert!(test_acc > 0.8, "test accuracy {test_acc}");
 }
@@ -85,28 +135,23 @@ fn trained_weights_stay_binary() {
     let (train_x, train_y) = make_dataset(10, 100, 11);
     let mut layer = BinaryLinear::new(D, K, 13);
     let mut opt = Adam::new(0.05);
+    let mut no_dropout = Dropout::new(0.0, 0).unwrap();
+    let mut scratch = Scratch::new();
     for epoch in 0..5 {
         let sampler = BatchSampler::new(train_y.len(), 16, 17).unwrap();
         for batch in sampler.epoch(epoch) {
             let x = gather(&train_x, &batch);
             let y: Vec<usize> = batch.iter().map(|&i| train_y[i]).collect();
-            let logits = layer.forward(&x);
-            let (_, dlogits) = softmax_cross_entropy(&logits, &y).unwrap();
-            let grad = layer.backward(&x, &dlogits);
-            layer.apply_gradient(&grad, &mut opt);
+            train_step(&mut layer, &mut opt, &mut no_dropout, &x, &y, &mut scratch);
         }
     }
-    assert!(layer
-        .binary()
-        .as_slice()
-        .iter()
-        .all(|&v| v == 1.0 || v == -1.0));
+    // The effective weights are exactly the signs of the latents (sgn(0) =
+    // +1), checked against a dense per-entry reference ...
+    let latent = layer.latent();
+    let signs = PackedMatrix::from_fn(K, D, |c, r| latent.get(c, r) >= 0.0);
+    assert_eq!(layer.packed_weights(), &signs);
     // ... and the latent weights are NOT all binary (they accumulate).
-    assert!(layer
-        .latent()
-        .as_slice()
-        .iter()
-        .any(|&v| v != 1.0 && v != -1.0));
+    assert!(latent.as_slice().iter().any(|&v| v != 1.0 && v != -1.0));
 }
 
 #[test]
@@ -123,8 +168,8 @@ fn warm_start_from_prototypes_beats_random_init_early() {
     let warm = BinaryLinear::with_init(D, K, |r, c| mean[c][r].signum() * 0.05);
     let cold = BinaryLinear::new(D, K, 99);
 
-    let warm_acc = accuracy_from_logits(&warm.forward(&train_x), &train_y);
-    let cold_acc = accuracy_from_logits(&cold.forward(&train_x), &train_y);
+    let warm_acc = accuracy_from_logits(&logits_of(&warm, &train_x), &train_y);
+    let cold_acc = accuracy_from_logits(&logits_of(&cold, &train_x), &train_y);
     assert!(
         warm_acc > cold_acc,
         "warm start {warm_acc} should beat random init {cold_acc}"

@@ -16,7 +16,7 @@ pub struct EpochTiming {
     pub forward_ns: u64,
     /// Backward passes (softmax CE + packed transpose products).
     pub backward_ns: u64,
-    /// Fused optimizer steps (Adam + clips + rebinarize + repack).
+    /// Fused optimizer steps (gradient clip + Adam + sign repack).
     pub optimizer_ns: u64,
     /// Batched classification of the training corpus against the frozen
     /// model (comparison-strategy iterations; zero for the LeHDC trainer,

@@ -6,7 +6,7 @@
 //! - the BNN input is the encoded sample `En(x) ∈ {-1, +1}^D` (bipolar);
 //! - the weight matrix `C ∈ {-1, +1}^{D×K}` is the binarization of a latent
 //!   real matrix `C_nb` (Eq. 8), updated with the straight-through
-//!   estimator;
+//!   estimator (the layer stores both class-major, one row per class);
 //! - the loss is softmax cross-entropy over the `K` outputs (Eq. 9) plus an
 //!   L2 penalty `λ/2‖C_nb‖²` (Eq. 10), optimized with **Adam**;
 //! - **dropout** on the input and **weight decay** fight the overfitting a
@@ -21,11 +21,11 @@
 //! [`EncodedDataset::packed_batch_pooled_into`] (a pool-parallel word copy,
 //! no `BinaryHv → f32` expansion per epoch), dropout is a per-batch bit mask
 //! whose survivor scale is applied once to the integer logits, the gradient
-//! product reads signs straight from the packed bits, and the optimizer
-//! update is fused with rebinarization and an incremental repack of the
-//! packed weights (`BinaryLinear::apply_gradient_fused`). See
-//! `binnet::packed` for the argument that this is bit-identical to the dense
-//! `f32` formulation.
+//! product reads signs straight from the packed bits and writes the `K×D`
+//! class-major latent gradient, and the Adam update is fused with the
+//! repack of the packed weight words (`BinaryLinear::apply_gradient_fused`).
+//! See `binnet::packed` for the argument that this is bit-identical to the
+//! dense `f32` formulation.
 
 use binnet::{
     softmax_cross_entropy_into, Adam, BatchSampler, BinaryLinear, Dropout, Matrix, Optimizer,
@@ -283,13 +283,14 @@ impl LehdcConfig {
 
 /// Reusable per-batch buffers of the training hot loop.
 ///
-/// One mini-batch step touches ~`B·D/8 + 2·B·K·4 + D·K·4` bytes of scratch
-/// (the packed batch, logits, their gradient, and the `D×K` latent gradient
-/// — roughly 400 KB/step at `D = 10⁴`, `K = 10`, `B = 64`). Allocating these
-/// fresh every step is pure overhead: the shapes repeat, so the trainer
-/// hoists them into this struct and refills in place. Every `_into` path
-/// writes the same bits as its allocating twin, so reuse cannot change the
-/// trained model (pinned by `scratch_reuse_matches_fresh_buffers`).
+/// One mini-batch step touches ~`B·D/8 + 2·B·K·4 + K·D·4` bytes of scratch
+/// (the packed batch, logits, their gradient, and the class-major `K×D`
+/// latent gradient — roughly 400 KB/step at `D = 10⁴`, `K = 10`, `B = 64`).
+/// Allocating these fresh every step is pure overhead: the shapes repeat,
+/// so the trainer hoists them into this struct and refills in place. Every
+/// `_into` path writes the same bits as its allocating twin, so reuse
+/// cannot change the trained model (pinned by
+/// `scratch_reuse_matches_fresh_buffers`).
 struct TrainScratch {
     batch_indices: Vec<usize>,
     labels: Vec<usize>,
@@ -307,7 +308,7 @@ impl TrainScratch {
             x: PackedMatrix::empty(),
             logits: Matrix::zeros(batch.max(1), k),
             dlogits: Matrix::zeros(batch.max(1), k),
-            grad: Matrix::zeros(d, k),
+            grad: Matrix::zeros(k, d),
         }
     }
 
@@ -340,8 +341,7 @@ struct PhaseSpans {
 
 /// One fused LeHDC mini-batch step, entirely in `scratch` buffers: packed
 /// batch assembly, masked forward, loss/gradient, packed backward, and the
-/// fused Adam + rebinarize + incremental-repack update. Returns the batch
-/// loss.
+/// fused Adam + repack update. Returns the batch loss.
 ///
 /// Phase wall-clock accumulates into `spans` when `rec` is enabled; the
 /// step's math and RNG draws are identical either way.
@@ -395,7 +395,7 @@ fn lehdc_batch_step(
     // Gradient clipping happens inside the fused update — element-wise clamp
     // before the Adam step, bit-identical to clamping the buffer first.
     let t = rec.start();
-    layer.apply_gradient_fused(&scratch.grad, opt, grad_clip, None);
+    layer.apply_gradient_fused(&scratch.grad, opt, grad_clip);
     spans.optimizer_ns += t.elapsed_ns();
     Ok(loss)
 }
