@@ -253,7 +253,13 @@ fn bench_classify_threads(c: &mut Bench) {
             BenchmarkId::new(format!("threads{threads}"), d),
             &d,
             |bencher, _| {
-                bencher.iter(|| black_box(model.classify_all_threaded(black_box(&queries), threads)));
+                bencher.iter(|| {
+                    black_box(model.classify_all_blocked(
+                        black_box(&queries),
+                        hdc::kernels::QUERY_BLOCK,
+                        threads,
+                    ))
+                });
             },
         );
     }
@@ -409,7 +415,8 @@ fn bench_retrain_epoch(c: &mut Bench) {
     let d = 10_000usize;
     let (classes, samples) = (10usize, 2048usize);
     let train = epoch_corpus(d, classes, samples);
-    let nonbinary: Vec<RealHv> = lehdc::baseline::accumulate_class_sums(&train).unwrap();
+    let nonbinary: Vec<RealHv> =
+        lehdc::baseline::accumulate_class_sums(&train, &EpochEngine::default()).unwrap();
     let model =
         lehdc::HdcModel::new(nonbinary.iter().map(RealHv::sign).collect::<Vec<_>>()).unwrap();
     let alpha = 0.05f32;
@@ -477,7 +484,8 @@ fn bench_enhanced_epoch(c: &mut Bench) {
     let d = 10_000usize;
     let (classes, samples) = (10usize, 1024usize);
     let train = epoch_corpus(d, classes, samples);
-    let nonbinary = lehdc::baseline::accumulate_class_sums(&train).unwrap();
+    let nonbinary =
+        lehdc::baseline::accumulate_class_sums(&train, &EpochEngine::default()).unwrap();
     let model = lehdc::HdcModel::new(nonbinary.iter().map(hdc::RealHv::sign).collect::<Vec<_>>())
         .unwrap();
 
@@ -510,6 +518,8 @@ fn bench_enhanced_epoch(c: &mut Bench) {
 /// across pool widths. Predictions are bit-identical (first-win tie-break
 /// over the same visit order).
 fn bench_multimodel_classify(c: &mut Bench) {
+    use lehdc::EpochEngine;
+
     let mut group = c.benchmark_group("multimodel_classify");
     group.sample_size(10);
     let d = 10_000usize;
@@ -519,7 +529,8 @@ fn bench_multimodel_classify(c: &mut Bench) {
         iterations: 1,
         ..lehdc::MultiModelConfig::quick()
     };
-    let (mm, _) = lehdc::multimodel::train_multimodel(&train, None, &cfg).unwrap();
+    let (mm, _) =
+        lehdc::multimodel::train_multimodel(&train, None, &cfg, &EpochEngine::default()).unwrap();
     let queries = train.hvs();
 
     group.throughput(Throughput::Elements(queries.len() as u64));
@@ -533,17 +544,12 @@ fn bench_multimodel_classify(c: &mut Bench) {
         });
     });
     for &threads in SCALING_THREADS {
+        let engine = EpochEngine::with_block(threads, hdc::kernels::QUERY_BLOCK);
         group.bench_with_input(
             BenchmarkId::new(format!("blocked/threads{threads}"), d),
             &d,
             |bencher, _| {
-                bencher.iter(|| {
-                    black_box(mm.classify_all_blocked(
-                        black_box(queries),
-                        hdc::kernels::QUERY_BLOCK,
-                        threads,
-                    ))
-                });
+                bencher.iter(|| black_box(engine.classify_epoch(&mm, black_box(queries))));
             },
         );
     }

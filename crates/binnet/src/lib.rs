@@ -21,7 +21,7 @@
 //!   the repack.
 //! - [`softmax_cross_entropy`]: the fused loss/gradient of the paper's
 //!   Eq. 9.
-//! - [`Adam`] / [`Sgd`] optimizers with L2 weight decay (Eq. 10).
+//! - the [`Adam`] optimizer with L2 weight decay (Eq. 10).
 //! - [`Dropout`] on the layer input, and [`PlateauDecay`] — the paper decays
 //!   the learning rate "if the training loss increasing is detected".
 //! - [`BatchSampler`]: deterministic shuffled mini-batches.
@@ -79,7 +79,7 @@ pub use layer::{BinaryLinear, DenseLinear};
 pub use loss::{accuracy_from_logits, softmax, softmax_cross_entropy, softmax_cross_entropy_into};
 pub use matrix::Matrix;
 pub use metrics::{accuracy, ConfusionMatrix};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use packed::{
     packed_matmul, packed_matmul_into, packed_matmul_masked, packed_matmul_masked_into,
     packed_transpose_matmul, packed_transpose_matmul_into, PackedMatrix,

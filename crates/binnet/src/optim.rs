@@ -1,5 +1,4 @@
-//! First-order optimizers: SGD (with momentum) and Adam, with L2 weight
-//! decay.
+//! The first-order optimizer of LeHDC training: Adam with L2 weight decay.
 //!
 //! The paper (Sec. 4) selects **Adam** following ref \[15\] ("How Do Adam and
 //! Training Strategies Help BNNs Optimization?") and applies an L2 penalty
@@ -12,7 +11,7 @@ use crate::error::BinnetError;
 
 /// A first-order optimizer over a flat parameter buffer.
 ///
-/// Implementations are stateful (momentum/moment estimates are kept per
+/// Implementations are stateful (moment estimates are kept per
 /// coordinate) and must be used with a fixed parameter length.
 pub trait Optimizer {
     /// Applies one update step: `params ← params − f(grads, state)`.
@@ -44,84 +43,6 @@ fn check_lengths(
         });
     }
     Ok(())
-}
-
-/// Stochastic gradient descent with optional momentum and L2 weight decay.
-///
-/// # Examples
-///
-/// ```
-/// use binnet::{Optimizer, Sgd};
-///
-/// # fn main() -> Result<(), binnet::BinnetError> {
-/// let mut opt = Sgd::new(0.1).momentum(0.9);
-/// let mut w = vec![1.0f32];
-/// opt.step(&mut w, &[1.0])?;
-/// assert!((w[0] - 0.9).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<f32>,
-}
-
-impl Sgd {
-    /// Creates plain SGD with learning rate `lr`.
-    #[must_use]
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Sets the momentum coefficient (default 0).
-    #[must_use]
-    pub fn momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Sets the L2 weight decay coefficient `λ` (default 0).
-    #[must_use]
-    pub fn weight_decay(mut self, lambda: f32) -> Self {
-        self.weight_decay = lambda;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) -> Result<(), BinnetError> {
-        check_lengths("sgd_step", params, grads, self.velocity.len())?;
-        if self.momentum != 0.0 && self.velocity.is_empty() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for i in 0..params.len() {
-            let g = grads[i] + self.weight_decay * params[i];
-            let update = if self.momentum != 0.0 {
-                self.velocity[i] = self.momentum * self.velocity[i] + g;
-                self.velocity[i]
-            } else {
-                g
-            };
-            params[i] -= self.lr * update;
-        }
-        Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// The Adam optimizer (Kingma & Ba) with bias correction and L2 weight
@@ -377,19 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends_a_quadratic() {
-        let w = quadratic_descent(Sgd::new(0.1), 100);
-        assert!(w.abs() < 1e-3, "sgd left w at {w}");
-    }
-
-    #[test]
-    fn momentum_accelerates_descent() {
-        let plain = quadratic_descent(Sgd::new(0.01), 50).abs();
-        let fast = quadratic_descent(Sgd::new(0.01).momentum(0.9), 50).abs();
-        assert!(fast < plain, "momentum {fast} should beat plain {plain}");
-    }
-
-    #[test]
     fn adam_descends_a_quadratic() {
         let w = quadratic_descent(Adam::new(0.3), 200);
         assert!(w.abs() < 1e-2, "adam left w at {w}");
@@ -398,13 +306,6 @@ mod tests {
     #[test]
     fn weight_decay_shrinks_idle_weights() {
         // With zero gradient, decay must pull weights toward 0.
-        let mut opt = Sgd::new(0.1).weight_decay(0.5);
-        let mut w = vec![1.0f32];
-        for _ in 0..10 {
-            opt.step(&mut w, &[0.0]).unwrap();
-        }
-        assert!(w[0] < 1.0 && w[0] > 0.0);
-
         let mut opt = Adam::new(0.01).weight_decay(0.5);
         let mut w = vec![1.0f32];
         for _ in 0..50 {

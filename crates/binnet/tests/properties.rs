@@ -1,6 +1,6 @@
 //! Property-based tests for the BNN substrate.
 
-use binnet::{softmax, softmax_cross_entropy, Adam, BinaryLinear, Matrix, Optimizer, Sgd};
+use binnet::{softmax, softmax_cross_entropy, Adam, BinaryLinear, Matrix, Optimizer};
 use testkit::prelude::*;
 
 fn arb_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Matrix> {
@@ -79,21 +79,16 @@ proptest! {
         // On f(w) = (w - 1)² the update direction must oppose the gradient.
         // (Adam's first step has magnitude ≈ lr regardless of |g|, so it may
         // overshoot the optimum — only the sign is a universal property.)
-        for mut opt in [
-            Box::new(Sgd::new(lr)) as Box<dyn Optimizer>,
-            Box::new(Adam::new(lr)),
-        ] {
-            let mut w = vec![w0];
-            let g = [2.0 * (w0 - 1.0)];
-            opt.step(&mut w, &g).unwrap();
-            if g[0].abs() > 1e-4 {
-                let step = w[0] - w0;
-                prop_assert!(
-                    step * g[0] < 0.0,
-                    "step {step} should oppose gradient {}",
-                    g[0]
-                );
-            }
+        let mut w = vec![w0];
+        let g = [2.0 * (w0 - 1.0)];
+        Adam::new(lr).step(&mut w, &g).unwrap();
+        if g[0].abs() > 1e-4 {
+            let step = w[0] - w0;
+            prop_assert!(
+                step * g[0] < 0.0,
+                "step {step} should oppose gradient {}",
+                g[0]
+            );
         }
     }
 
@@ -135,16 +130,11 @@ fn regression_scaling_zero_matrix_zero_factor() {
 #[test]
 fn regression_optimizer_sign_large_lr_near_optimum() {
     let (lr, w0) = (0.333_091_4_f32, 0.951_110_1_f32);
-    for mut opt in [
-        Box::new(Sgd::new(lr)) as Box<dyn Optimizer>,
-        Box::new(Adam::new(lr)),
-    ] {
-        let mut w = vec![w0];
-        let g = [2.0 * (w0 - 1.0)];
-        opt.step(&mut w, &g).unwrap();
-        if g[0].abs() > 1e-4 {
-            let step = w[0] - w0;
-            assert!(step * g[0] < 0.0, "step {step} should oppose gradient {}", g[0]);
-        }
+    let mut w = vec![w0];
+    let g = [2.0 * (w0 - 1.0)];
+    Adam::new(lr).step(&mut w, &g).unwrap();
+    if g[0].abs() > 1e-4 {
+        let step = w[0] - w0;
+        assert!(step * g[0] < 0.0, "step {step} should oppose gradient {}", g[0]);
     }
 }

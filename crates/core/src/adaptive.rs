@@ -13,15 +13,11 @@
 //!   previous iteration's training error rate, so steps shrink as the model
 //!   converges.
 
-use hdc::RealHv;
-
-use crate::baseline::accumulate_class_sums_pooled;
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, EpochEngine, StrategySpans};
+use crate::engine::{retrain_loop, EpochEngine, Schedule, Update};
 use crate::error::LehdcError;
-use crate::history::{EpochRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::model::HdcModel;
-use crate::retrain::binarize;
 
 /// Configuration of adaptive retraining.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +75,7 @@ impl AdaptiveConfig {
     }
 }
 
-/// Trains with adaptive-rate retraining.
+/// Trains with adaptive-rate retraining on `engine`.
 ///
 /// The per-sample gap-scaled updates stay sequential, but each iteration's
 /// similarity matrix against the frozen model comes from one batched
@@ -96,109 +92,62 @@ pub fn train_adaptive(
     train: &EncodedDataset,
     test: Option<&EncodedDataset>,
     config: &AdaptiveConfig,
-) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    train_adaptive_recorded(train, test, config, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_adaptive`] fanned out over `threads` pool workers, with
-/// per-iteration classify/update/binarize/eval spans recorded into `rec`
-/// (and into [`EpochRecord::timing`]) when it is enabled.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration or a
-/// class with no training samples.
-pub fn train_adaptive_recorded(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &AdaptiveConfig,
-    threads: usize,
-    rec: &obs::Recorder,
+    engine: &EpochEngine,
 ) -> Result<(HdcModel, TrainingHistory), LehdcError> {
     config.validate()?;
-    let engine = EpochEngine::new(threads);
-    let mut nonbinary: Vec<RealHv> = accumulate_class_sums_pooled(train, threads)?;
-    let mut model = binarize(&nonbinary)?;
-    let mut history = TrainingHistory::new();
     let d = train.dim().get() as f64;
     let k = train.n_classes();
     let mut touched = vec![false; k];
     let mut prev_error = 1.0f64; // start at the maximum rate
-
-    for iter in 0..config.iterations {
-        let iter_scale = if config.iteration_dependent {
-            prev_error.max(0.02) as f32
-        } else {
-            1.0
-        };
-        let epoch_timer = rec.start();
-
-        let t = rec.start();
-        let sims = engine.similarities_epoch(&model, train.hvs());
-        let classify_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        touched.fill(false);
-        let mut correct = 0usize;
-        for i in 0..train.len() {
-            let (hv, label) = train.sample(i);
-            let row = &sims[i * k..(i + 1) * k];
-            let mut predicted = 0usize;
-            for c in 1..k {
-                if row[c] > row[predicted] {
-                    predicted = c;
+    let schedule = Schedule {
+        strategy: "adaptive",
+        iterations: config.iterations,
+        convergence_threshold: None,
+    };
+    retrain_loop(
+        &schedule,
+        train,
+        test,
+        engine,
+        |model| engine.similarities_epoch(model, train.hvs()),
+        |_, sims: Vec<i64>, nonbinary| {
+            let iter_scale = if config.iteration_dependent {
+                prev_error.max(0.02) as f32
+            } else {
+                1.0
+            };
+            touched.fill(false);
+            let mut correct = 0usize;
+            for i in 0..train.len() {
+                let (hv, label) = train.sample(i);
+                let row = &sims[i * k..(i + 1) * k];
+                let mut predicted = 0usize;
+                for c in 1..k {
+                    if row[c] > row[predicted] {
+                        predicted = c;
+                    }
                 }
+                if predicted == label {
+                    correct += 1;
+                    continue;
+                }
+                // cosine = dot / D; gap ∈ (0, 2]
+                let gap = ((row[predicted] - row[label]) as f64 / d) as f32;
+                let data_scale = if config.data_dependent { gap / 2.0 } else { 1.0 };
+                let alpha = config.max_alpha * iter_scale * data_scale;
+                nonbinary[label].add_scaled(hv, alpha);
+                nonbinary[predicted].add_scaled(hv, -alpha);
+                touched[label] = true;
+                touched[predicted] = true;
             }
-            if predicted == label {
-                correct += 1;
-                continue;
+            prev_error = 1.0 - correct as f64 / train.len() as f64;
+            Update {
+                correct,
+                touched: (0..k).filter(|&c| touched[c]).collect(),
+                learning_rate: config.max_alpha * iter_scale,
             }
-            // cosine = dot / D; gap ∈ (0, 2]
-            let gap = ((row[predicted] - row[label]) as f64 / d) as f32;
-            let data_scale = if config.data_dependent { gap / 2.0 } else { 1.0 };
-            let alpha = config.max_alpha * iter_scale * data_scale;
-            nonbinary[label].add_scaled(hv, alpha);
-            nonbinary[predicted].add_scaled(hv, -alpha);
-            touched[label] = true;
-            touched[predicted] = true;
-        }
-        let update_ns = t.elapsed_ns();
-        prev_error = 1.0 - correct as f64 / train.len() as f64;
-
-        let t = rec.start();
-        // Re-sign exactly the classes this pass updated; untouched rows are
-        // bit-unchanged, so this equals a full rebinarize.
-        for (c, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
-            model.resign_class(c, &nonbinary[c]);
-        }
-        let binarize_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        let train_accuracy = correct as f64 / train.len() as f64;
-        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
-        let eval_ns = t.elapsed_ns();
-
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "adaptive", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(config.max_alpha * iter_scale),
-            timing,
-        });
-    }
-    Ok((model, history))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -227,13 +176,14 @@ mod tests {
     #[test]
     fn adaptive_beats_baseline_on_hard_data() {
         let (train, test) = crate::test_util::hard_encoded_pair(11);
-        let baseline = train_baseline(&train, 0).unwrap();
+        let baseline = train_baseline(&train, 0, &EpochEngine::default()).unwrap();
         let cfg = AdaptiveConfig {
             max_alpha: 5.0,
             iterations: 30,
             ..AdaptiveConfig::default()
         };
-        let (adapted, history) = train_adaptive(&train, None, &cfg).unwrap();
+        let (adapted, history) =
+            train_adaptive(&train, None, &cfg, &EpochEngine::default()).unwrap();
         let base_acc = baseline.accuracy(test.hvs(), test.labels());
         let ad_acc = adapted.accuracy(test.hvs(), test.labels());
         assert!(ad_acc > base_acc, "adaptive {ad_acc} vs baseline {base_acc}");
@@ -243,7 +193,8 @@ mod tests {
     #[test]
     fn learning_rate_shrinks_as_error_falls() {
         let train = multimodal_corpus(3, 8, 512, 60, 12);
-        let (_, history) = train_adaptive(&train, None, &AdaptiveConfig::quick()).unwrap();
+        let cfg = AdaptiveConfig::quick();
+        let (_, history) = train_adaptive(&train, None, &cfg, &EpochEngine::default()).unwrap();
         let rates: Vec<f32> = history
             .records()
             .iter()
@@ -267,7 +218,7 @@ mod tests {
                 iteration_dependent: id,
                 max_alpha: 0.5,
             };
-            let (model, _) = train_adaptive(&train, None, &cfg).unwrap();
+            let (model, _) = train_adaptive(&train, None, &cfg, &EpochEngine::default()).unwrap();
             assert_eq!(model.n_classes(), 2);
         }
     }

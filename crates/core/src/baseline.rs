@@ -2,8 +2,10 @@
 
 use hdc::rng::rng_for;
 use hdc::{Accumulator, BinaryHv, RealHv};
+use threadpool::ThreadPool;
 
 use crate::encoded::EncodedDataset;
+use crate::engine::EpochEngine;
 use crate::error::LehdcError;
 use crate::model::HdcModel;
 
@@ -13,6 +15,13 @@ use crate::model::HdcModel;
 ///
 /// This is the weakest strategy in the paper's Table 1 and the reference
 /// every improvement is measured against.
+///
+/// The per-class bundling fans out over `engine`'s pool: each chunk
+/// bundles its samples into per-class bit-sliced accumulators and the
+/// partials merge in chunk order. Counts are exact integers, so the merged
+/// accumulators — and the thresholded model, whose tie-break RNG stream
+/// depends only on the final counters — are bit-identical at any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -24,41 +33,26 @@ use crate::model::HdcModel;
 /// ```
 /// use hdc::{Dim, RecordEncoder};
 /// use hdc_datasets::BenchmarkProfile;
-/// use lehdc::{baseline::train_baseline, EncodedDataset};
+/// use lehdc::{baseline::train_baseline, EncodedDataset, EpochEngine};
 ///
 /// # fn main() -> Result<(), lehdc::LehdcError> {
 /// let data = BenchmarkProfile::pamap().quick().generate(1)?;
 /// let enc = RecordEncoder::builder(Dim::new(1024), data.train.n_features())
 ///     .seed(1)
 ///     .build()?;
-/// let train = EncodedDataset::encode(&data.train, &enc, 2)?;
-/// let model = train_baseline(&train, 7)?;
+/// let engine = EpochEngine::new(2);
+/// let train = EncodedDataset::encode(&data.train, &enc, &engine)?;
+/// let model = train_baseline(&train, 7, &engine)?;
 /// assert!(model.accuracy(train.hvs(), train.labels()) > 1.0 / 5.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn train_baseline(train: &EncodedDataset, seed: u64) -> Result<HdcModel, LehdcError> {
-    train_baseline_threaded(train, seed, 1)
-}
-
-/// [`train_baseline`] with the per-class bundling fanned out over `threads`
-/// pool workers.
-///
-/// Each chunk bundles its samples into per-class bit-sliced accumulators and
-/// the partials merge in chunk order; counts are exact integers, so the
-/// merged accumulators — and the thresholded model, whose tie-break RNG
-/// stream depends only on the final counters — are bit-identical to the
-/// sequential pass at any thread count.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] if some class has no samples.
-pub fn train_baseline_threaded(
+pub fn train_baseline(
     train: &EncodedDataset,
     seed: u64,
-    threads: usize,
+    engine: &EpochEngine,
 ) -> Result<HdcModel, LehdcError> {
-    let accumulators = class_accumulators_pooled(train, &all_samples(train), threads)?;
+    let accumulators = class_accumulators_pooled(train, &all_samples(train), engine.pool())?;
     let mut rng = rng_for(seed, 0xBA5E);
     let class_hvs = accumulators
         .iter()
@@ -86,10 +80,9 @@ fn all_samples(train: &EncodedDataset) -> Vec<usize> {
 pub(crate) fn class_accumulators_pooled(
     train: &EncodedDataset,
     indices: &[usize],
-    threads: usize,
+    pool: ThreadPool,
 ) -> Result<Vec<Accumulator>, LehdcError> {
     let k = train.n_classes();
-    let pool = threadpool::ThreadPool::new(threads);
     let parts = pool.run_chunks(indices.len(), |range| {
         let mut accs: Vec<Accumulator> = (0..k).map(|_| Accumulator::new(train.dim())).collect();
         let mut pending: Vec<Vec<&BinaryHv>> = (0..k)
@@ -124,17 +117,8 @@ pub(crate) fn class_accumulators_pooled(
 
 /// Accumulates the *non-binary* class hypervectors (the raw bipolar sums of
 /// Eq. 2 before `sgn`) — the initialization the retraining strategies
-/// fine-tune (QuantHD keeps exactly these as its non-binary model).
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] if some class has no samples.
-pub fn accumulate_class_sums(train: &EncodedDataset) -> Result<Vec<RealHv>, LehdcError> {
-    accumulate_class_sums_pooled(train, 1)
-}
-
-/// [`accumulate_class_sums`] fanned out over `threads` pool workers via
-/// per-chunk bit-sliced accumulators.
+/// fine-tune (QuantHD keeps exactly these as its non-binary model) — on
+/// `engine`'s pool, via per-chunk bit-sliced accumulators.
 ///
 /// The per-dimension sums are integers with magnitude below `2²⁴` for any
 /// realistic corpus, so converting the exact counters to `f32` yields
@@ -144,11 +128,11 @@ pub fn accumulate_class_sums(train: &EncodedDataset) -> Result<Vec<RealHv>, Lehd
 /// # Errors
 ///
 /// Returns [`LehdcError::InvalidConfig`] if some class has no samples.
-pub fn accumulate_class_sums_pooled(
+pub fn accumulate_class_sums(
     train: &EncodedDataset,
-    threads: usize,
+    engine: &EpochEngine,
 ) -> Result<Vec<RealHv>, LehdcError> {
-    let accumulators = class_accumulators_pooled(train, &all_samples(train), threads)?;
+    let accumulators = class_accumulators_pooled(train, &all_samples(train), engine.pool())?;
     Ok(bipolar_sums(&accumulators))
 }
 
@@ -213,7 +197,7 @@ mod tests {
     #[test]
     fn baseline_recovers_cluster_prototypes() {
         let (train, protos) = clustered_corpus(4, 15, 2048, 200, 1);
-        let model = train_baseline(&train, 3).unwrap();
+        let model = train_baseline(&train, 3, &EpochEngine::default()).unwrap();
         for (c, proto) in protos.iter().enumerate() {
             let h = model.class_hvs()[c].normalized_hamming(proto);
             assert!(h < 0.1, "class {c} hypervector is {h} from its prototype");
@@ -227,15 +211,15 @@ mod tests {
         let hvs = vec![BinaryHv::random(Dim::new(64), &mut rng)];
         // declared 2 classes, only class 0 has data
         let train = EncodedDataset::from_parts(hvs, vec![0], 2).unwrap();
-        assert!(train_baseline(&train, 0).is_err());
-        assert!(accumulate_class_sums(&train).is_err());
+        assert!(train_baseline(&train, 0, &EpochEngine::default()).is_err());
+        assert!(accumulate_class_sums(&train, &EpochEngine::default()).is_err());
     }
 
     #[test]
     fn class_sums_binarize_to_the_baseline_model() {
         let (train, _) = clustered_corpus(3, 9, 512, 50, 7); // odd count → no ties
-        let model = train_baseline(&train, 0).unwrap();
-        let sums = accumulate_class_sums(&train).unwrap();
+        let model = train_baseline(&train, 0, &EpochEngine::default()).unwrap();
+        let sums = accumulate_class_sums(&train, &EpochEngine::default()).unwrap();
         for (c, sum) in sums.iter().enumerate() {
             assert_eq!(
                 &sum.sign(),
@@ -248,16 +232,17 @@ mod tests {
     #[test]
     fn pooled_accumulation_matches_serial_at_any_thread_count() {
         let (train, _) = clustered_corpus(3, 11, 517, 40, 4);
-        let serial_sums = accumulate_class_sums(&train).unwrap();
-        let serial_model = train_baseline(&train, 9).unwrap();
+        let serial_sums = accumulate_class_sums(&train, &EpochEngine::default()).unwrap();
+        let serial_model = train_baseline(&train, 9, &EpochEngine::default()).unwrap();
         for threads in [2, 4] {
+            let engine = EpochEngine::new(threads);
             assert_eq!(
-                accumulate_class_sums_pooled(&train, threads).unwrap(),
+                accumulate_class_sums(&train, &engine).unwrap(),
                 serial_sums,
                 "sums threads={threads}"
             );
             assert_eq!(
-                train_baseline_threaded(&train, 9, threads).unwrap(),
+                train_baseline(&train, 9, &engine).unwrap(),
                 serial_model,
                 "model threads={threads}"
             );
@@ -274,8 +259,9 @@ mod tests {
                 per_sample[label].add(hv);
             }
             for threads in [1, 2, 4] {
+                let pool = ThreadPool::new(threads);
                 assert_eq!(
-                    class_accumulators_pooled(&train, &all_samples(&train), threads).unwrap(),
+                    class_accumulators_pooled(&train, &all_samples(&train), pool).unwrap(),
                     per_sample,
                     "class sums k={k} threads={threads}"
                 );
@@ -295,10 +281,10 @@ mod tests {
             2,
         )
         .unwrap();
-        let m1 = train_baseline(&train, 1).unwrap();
-        let m2 = train_baseline(&train, 2).unwrap();
+        let m1 = train_baseline(&train, 1, &EpochEngine::default()).unwrap();
+        let m2 = train_baseline(&train, 2, &EpochEngine::default()).unwrap();
         assert_ne!(m1.class_hvs()[0], m2.class_hvs()[0]);
-        let m1_again = train_baseline(&train, 1).unwrap();
+        let m1_again = train_baseline(&train, 1, &EpochEngine::default()).unwrap();
         assert_eq!(m1, m1_again, "same seed reproduces");
     }
 }

@@ -5,6 +5,7 @@ use hdc::{BinaryHv, Dim, Encode};
 use hdc_datasets::Dataset;
 use threadpool::ThreadPool;
 
+use crate::engine::EpochEngine;
 use crate::error::LehdcError;
 
 /// A dataset after hypervector encoding: one [`BinaryHv`] per sample, plus
@@ -17,14 +18,14 @@ use crate::error::LehdcError;
 /// ```
 /// use hdc::{Dim, RecordEncoder};
 /// use hdc_datasets::BenchmarkProfile;
-/// use lehdc::EncodedDataset;
+/// use lehdc::{EncodedDataset, EpochEngine};
 ///
 /// # fn main() -> Result<(), lehdc::LehdcError> {
 /// let data = BenchmarkProfile::pamap().quick().generate(3)?;
 /// let encoder = RecordEncoder::builder(Dim::new(512), data.train.n_features())
 ///     .seed(1)
 ///     .build()?;
-/// let encoded = EncodedDataset::encode(&data.train, &encoder, 2)?;
+/// let encoded = EncodedDataset::encode(&data.train, &encoder, &EpochEngine::new(2))?;
 /// assert_eq!(encoded.len(), data.train.len());
 /// # Ok(())
 /// # }
@@ -38,14 +39,16 @@ pub struct EncodedDataset {
 }
 
 impl EncodedDataset {
-    /// Encodes a dataset with the given encoder, using `threads` OS threads.
+    /// Encodes a dataset with the given encoder on `engine`'s pool.
     ///
     /// Rows are chunked across workers and each worker reuses one encode
     /// scratch (bit-sliced bundle accumulator) for its whole chunk, so the
     /// corpus pass allocates nothing per sample beyond the output
     /// hypervectors. Per-dimension vote counts are exact integers and each
     /// sample's tie-break stream is self-seeded, so the assembled dataset is
-    /// bit-identical at any thread count or chunking.
+    /// bit-identical at any thread count or chunking. The engine's recorder
+    /// gets an `encode/corpus_ns` span, an `encode/samples_per_sec` gauge
+    /// and one `encode` event.
     ///
     /// # Errors
     ///
@@ -54,27 +57,10 @@ impl EncodedDataset {
     pub fn encode<E: Encode>(
         dataset: &Dataset,
         encoder: &E,
-        threads: usize,
+        engine: &EpochEngine,
     ) -> Result<Self, LehdcError> {
-        Self::encode_recorded(dataset, encoder, threads, &obs::Recorder::disabled())
-    }
-
-    /// [`encode`](Self::encode) with corpus throughput metrics: records an
-    /// `encode/corpus_ns` span and `encode/samples_per_sec` gauge and emits
-    /// one `encode` event into `rec`. Encoding output is bit-identical
-    /// either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LehdcError::Hdc`] if the dataset's feature count does not
-    /// match the encoder.
-    pub fn encode_recorded<E: Encode>(
-        dataset: &Dataset,
-        encoder: &E,
-        threads: usize,
-        rec: &obs::Recorder,
-    ) -> Result<Self, LehdcError> {
-        let hvs = encoder.encode_all_recorded(dataset.features(), threads, rec)?;
+        let hvs =
+            encoder.encode_all_recorded(dataset.features(), engine.threads(), engine.recorder())?;
         Ok(EncodedDataset {
             hvs,
             labels: dataset.labels().to_vec(),
@@ -171,88 +157,33 @@ impl EncodedDataset {
     }
 
     /// Assembles a dense bipolar batch matrix (`indices.len() × D`) for the
-    /// BNN trainer, with matching labels.
+    /// dense trainer, with matching labels.
     ///
     /// # Panics
     ///
     /// Panics if `indices` is empty or any index is out of range.
     #[must_use]
     pub fn batch(&self, indices: &[usize]) -> (Matrix, Vec<usize>) {
-        self.batch_pooled(indices, &ThreadPool::new(1))
-    }
-
-    /// [`batch`](Self::batch) with rows expanded in parallel: workers fill
-    /// disjoint contiguous row ranges of the output matrix, so the result is
-    /// bit-identical at any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or any index is out of range.
-    #[must_use]
-    pub fn batch_pooled(&self, indices: &[usize], pool: &ThreadPool) -> (Matrix, Vec<usize>) {
         assert!(!indices.is_empty(), "batch must not be empty");
         let d = self.dim.get();
         let mut m = Matrix::zeros(indices.len(), d);
-        pool.for_each_chunk_mut(m.as_mut_slice(), indices.len(), d, |rows, chunk| {
-            for (local, &i) in indices[rows].iter().enumerate() {
-                self.hvs[i].write_bipolar_f32(&mut chunk[local * d..(local + 1) * d]);
-            }
-        });
+        for (row, &i) in m.as_mut_slice().chunks_exact_mut(d).zip(indices) {
+            self.hvs[i].write_bipolar_f32(row);
+        }
         let labels = indices.iter().map(|&i| self.labels[i]).collect();
         (m, labels)
     }
 
     /// Assembles a **bit-packed** batch (`indices.len() × D`) for the packed
-    /// XNOR/popcount trainer path, with matching labels.
+    /// XNOR/popcount trainer path into caller-owned buffers, with matching
+    /// labels.
     ///
     /// Hypervectors are already bit-packed, so this is a word copy — no
-    /// `BinaryHv → f32` expansion per epoch, unlike [`EncodedDataset::batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or any index is out of range.
-    #[must_use]
-    pub fn packed_batch(&self, indices: &[usize]) -> (PackedMatrix, Vec<usize>) {
-        assert!(!indices.is_empty(), "batch must not be empty");
-        let m = PackedMatrix::from_word_rows(
-            self.dim.get(),
-            indices.iter().map(|&i| self.hvs[i].as_words()),
-        )
-        .expect("hypervector words always match their dimension");
-        let labels = indices.iter().map(|&i| self.labels[i]).collect();
-        (m, labels)
-    }
-
-    /// [`packed_batch`](Self::packed_batch) with the word copy fanned out
-    /// over `pool`: workers copy disjoint contiguous row ranges, so the
-    /// result is bit-identical at any worker count. This is the batch
-    /// assembly the LeHDC trainer runs once per mini-batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or any index is out of range.
-    #[must_use]
-    pub fn packed_batch_pooled(
-        &self,
-        indices: &[usize],
-        pool: &ThreadPool,
-    ) -> (PackedMatrix, Vec<usize>) {
-        assert!(!indices.is_empty(), "batch must not be empty");
-        let m = PackedMatrix::from_word_rows_pooled(
-            self.dim.get(),
-            indices.len(),
-            |r| self.hvs[indices[r]].as_words(),
-            pool,
-        )
-        .expect("hypervector words always match their dimension");
-        let labels = indices.iter().map(|&i| self.labels[i]).collect();
-        (m, labels)
-    }
-
-    /// [`packed_batch_pooled`](Self::packed_batch_pooled) writing into
-    /// caller-owned buffers — identical contents, zero allocation once the
-    /// buffers have their steady capacity. This is the batch assembly of the
-    /// trainer's zero-alloc hot loop.
+    /// `BinaryHv → f32` expansion per epoch, unlike [`batch`](Self::batch) —
+    /// fanned out over `pool` in disjoint contiguous row ranges, so the
+    /// result is bit-identical at any worker count. Nothing is allocated
+    /// once the buffers have their steady capacity: this is the batch
+    /// assembly of the LeHDC trainer's zero-alloc hot loop.
     ///
     /// # Panics
     ///
@@ -330,8 +261,10 @@ mod tests {
     fn packed_batch_matches_dense_batch() {
         let e = tiny_encoded();
         let (dense, dense_labels) = e.batch(&[3, 0, 2]);
-        let (packed, packed_labels) = e.packed_batch(&[3, 0, 2]);
-        assert_eq!(dense_labels, packed_labels);
+        let mut packed = PackedMatrix::empty();
+        let mut labels = Vec::new();
+        e.packed_batch_pooled_into(&[3, 0, 2], &ThreadPool::new(1), &mut packed, &mut labels);
+        assert_eq!(dense_labels, labels);
         assert_eq!((packed.rows(), packed.cols()), (3, 128));
         assert_eq!(packed.to_bipolar_matrix(), dense);
         // word-level copy: rows are the hypervectors' own words
@@ -342,16 +275,16 @@ mod tests {
     fn pooled_batches_match_sequential_batches() {
         let e = tiny_encoded();
         let indices = [3usize, 0, 2, 1, 2];
-        let (dense, dense_labels) = e.batch(&indices);
-        let (packed, packed_labels) = e.packed_batch(&indices);
-        for threads in [1, 2, 4] {
+        let mut packed = PackedMatrix::empty();
+        let mut labels = Vec::new();
+        e.packed_batch_pooled_into(&indices, &ThreadPool::new(1), &mut packed, &mut labels);
+        for threads in [2, 4] {
             let pool = ThreadPool::new(threads);
-            let (dp, dl) = e.batch_pooled(&indices, &pool);
-            assert_eq!(dp, dense, "dense threads={threads}");
-            assert_eq!(dl, dense_labels);
-            let (pp, pl) = e.packed_batch_pooled(&indices, &pool);
+            let mut pp = PackedMatrix::empty();
+            let mut pl = Vec::new();
+            e.packed_batch_pooled_into(&indices, &pool, &mut pp, &mut pl);
             assert_eq!(pp, packed, "packed threads={threads}");
-            assert_eq!(pl, packed_labels);
+            assert_eq!(pl, labels);
         }
     }
 
@@ -359,17 +292,26 @@ mod tests {
     fn packed_batch_into_matches_allocating_variant_and_reuses_buffers() {
         let e = tiny_encoded();
         let pool = ThreadPool::new(2);
+        let allocating = |indices: &[usize]| {
+            let m = PackedMatrix::from_word_rows(
+                e.dim().get(),
+                indices.iter().map(|&i| e.hvs()[i].as_words()),
+            )
+            .unwrap();
+            let labels: Vec<usize> = indices.iter().map(|&i| e.labels()[i]).collect();
+            (m, labels)
+        };
         let mut x = PackedMatrix::empty();
         let mut labels = Vec::new();
         e.packed_batch_pooled_into(&[3, 0, 2], &pool, &mut x, &mut labels);
         let ptr = x.row_words(0).as_ptr();
-        let (expect, expect_labels) = e.packed_batch_pooled(&[3, 0, 2], &pool);
+        let (expect, expect_labels) = allocating(&[3, 0, 2]);
         assert_eq!(x, expect);
         assert_eq!(labels, expect_labels);
         // refilling with a batch of equal or smaller footprint reuses memory
         e.packed_batch_pooled_into(&[1, 2], &pool, &mut x, &mut labels);
         assert_eq!(ptr, x.row_words(0).as_ptr(), "refill must not reallocate");
-        let (expect, expect_labels) = e.packed_batch_pooled(&[1, 2], &pool);
+        let (expect, expect_labels) = allocating(&[1, 2]);
         assert_eq!(x, expect);
         assert_eq!(labels, expect_labels);
     }
@@ -382,9 +324,10 @@ mod tests {
             .generate(5)
             .unwrap();
         let enc = RecordEncoder::builder(Dim::new(517), 16).seed(9).build().unwrap();
-        let reference = EncodedDataset::encode(&data.train, &enc, 1).unwrap();
+        let reference = EncodedDataset::encode(&data.train, &enc, &EpochEngine::default()).unwrap();
         for threads in [2, 4] {
-            let parallel = EncodedDataset::encode(&data.train, &enc, threads).unwrap();
+            let parallel =
+                EncodedDataset::encode(&data.train, &enc, &EpochEngine::new(threads)).unwrap();
             assert_eq!(parallel.hvs(), reference.hvs(), "threads={threads}");
             assert_eq!(parallel.labels(), reference.labels());
         }
@@ -398,7 +341,7 @@ mod tests {
             .generate(5)
             .unwrap();
         let enc = RecordEncoder::builder(Dim::new(256), 16).seed(3).build().unwrap();
-        let encoded = EncodedDataset::encode(&data.train, &enc, 2).unwrap();
+        let encoded = EncodedDataset::encode(&data.train, &enc, &EpochEngine::new(2)).unwrap();
         assert_eq!(encoded.len(), 20);
         assert_eq!(encoded.labels(), data.train.labels());
         assert_eq!(encoded.n_classes(), 5);

@@ -1,4 +1,5 @@
-//! Batched epoch engine for the comparison strategies.
+//! The execution context of every trainer and every batch classification
+//! in this crate.
 //!
 //! Every comparison strategy (retraining, enhanced, adaptive, multi-model,
 //! non-binary) iterates over the corpus against a model that is **frozen
@@ -10,7 +11,7 @@
 //!   classification (or full logit matrix) per pass instead of `N` serial
 //!   scalar classifies. Predictions and dot products are exact integers, so
 //!   results are bit-identical for every thread count, kernel tier, and
-//!   query-block size.
+//!   query-block size. It also carries the run's [`obs::Recorder`].
 //! - [`VoteLedger`] turns the QuantHD-style misclassification updates into
 //!   exact integer vote counts per `(class, dimension)`: each misclassified
 //!   sample contributes `±1` and `α` is constant within an iteration, so the
@@ -18,25 +19,43 @@
 //!   This is the **reference semantics** for retraining: one f32 rounding
 //!   step per dimension per iteration, rather than one per misclassified
 //!   sample — see `DESIGN.md` §8 for the argument and the parity guarantees.
+//! - `retrain_loop` is the one iteration loop of the retraining family
+//!   (retraining, enhanced, adaptive): class sums, then per iteration the
+//!   timed forward, update, re-sign of the touched rows, and eval, with the
+//!   convergence stop. Each strategy supplies only its forward and update.
 
 use hdc::kernels;
 use hdc::{Accumulator, BinaryHv, Dim, RealHv};
 use threadpool::ThreadPool;
 
-use crate::history::EpochTiming;
+use crate::baseline::accumulate_class_sums;
+use crate::encoded::EncodedDataset;
+use crate::error::LehdcError;
+use crate::history::{EpochRecord, EpochTiming, TrainingHistory};
 use crate::model::HdcModel;
 
-/// Shared batched-pass machinery for the comparison strategies: a persistent
-/// thread pool plus the query-block size used by every fan-out.
+/// The execution context every trainer and batch classification runs on:
+/// a persistent thread pool, the query-block size of every blocked
+/// fan-out, and the metrics recorder.
 ///
 /// The block size only tiles the work; every kernel involved is exact, so
 /// the engine produces identical outputs at any `(threads, block)` — the
-/// strategy determinism suite pins this.
-#[derive(Debug, Clone, Copy)]
+/// strategy determinism suite pins this — and the recorder only reads the
+/// wall clock. The default is one thread, the cache-sized block, and a
+/// disabled recorder.
+#[derive(Debug, Clone, Default)]
 pub struct EpochEngine {
     pool: ThreadPool,
     /// `None` sizes the block per model via [`kernels::query_block_for`].
     block: Option<usize>,
+    pub(crate) rec: obs::Recorder,
+}
+
+/// A frozen classifier an [`EpochEngine`] can run a whole corpus through.
+pub trait Classifier {
+    /// Predicts every query in order, fanned out over `engine`'s pool.
+    /// Identical to a per-query classify loop at any thread count and block.
+    fn classify_batch(&self, queries: &[BinaryHv], engine: &EpochEngine) -> Vec<usize>;
 }
 
 impl EpochEngine {
@@ -48,7 +67,7 @@ impl EpochEngine {
     pub fn new(threads: usize) -> Self {
         EpochEngine {
             pool: ThreadPool::new(threads),
-            block: None,
+            ..EpochEngine::default()
         }
     }
 
@@ -62,9 +81,23 @@ impl EpochEngine {
     pub fn with_block(threads: usize, block: usize) -> Self {
         assert!(block > 0, "query block size must be non-zero");
         EpochEngine {
-            pool: ThreadPool::new(threads),
             block: Some(block),
+            ..EpochEngine::new(threads)
         }
+    }
+
+    /// This engine recording into `rec`: trainers emit their per-iteration
+    /// spans and events there, and encoding its corpus throughput.
+    #[must_use]
+    pub fn with_recorder(mut self, rec: obs::Recorder) -> Self {
+        self.rec = rec;
+        self
+    }
+
+    /// The metrics recorder (disabled by default).
+    #[must_use]
+    pub fn recorder(&self) -> &obs::Recorder {
+        &self.rec
     }
 
     /// The worker count.
@@ -90,25 +123,53 @@ impl EpochEngine {
     /// Classifies the whole corpus against a frozen model in one blocked,
     /// thread-chunked fan-out — the batched replacement for a per-sample
     /// `model.classify(hv)` loop. Identical to that loop bit-for-bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query dimension differs from the model's.
     #[must_use]
-    pub fn classify_epoch(&self, model: &HdcModel, queries: &[BinaryHv]) -> Vec<usize> {
-        model.classify_all_blocked(queries, self.block_for(model.dim()), self.pool.threads())
+    pub fn classify_epoch<M: Classifier>(&self, model: &M, queries: &[BinaryHv]) -> Vec<usize> {
+        model.classify_batch(queries, self)
     }
 
-    /// Accuracy of a frozen model over `queries`, through the same blocked
-    /// path as [`classify_epoch`](Self::classify_epoch). The correct count
-    /// is an exact integer sum over exact predictions.
+    /// Accuracy of a frozen model over `queries`, through
+    /// [`classify_epoch`](Self::classify_epoch). The correct count is an
+    /// exact integer sum over exact predictions.
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths or are empty.
     #[must_use]
-    pub fn accuracy(&self, model: &HdcModel, queries: &[BinaryHv], labels: &[usize]) -> f64 {
+    pub fn accuracy<M: Classifier>(
+        &self,
+        model: &M,
+        queries: &[BinaryHv],
+        labels: &[usize],
+    ) -> f64 {
         assert_eq!(queries.len(), labels.len(), "one label per query required");
         assert!(!queries.is_empty(), "empty query set has no accuracy");
         let preds = self.classify_epoch(model, queries);
         let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
         correct as f64 / queries.len() as f64
+    }
+
+    /// The index of the first row with the largest dot product for every
+    /// query: one blocked argmax per pool chunk, spliced in query order.
+    pub(crate) fn argmax_rows(
+        &self,
+        rows: &[&[u64]],
+        dim: Dim,
+        queries: &[BinaryHv],
+    ) -> Vec<usize> {
+        check_dims(queries, dim);
+        let block = self.block_for(dim);
+        let parts = self.pool.run_chunks(queries.len(), |range| {
+            let chunk: Vec<&[u64]> = queries[range].iter().map(BinaryHv::as_words).collect();
+            let mut preds = vec![0usize; chunk.len()];
+            kernels::argmax_dot_blocked_into(&chunk, rows, block, &mut preds);
+            preds
+        });
+        parts.concat()
     }
 
     /// The full logit matrix of a frozen model over the corpus: row `i`
@@ -121,13 +182,7 @@ impl EpochEngine {
     /// Panics if any query dimension differs from the model's.
     #[must_use]
     pub fn similarities_epoch(&self, model: &HdcModel, queries: &[BinaryHv]) -> Vec<i64> {
-        if let Some(bad) = queries.iter().find(|q| q.dim() != model.dim()) {
-            panic!(
-                "query dimension must match the model: {} vs {}",
-                bad.dim(),
-                model.dim()
-            );
-        }
+        check_dims(queries, model.dim());
         let d = model.dim().get();
         let k = model.n_classes();
         let rows: Vec<&[u64]> = model.class_hvs().iter().map(BinaryHv::as_words).collect();
@@ -139,6 +194,66 @@ impl EpochEngine {
             out
         });
         parts.concat()
+    }
+
+    /// Closes one strategy iteration: folds its spans into the recorder
+    /// (metrics plus one `strategy_epoch` event) and appends its history
+    /// record, carrying [`EpochTiming`] only when the recorder is enabled so
+    /// histories stay equal across instrumented and uninstrumented runs.
+    pub(crate) fn close_iteration(&self, history: &mut TrainingHistory, it: &StrategyEpoch) {
+        let rec = &self.rec;
+        let timing = rec.enabled().then(|| {
+            let samples_per_sec = it.samples_per_sec();
+            rec.observe_ns("strategy/epoch_ns", it.epoch_ns);
+            rec.observe_ns("strategy/classify_ns", it.classify_ns);
+            rec.observe_ns("strategy/update_ns", it.update_ns);
+            rec.observe_ns("strategy/binarize_ns", it.binarize_ns);
+            rec.observe_ns("strategy/eval_ns", it.eval_ns);
+            rec.add("strategy/epochs", 1);
+            rec.add("strategy/samples", it.samples as u64);
+            rec.gauge("strategy/samples_per_sec", samples_per_sec);
+            let mut fields = vec![
+                ("strategy", obs::Value::Str(it.strategy)),
+                ("epoch", obs::Value::U64(it.epoch as u64)),
+                ("samples", obs::Value::U64(it.samples as u64)),
+                ("samples_per_sec", obs::Value::F64(samples_per_sec)),
+                ("classify_ns", obs::Value::U64(it.classify_ns)),
+                ("update_ns", obs::Value::U64(it.update_ns)),
+                ("binarize_ns", obs::Value::U64(it.binarize_ns)),
+                ("eval_ns", obs::Value::U64(it.eval_ns)),
+                ("epoch_ns", obs::Value::U64(it.epoch_ns)),
+                ("train_accuracy", obs::Value::F64(it.train_accuracy)),
+            ];
+            if let Some(test_acc) = it.test_accuracy {
+                fields.push(("test_accuracy", obs::Value::F64(test_acc)));
+            }
+            rec.emit("strategy_epoch", &fields);
+            EpochTiming {
+                classify_ns: it.classify_ns,
+                update_ns: it.update_ns,
+                binarize_ns: it.binarize_ns,
+                eval_ns: it.eval_ns,
+                epoch_ns: it.epoch_ns,
+                samples_per_sec,
+                ..EpochTiming::default()
+            }
+        });
+        history.push(EpochRecord {
+            epoch: it.epoch,
+            train_accuracy: it.train_accuracy,
+            test_accuracy: it.test_accuracy,
+            validation_accuracy: None,
+            loss: None,
+            learning_rate: Some(it.learning_rate),
+            timing,
+        });
+    }
+}
+
+/// Panics unless every query has dimension `dim`.
+fn check_dims(queries: &[BinaryHv], dim: Dim) {
+    if let Some(bad) = queries.iter().find(|q| q.dim() != dim) {
+        panic!("query dimension must match the model: {} vs {dim}", bad.dim());
     }
 }
 
@@ -280,24 +395,29 @@ impl VoteLedger {
     }
 }
 
-/// Wall-clock spans of one comparison-strategy iteration, gathered by the
-/// strategy loops and folded into [`EpochTiming`]/metrics by
-/// [`record_strategy_epoch`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct StrategySpans {
+/// One comparison-strategy iteration, as [`EpochEngine::close_iteration`]
+/// records it: the outcome plus the wall-clock spans the strategy loop
+/// gathered (all zero when the recorder is disabled).
+#[derive(Debug, Default)]
+pub(crate) struct StrategyEpoch {
+    pub strategy: &'static str,
+    pub epoch: usize,
+    pub samples: usize,
+    pub train_accuracy: f64,
+    pub test_accuracy: Option<f64>,
+    pub learning_rate: f32,
     pub classify_ns: u64,
     pub update_ns: u64,
     pub binarize_ns: u64,
     pub eval_ns: u64,
     pub epoch_ns: u64,
-    pub samples: usize,
 }
 
-impl StrategySpans {
+impl StrategyEpoch {
     /// Training throughput over the iteration's working spans (classify +
     /// update + binarize, excluding evaluation), matching the LeHDC
     /// trainer's convention of `0.0` when nothing was timed.
-    pub(crate) fn samples_per_sec(&self) -> f64 {
+    fn samples_per_sec(&self) -> f64 {
         let train_ns = self.classify_ns + self.update_ns + self.binarize_ns;
         if train_ns == 0 {
             0.0
@@ -307,55 +427,102 @@ impl StrategySpans {
     }
 }
 
-/// Folds one strategy iteration's spans into the recorder (metrics + one
-/// `strategy_epoch` event) and returns the `EpochTiming` to attach to the
-/// history record — `None` when the recorder is disabled, so histories stay
-/// equal across instrumented and uninstrumented runs.
-pub(crate) fn record_strategy_epoch(
-    rec: &obs::Recorder,
-    strategy: &'static str,
-    epoch: usize,
-    spans: &StrategySpans,
-    train_accuracy: f64,
-    test_accuracy: Option<f64>,
-) -> Option<EpochTiming> {
-    if !rec.enabled() {
-        return None;
+/// What a retraining-family update did to the non-binary class
+/// hypervectors in one iteration.
+pub(crate) struct Update {
+    /// Training samples the frozen binary model classified correctly.
+    pub correct: usize,
+    /// Classes whose non-binary hypervector changed — the only rows the
+    /// loop re-signs.
+    pub touched: Vec<usize>,
+    /// The learning rate logged for the iteration.
+    pub learning_rate: f32,
+}
+
+/// The iteration budget and stop rule of a [`retrain_loop`] run.
+pub(crate) struct Schedule {
+    /// Strategy name of the `strategy_epoch` events.
+    pub strategy: &'static str,
+    /// Maximum number of iterations.
+    pub iterations: usize,
+    /// Stop once the fraction of binary class bits an iteration flipped
+    /// falls below this; never on the first, boosted-rate iteration.
+    pub convergence_threshold: Option<f64>,
+}
+
+/// The iteration loop shared by retraining, enhanced and adaptive: the
+/// non-binary model starts at the class sums and the binary model at their
+/// signs; each iteration runs the strategy's `forward` against the frozen
+/// binary model, hands its output to `update` (which edits the non-binary
+/// class hypervectors), re-signs exactly the touched classes, evaluates,
+/// and closes the iteration on the engine.
+///
+/// Untouched classes keep a bit-unchanged non-binary hypervector and so an
+/// unchanged sign, which makes re-signing only the touched rows equal to a
+/// full rebinarize; their zero flips fold into the convergence signal.
+///
+/// # Errors
+///
+/// Returns [`LehdcError::InvalidConfig`] if a class has no training samples.
+pub(crate) fn retrain_loop<T>(
+    schedule: &Schedule,
+    train: &EncodedDataset,
+    test: Option<&EncodedDataset>,
+    engine: &EpochEngine,
+    mut forward: impl FnMut(&HdcModel) -> T,
+    mut update: impl FnMut(usize, T, &mut [RealHv]) -> Update,
+) -> Result<(HdcModel, TrainingHistory), LehdcError> {
+    let mut nonbinary = accumulate_class_sums(train, engine)?;
+    let mut model = HdcModel::new(nonbinary.iter().map(RealHv::sign).collect())?;
+    let mut history = TrainingHistory::new();
+    let rec = engine.recorder();
+    for epoch in 0..schedule.iterations {
+        let epoch_timer = rec.start();
+
+        let t = rec.start();
+        let out = forward(&model);
+        let classify_ns = t.elapsed_ns();
+
+        let t = rec.start();
+        let step = update(epoch, out, &mut nonbinary);
+        let update_ns = t.elapsed_ns();
+
+        let t = rec.start();
+        let flipped: usize = step
+            .touched
+            .iter()
+            .map(|&k| model.resign_class(k, &nonbinary[k]))
+            .sum();
+        let binarize_ns = t.elapsed_ns();
+
+        let t = rec.start();
+        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
+        let eval_ns = t.elapsed_ns();
+
+        engine.close_iteration(
+            &mut history,
+            &StrategyEpoch {
+                strategy: schedule.strategy,
+                epoch,
+                samples: train.len(),
+                train_accuracy: step.correct as f64 / train.len() as f64,
+                test_accuracy,
+                learning_rate: step.learning_rate,
+                classify_ns,
+                update_ns,
+                binarize_ns,
+                eval_ns,
+                epoch_ns: epoch_timer.elapsed_ns(),
+            },
+        );
+        if let Some(threshold) = schedule.convergence_threshold {
+            let flip_fraction = flipped as f64 / (train.dim().get() * train.n_classes()) as f64;
+            if epoch > 0 && flip_fraction < threshold {
+                break;
+            }
+        }
     }
-    let samples_per_sec = spans.samples_per_sec();
-    rec.observe_ns("strategy/epoch_ns", spans.epoch_ns);
-    rec.observe_ns("strategy/classify_ns", spans.classify_ns);
-    rec.observe_ns("strategy/update_ns", spans.update_ns);
-    rec.observe_ns("strategy/binarize_ns", spans.binarize_ns);
-    rec.observe_ns("strategy/eval_ns", spans.eval_ns);
-    rec.add("strategy/epochs", 1);
-    rec.add("strategy/samples", spans.samples as u64);
-    rec.gauge("strategy/samples_per_sec", samples_per_sec);
-    let mut fields = vec![
-        ("strategy", obs::Value::Str(strategy)),
-        ("epoch", obs::Value::U64(epoch as u64)),
-        ("samples", obs::Value::U64(spans.samples as u64)),
-        ("samples_per_sec", obs::Value::F64(samples_per_sec)),
-        ("classify_ns", obs::Value::U64(spans.classify_ns)),
-        ("update_ns", obs::Value::U64(spans.update_ns)),
-        ("binarize_ns", obs::Value::U64(spans.binarize_ns)),
-        ("eval_ns", obs::Value::U64(spans.eval_ns)),
-        ("epoch_ns", obs::Value::U64(spans.epoch_ns)),
-        ("train_accuracy", obs::Value::F64(train_accuracy)),
-    ];
-    if let Some(test_acc) = test_accuracy {
-        fields.push(("test_accuracy", obs::Value::F64(test_acc)));
-    }
-    rec.emit("strategy_epoch", &fields);
-    Some(EpochTiming {
-        classify_ns: spans.classify_ns,
-        update_ns: spans.update_ns,
-        binarize_ns: spans.binarize_ns,
-        eval_ns: spans.eval_ns,
-        epoch_ns: spans.epoch_ns,
-        samples_per_sec,
-        ..EpochTiming::default()
-    })
+    Ok((model, history))
 }
 
 #[cfg(test)]

@@ -12,21 +12,20 @@
 //!    paper notes "is equivalent to Eq. 7 when the loss function is the
 //!    squared error".
 
-use hdc::RealHv;
-
-use crate::baseline::accumulate_class_sums_pooled;
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, EpochEngine, StrategySpans};
+use crate::engine::{retrain_loop, EpochEngine, Update};
 use crate::error::LehdcError;
-use crate::history::{EpochRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::model::HdcModel;
-use crate::retrain::{binarize, RetrainConfig};
+use crate::retrain::RetrainConfig;
 
-/// Trains with the enhanced retraining strategy (paper Fig. 3, "enhanced").
+/// Trains with the enhanced retraining strategy (paper Fig. 3, "enhanced")
+/// on `engine`.
 ///
-/// Reuses [`RetrainConfig`]; the `alpha`/`first_alpha` rates are multiplied
-/// by the per-class similarity gap, so effective steps shrink as training
-/// converges — which is what stabilizes the Fig. 3 trajectory.
+/// Reuses [`RetrainConfig`], convergence stop included; the
+/// `alpha`/`first_alpha` rates are multiplied by the per-class similarity
+/// gap, so effective steps shrink as training converges — which is what
+/// stabilizes the Fig. 3 trajectory.
 ///
 /// The per-sample scaled updates stay sequential (each update depends on
 /// its own similarity row), but the dominant cost — the full per-class
@@ -45,118 +44,62 @@ pub fn train_enhanced(
     train: &EncodedDataset,
     test: Option<&EncodedDataset>,
     config: &RetrainConfig,
-) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    train_enhanced_recorded(train, test, config, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_enhanced`] fanned out over `threads` pool workers, with
-/// per-iteration classify/update/binarize/eval spans recorded into `rec`
-/// (and into [`EpochRecord::timing`]) when it is enabled.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration or a
-/// class with no training samples.
-pub fn train_enhanced_recorded(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &RetrainConfig,
-    threads: usize,
-    rec: &obs::Recorder,
+    engine: &EpochEngine,
 ) -> Result<(HdcModel, TrainingHistory), LehdcError> {
     config.validate()?;
-    let engine = EpochEngine::new(threads);
-    let mut nonbinary: Vec<RealHv> = accumulate_class_sums_pooled(train, threads)?;
-    let mut model = binarize(&nonbinary)?;
-    let mut history = TrainingHistory::new();
     let d = train.dim().get() as f64;
     let k = train.n_classes();
     let mut hamm = vec![0f64; k];
     let mut touched = vec![false; k];
-
-    for iter in 0..config.iterations {
-        let alpha = if iter == 0 {
-            config.first_alpha
-        } else {
-            config.alpha
-        };
-        let epoch_timer = rec.start();
-
-        let t = rec.start();
-        let sims = engine.similarities_epoch(&model, train.hvs());
-        let classify_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        touched.fill(false);
-        let mut correct = 0usize;
-        for i in 0..train.len() {
-            let (hv, label) = train.sample(i);
-            // Normalized Hamming distances to every class: h = (D - dot)/2D.
-            let row = &sims[i * k..(i + 1) * k];
-            for (h, &dot) in hamm.iter_mut().zip(row) {
-                *h = (d - dot as f64) / (2.0 * d);
-            }
-            let mut predicted = 0usize;
-            for c in 1..k {
-                if hamm[c] < hamm[predicted] {
-                    predicted = c;
+    retrain_loop(
+        &config.schedule("enhanced"),
+        train,
+        test,
+        engine,
+        |model| engine.similarities_epoch(model, train.hvs()),
+        |iter, sims: Vec<i64>, nonbinary| {
+            let alpha = config.rate(iter);
+            touched.fill(false);
+            let mut correct = 0usize;
+            for i in 0..train.len() {
+                let (hv, label) = train.sample(i);
+                // Normalized Hamming distances to every class: h = (D - dot)/2D.
+                let row = &sims[i * k..(i + 1) * k];
+                for (h, &dot) in hamm.iter_mut().zip(row) {
+                    *h = (d - dot as f64) / (2.0 * d);
+                }
+                let mut predicted = 0usize;
+                for c in 1..k {
+                    if hamm[c] < hamm[predicted] {
+                        predicted = c;
+                    }
+                }
+                if predicted == label {
+                    correct += 1;
+                    continue;
+                }
+                // Pull the true class toward the sample, scaled by how far it
+                // sits from the ideal distance 0.
+                let pull = alpha * hamm[label] as f32;
+                nonbinary[label].add_scaled(hv, pull);
+                touched[label] = true;
+                // Push away EVERY wrong class at least as similar as the true
+                // class, scaled by its gap from the ideal distance 0.5.
+                for (c, &h) in hamm.iter().enumerate() {
+                    if c != label && h <= hamm[label] {
+                        let push = alpha * (0.5 - h).max(0.0) as f32;
+                        nonbinary[c].add_scaled(hv, -push);
+                        touched[c] = true;
+                    }
                 }
             }
-            if predicted == label {
-                correct += 1;
-                continue;
+            Update {
+                correct,
+                touched: (0..k).filter(|&c| touched[c]).collect(),
+                learning_rate: alpha,
             }
-            // Pull the true class toward the sample, scaled by how far it
-            // sits from the ideal distance 0.
-            let pull = alpha * hamm[label] as f32;
-            nonbinary[label].add_scaled(hv, pull);
-            touched[label] = true;
-            // Push away EVERY wrong class at least as similar as the true
-            // class, scaled by its gap from the ideal distance 0.5.
-            for (c, &h) in hamm.iter().enumerate() {
-                if c != label && h <= hamm[label] {
-                    let push = alpha * (0.5 - h).max(0.0) as f32;
-                    nonbinary[c].add_scaled(hv, -push);
-                    touched[c] = true;
-                }
-            }
-        }
-        let update_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        // Re-sign exactly the classes this pass updated; untouched rows are
-        // bit-unchanged, so this equals a full rebinarize.
-        for (c, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
-            model.resign_class(c, &nonbinary[c]);
-        }
-        let binarize_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        let train_accuracy = correct as f64 / train.len() as f64;
-        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
-        let eval_ns = t.elapsed_ns();
-
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "enhanced", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(alpha),
-            timing,
-        });
-    }
-    Ok((model, history))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -169,8 +112,8 @@ mod tests {
     fn enhanced_matches_or_beats_basic_on_hard_data() {
         let train = multimodal_corpus(4, 10, 1024, 200, 5);
         let cfg = RetrainConfig::quick();
-        let (basic, _) = train_retraining(&train, None, &cfg).unwrap();
-        let (enhanced, _) = train_enhanced(&train, None, &cfg).unwrap();
+        let (basic, _) = train_retraining(&train, None, &cfg, &EpochEngine::default()).unwrap();
+        let (enhanced, _) = train_enhanced(&train, None, &cfg, &EpochEngine::default()).unwrap();
         let basic_acc = basic.accuracy(train.hvs(), train.labels());
         let enh_acc = enhanced.accuracy(train.hvs(), train.labels());
         assert!(
@@ -188,8 +131,9 @@ mod tests {
             iterations: 40,
             ..RetrainConfig::default()
         };
-        let (_, basic_hist) = train_retraining(&train, None, &cfg).unwrap();
-        let (_, enh_hist) = train_enhanced(&train, None, &cfg).unwrap();
+        let (_, basic_hist) =
+            train_retraining(&train, None, &cfg, &EpochEngine::default()).unwrap();
+        let (_, enh_hist) = train_enhanced(&train, None, &cfg, &EpochEngine::default()).unwrap();
         assert!(
             enh_hist.late_oscillation() <= basic_hist.late_oscillation() + 1e-9,
             "enhanced oscillation {} vs basic {}",
@@ -205,8 +149,8 @@ mod tests {
             iterations: 6,
             ..RetrainConfig::default()
         };
-        let (m1, h1) = train_enhanced(&train, Some(&train), &cfg).unwrap();
-        let (m2, _) = train_enhanced(&train, Some(&train), &cfg).unwrap();
+        let (m1, h1) = train_enhanced(&train, Some(&train), &cfg, &EpochEngine::default()).unwrap();
+        let (m2, _) = train_enhanced(&train, Some(&train), &cfg, &EpochEngine::default()).unwrap();
         assert_eq!(m1, m2);
         assert_eq!(h1.len(), 6);
         assert!(h1.records().iter().all(|r| r.test_accuracy.is_some()));
@@ -219,6 +163,6 @@ mod tests {
             iterations: 0,
             ..RetrainConfig::default()
         };
-        assert!(train_enhanced(&train, None, &bad).is_err());
+        assert!(train_enhanced(&train, None, &bad, &EpochEngine::default()).is_err());
     }
 }

@@ -21,7 +21,9 @@ use std::path::Path;
 
 use hdc::{BinaryHv, Dim, Encode, RecordEncoder};
 use hdc_datasets::MinMaxNormalizer;
+use threadpool::ThreadPool;
 
+use crate::engine::EpochEngine;
 use crate::error::LehdcError;
 use crate::format::{
     self, meta_f32, read_varint, truncated, write_varint, Artifact, Compression, MetaWriter,
@@ -364,50 +366,74 @@ impl ModelBundle {
         self.encoder.n_features()
     }
 
-    /// Classifies a batch of raw feature vectors end-to-end: the encode is
-    /// fanned out over `threads` pool workers with one [`hdc::EncodeScratch`]
-    /// per chunk, and the packed queries are answered by a single blocked
-    /// argmax fan-out. Results are in query order and bit-identical to
-    /// calling [`ModelBundle::classify`] per row at any thread count.
+    /// Classifies a batch of raw feature vectors end-to-end on `threads`
+    /// pool workers: [`classify_all_recorded`](Self::classify_all_recorded)
+    /// with a disabled recorder.
+    ///
+    /// # Errors
+    ///
+    /// As [`ModelBundle::classify_all_recorded`].
+    pub fn classify_all(&self, rows: &[Vec<f32>], threads: usize) -> Result<Vec<usize>, LehdcError> {
+        self.classify_all_recorded(rows, &EpochEngine::new(threads))
+    }
+
+    /// Classifies a batch of raw feature vectors end-to-end on `engine`:
+    /// the encode fans out over its pool with one [`hdc::EncodeScratch`]
+    /// per chunk, and the packed queries are answered by one
+    /// [`EpochEngine::classify_epoch`]. Results are in query order and
+    /// bit-identical to calling [`ModelBundle::classify`] per row at any
+    /// thread count.
+    ///
+    /// The engine's recorder gets an `encode/ns` span and one `encode`
+    /// event, then a `classify/corpus_ns` span, a `classify/samples` count,
+    /// a `classify/samples_per_sec` gauge and one `classify` event.
     ///
     /// # Errors
     ///
     /// Returns [`LehdcError::InvalidConfig`] naming the first offending row
     /// if any row's feature count differs from the encoder's or any feature
     /// is non-finite.
-    pub fn classify_all(&self, rows: &[Vec<f32>], threads: usize) -> Result<Vec<usize>, LehdcError> {
-        Ok(self.model.classify_all_blocked(
-            &self.encode_rows(rows, threads)?,
-            hdc::kernels::query_block_for(self.model.dim().words()),
-            threads,
-        ))
-    }
-
-    /// As [`ModelBundle::classify_all`], emitting `encode`/`classify` spans
-    /// and throughput gauges through `rec`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelBundle::classify_all`].
     pub fn classify_all_recorded(
         &self,
         rows: &[Vec<f32>],
-        threads: usize,
-        rec: &obs::Recorder,
+        engine: &EpochEngine,
     ) -> Result<Vec<usize>, LehdcError> {
+        let rec = engine.recorder();
+        let threads = obs::Value::U64(engine.threads() as u64);
         let t = rec.start();
-        let queries = self.encode_rows(rows, threads)?;
+        let queries = self.encode_rows(rows, engine.pool())?;
         if rec.enabled() {
             rec.observe_since("encode/ns", &t);
             rec.emit(
                 "encode",
+                &[("samples", obs::Value::U64(rows.len() as u64)), ("threads", threads)],
+            );
+        }
+        let t = rec.start();
+        let predictions = engine.classify_epoch(&self.model, &queries);
+        if rec.enabled() {
+            let ns = rec.observe_since("classify/corpus_ns", &t);
+            let n = predictions.len() as u64;
+            rec.add("classify/samples", n);
+            let per_sec = if ns == 0 {
+                f64::INFINITY
+            } else {
+                n as f64 * 1e9 / ns as f64
+            };
+            rec.gauge("classify/samples_per_sec", per_sec);
+            rec.emit(
+                "classify",
                 &[
-                    ("samples", obs::Value::U64(rows.len() as u64)),
-                    ("threads", obs::Value::U64(threads as u64)),
+                    ("samples", obs::Value::U64(n)),
+                    ("dim", obs::Value::U64(self.model.dim().get() as u64)),
+                    ("classes", obs::Value::U64(self.model.n_classes() as u64)),
+                    ("threads", threads),
+                    ("wall_ns", obs::Value::U64(ns)),
+                    ("samples_per_sec", obs::Value::F64(per_sec)),
                 ],
             );
         }
-        Ok(self.model.classify_all_recorded(&queries, threads, rec))
+        Ok(predictions)
     }
 
     /// Distills the bundle down to `d_out` dimensions: the model keeps the
@@ -441,7 +467,11 @@ impl ModelBundle {
     /// Normalizes and encodes every row in parallel, validating feature
     /// counts and finiteness up front so the fan-out itself cannot fail,
     /// then projects distilled bundles onto their kept dims.
-    fn encode_rows(&self, rows: &[Vec<f32>], threads: usize) -> Result<Vec<BinaryHv>, LehdcError> {
+    fn encode_rows(
+        &self,
+        rows: &[Vec<f32>],
+        pool: ThreadPool,
+    ) -> Result<Vec<BinaryHv>, LehdcError> {
         let expected = self.encoder.n_features();
         for (i, row) in rows.iter().enumerate() {
             if row.len() != expected {
@@ -457,7 +487,6 @@ impl ModelBundle {
             }
         }
         let dim = self.encoder.dim();
-        let pool = threadpool::ThreadPool::new(threads);
         let chunks = pool.run_chunks(rows.len(), |range| {
             let mut scratch = hdc::EncodeScratch::new(dim);
             let mut normalized = Vec::new();

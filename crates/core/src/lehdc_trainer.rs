@@ -36,6 +36,7 @@ use threadpool::ThreadPool;
 
 use crate::baseline::{bipolar_sums, class_accumulators_pooled};
 use crate::encoded::EncodedDataset;
+use crate::engine::EpochEngine;
 use crate::error::LehdcError;
 use crate::history::{EpochRecord, EpochTiming, TrainingHistory};
 use crate::model::HdcModel;
@@ -405,7 +406,17 @@ fn lehdc_batch_step(
 /// Returns the binary HDC model (`C = sgn(C_nb)`) and the per-epoch
 /// training trajectory. When `test` is given, test accuracy is evaluated
 /// with the *binary* model via the standard Hamming-distance inference path
-/// — exactly what would run on deployment hardware.
+/// — exactly what would run on deployment hardware. Training and
+/// evaluation run on [`LehdcConfig::threads`] workers.
+///
+/// Per-epoch phase spans (batch assembly / forward / backward / fused
+/// optimizer / eval), throughput, and the post-`PlateauDecay` learning rate
+/// flow into `rec` as histograms, counters, gauges, and one `train_epoch`
+/// event per epoch; evaluated epochs additionally carry [`EpochTiming`] on
+/// their history record. Instrumentation reads only the wall clock — never
+/// an RNG stream — so the trained model is bit-identical with or without a
+/// recorder at any thread count (pinned by the determinism tests); a
+/// disabled recorder's timer calls short-circuit without reading the clock.
 ///
 /// # Errors
 ///
@@ -413,30 +424,6 @@ fn lehdc_batch_step(
 /// early stopping on fewer than 2 training samples, or a class with no
 /// samples when `warm_start` is enabled.
 pub fn train_lehdc(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &LehdcConfig,
-) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    train_lehdc_impl(train, test, config, false, &obs::Recorder::disabled())
-}
-
-/// [`train_lehdc`] with runtime metrics: per-epoch phase spans (batch
-/// assembly / forward / backward / fused optimizer / eval), throughput, and
-/// the post-`PlateauDecay` learning rate flow into `rec` as histograms,
-/// counters, gauges, and one `train_epoch` event per epoch; evaluated
-/// epochs additionally carry [`EpochTiming`] on their history record.
-///
-/// Instrumentation reads only the wall clock — never an RNG stream — so the
-/// trained model is bit-identical to [`train_lehdc`] at any thread count
-/// (pinned by the determinism tests). With a disabled recorder this *is*
-/// `train_lehdc`: the timer calls short-circuit without reading the clock.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration,
-/// early stopping on fewer than 2 training samples, or a class with no
-/// samples when `warm_start` is enabled.
-pub fn train_lehdc_recorded(
     train: &EncodedDataset,
     test: Option<&EncodedDataset>,
     config: &LehdcConfig,
@@ -458,6 +445,10 @@ fn train_lehdc_impl(
     config.validate()?;
     let d = train.dim().get();
     let k = train.n_classes();
+    // Batch assembly, warm start and evaluation fan out over this engine;
+    // its persistent workers are shared with the layer's own products, so
+    // dispatch stays cheap.
+    let engine = EpochEngine::new(config.threads);
 
     // Carve a validation split off the training samples when early stopping
     // is requested; otherwise fit on everything.
@@ -488,7 +479,7 @@ fn train_lehdc_impl(
         // normalized into the latent range so Adam's early steps can still
         // flip bits. The exact bit-sliced counts convert to the same f32
         // values a sequential ±1.0 sum would produce.
-        let accumulators = class_accumulators_pooled(train, &fit_indices, config.threads)?;
+        let accumulators = class_accumulators_pooled(train, &fit_indices, engine.pool())?;
         let sums = bipolar_sums(&accumulators);
         let scale = 0.05 / (fit_indices.len() as f32 / k as f32).max(1.0);
         BinaryLinear::with_init(d, k, |r, c| sums[c].values()[r] * scale)
@@ -508,24 +499,12 @@ fn train_lehdc_impl(
         hdc::rng::derive_seed(config.seed, 0xBA7C),
     )?;
     let mut history = TrainingHistory::new();
-    // One pool handle for batch assembly; the persistent workers behind it
-    // are shared with the layer's own products, so dispatch stays cheap.
-    let pool = ThreadPool::new(config.threads);
+    let pool = engine.pool();
     let mut scratch = TrainScratch::new(d, k, config.batch_size.min(fit_indices.len()));
 
-    let accuracy_on = |model: &HdcModel, indices: &[usize]| -> f64 {
-        if indices.is_empty() {
-            return 0.0;
-        }
-        let correct = indices
-            .iter()
-            .filter(|&&i| {
-                let (hv, label) = train.sample(i);
-                model.classify(hv) == label
-            })
-            .count();
-        correct as f64 / indices.len() as f64
-    };
+    // The held-out split, gathered once for the engine's batched accuracy.
+    let val_hvs: Vec<BinaryHv> = val_indices.iter().map(|&i| train.hvs()[i].clone()).collect();
+    let val_labels: Vec<usize> = val_indices.iter().map(|&i| train.labels()[i]).collect();
 
     let mut best: Option<(f64, HdcModel)> = None;
     let mut stale_epochs = 0usize;
@@ -570,7 +549,7 @@ fn train_lehdc_impl(
         let eval_timer = rec.start();
         if let Some(es) = early {
             let model = model_from_layer(&layer)?;
-            let acc = accuracy_on(&model, &val_indices);
+            let acc = engine.accuracy(&model, &val_hvs, &val_labels);
             val_accuracy = Some(acc);
             match &best {
                 Some((best_acc, _)) if acc <= *best_acc => {
@@ -588,10 +567,8 @@ fn train_lehdc_impl(
 
         let evaluated = if epoch % config.eval_every == 0 || last_epoch || stop {
             let model = model_from_layer(&layer)?;
-            let train_accuracy =
-                model.accuracy_threaded(train.hvs(), train.labels(), config.threads);
-            let test_accuracy =
-                test.map(|t| model.accuracy_threaded(t.hvs(), t.labels(), config.threads));
+            let train_accuracy = engine.accuracy(&model, train.hvs(), train.labels());
+            let test_accuracy = test.map(|t| engine.accuracy(&model, t.hvs(), t.labels()));
             Some((train_accuracy, test_accuracy))
         } else {
             None
@@ -749,8 +726,10 @@ mod tests {
     #[test]
     fn lehdc_beats_baseline_and_retraining_on_hard_data() {
         let (train, test) = crate::test_util::hard_encoded_pair(31);
-        let baseline = train_baseline(&train, 0).unwrap();
-        let (retrained, _) = train_retraining(&train, None, &RetrainConfig::quick()).unwrap();
+        let baseline = train_baseline(&train, 0, &EpochEngine::default()).unwrap();
+        let (retrained, _) =
+            train_retraining(&train, None, &RetrainConfig::quick(), &EpochEngine::default())
+                .unwrap();
         let cfg = LehdcConfig {
             epochs: 25,
             batch_size: 32,
@@ -759,7 +738,8 @@ mod tests {
             dropout: 0.2,
             ..LehdcConfig::default()
         };
-        let (learned, history) = train_lehdc(&train, Some(&test), &cfg).unwrap();
+        let (learned, history) =
+            train_lehdc(&train, Some(&test), &cfg, &obs::Recorder::disabled()).unwrap();
         let base = baseline.accuracy(test.hvs(), test.labels());
         let re = retrained.accuracy(test.hvs(), test.labels());
         let le = learned.accuracy(test.hvs(), test.labels());
@@ -773,7 +753,7 @@ mod tests {
     fn training_loss_decreases() {
         let (train, _) = crate::test_util::hard_encoded_pair(32);
         let cfg = LehdcConfig::quick().with_epochs(15);
-        let (_, history) = train_lehdc(&train, None, &cfg).unwrap();
+        let (_, history) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
         let losses: Vec<f64> = history.records().iter().filter_map(|r| r.loss).collect();
         assert!(
             losses.last().unwrap() < losses.first().unwrap(),
@@ -785,10 +765,11 @@ mod tests {
     fn lehdc_is_seed_reproducible() {
         let train = multimodal_corpus(2, 5, 256, 40, 33);
         let cfg = LehdcConfig::quick().with_epochs(5).with_seed(7);
-        let (a, _) = train_lehdc(&train, None, &cfg).unwrap();
-        let (b, _) = train_lehdc(&train, None, &cfg).unwrap();
+        let (a, _) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
+        let (b, _) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
         assert_eq!(a, b);
-        let (c, _) = train_lehdc(&train, None, &cfg.clone().with_seed(8)).unwrap();
+        let cfg8 = cfg.clone().with_seed(8);
+        let (c, _) = train_lehdc(&train, None, &cfg8, &obs::Recorder::disabled()).unwrap();
         assert!(a != c || a.n_classes() == 2, "different seeds usually differ");
     }
 
@@ -801,8 +782,8 @@ mod tests {
         let cfg1 = base_cfg.clone().with_threads(1);
         let cfg4 = base_cfg.with_threads(4);
         assert!(cfg4.validate().is_ok());
-        let (m1, h1) = train_lehdc(&train, None, &cfg1).unwrap();
-        let (m4, h4) = train_lehdc(&train, None, &cfg4).unwrap();
+        let (m1, h1) = train_lehdc(&train, None, &cfg1, &obs::Recorder::disabled()).unwrap();
+        let (m4, h4) = train_lehdc(&train, None, &cfg4, &obs::Recorder::disabled()).unwrap();
         assert_eq!(m1, m4);
         assert_eq!(h1.records(), h4.records());
         assert!(LehdcConfig::default().with_threads(0).validate().is_err());
@@ -876,7 +857,7 @@ mod tests {
             weight_decay: 0.001,
             ..LehdcConfig::default()
         };
-        let (model, _) = train_lehdc(&train, None, &cfg).unwrap();
+        let (model, _) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
         assert!(model.accuracy(train.hvs(), train.labels()) > 0.6);
     }
 
@@ -889,7 +870,7 @@ mod tests {
             batch_size: 8,
             ..LehdcConfig::default()
         };
-        let (_, history) = train_lehdc(&train, None, &cfg).unwrap();
+        let (_, history) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
         // epochs 0, 4, 8, and the final epoch 9
         assert_eq!(history.len(), 4);
         assert_eq!(history.records().last().unwrap().epoch, 9);
@@ -904,7 +885,8 @@ mod tests {
                 fraction: 0.2,
                 patience: 3,
             });
-        let (model, history) = train_lehdc(&train, Some(&test), &cfg).unwrap();
+        let (model, history) =
+            train_lehdc(&train, Some(&test), &cfg, &obs::Recorder::disabled()).unwrap();
         // validation accuracy was tracked
         assert!(history
             .records()
@@ -931,7 +913,7 @@ mod tests {
                 warm_start,
                 ..cfg.clone()
             };
-            match train_lehdc(&train, None, &cfg) {
+            match train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()) {
                 Err(LehdcError::InvalidConfig(msg)) => {
                     assert!(msg.contains("at least 2 training samples"), "{msg}");
                 }
@@ -940,7 +922,7 @@ mod tests {
         }
         // without early stopping the same sample still trains
         let cfg = LehdcConfig::quick().with_epochs(2);
-        let (model, _) = train_lehdc(&train, None, &cfg).unwrap();
+        let (model, _) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
         assert_eq!(model.n_classes(), 1);
     }
 
@@ -969,7 +951,7 @@ mod tests {
             .is_err());
         let train = multimodal_corpus(2, 6, 256, 30, 37);
         let cfg = LehdcConfig::quick().with_epochs(8).with_grad_clip(0.01);
-        let (model, _) = train_lehdc(&train, None, &cfg).unwrap();
+        let (model, _) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
         assert!(model.accuracy(train.hvs(), train.labels()) > 0.6);
     }
 

@@ -61,11 +61,11 @@ pub(crate) mod test_util;
 
 pub use adaptive::AdaptiveConfig;
 pub use encoded::EncodedDataset;
-pub use engine::{EpochEngine, VoteLedger};
+pub use engine::{Classifier, EpochEngine, VoteLedger};
 pub use error::LehdcError;
 pub use history::{EpochRecord, EpochTiming, TrainingHistory};
 pub use lehdc_trainer::{EarlyStopping, LehdcConfig};
-pub use lehdc_trainer::{train_lehdc, train_lehdc_recorded};
+pub use lehdc_trainer::train_lehdc;
 pub use model::{project_dims, HdcModel, NonBinaryModel};
 pub use multimodel::MultiModelConfig;
 pub use pipeline::{Outcome, Pipeline, PipelineBuilder, Strategy};

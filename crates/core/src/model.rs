@@ -2,6 +2,7 @@
 
 use hdc::{BinaryHv, Dim, RealHv};
 
+use crate::engine::{Classifier, EpochEngine};
 use crate::error::LehdcError;
 
 /// A binary HDC classifier: one class hypervector per class, classifying by
@@ -127,25 +128,9 @@ impl HdcModel {
             .expect("model has at least one class")
     }
 
-    /// Classifies a batch of queries.
-    #[must_use]
-    pub fn classify_all(&self, queries: &[BinaryHv]) -> Vec<usize> {
-        self.classify_all_threaded(queries, 1)
-    }
-
-    /// [`HdcModel::classify_all`] fanned out over `threads` persistent pool
-    /// workers (dispatch costs microseconds — see the `threadpool` crate).
-    ///
-    /// Queries are chunked contiguously and results spliced back in query
-    /// order, so the output is identical at any thread count. Within each
-    /// chunk the query-blocked kernel runs with the default block size
-    /// [`hdc::kernels::QUERY_BLOCK`].
-    #[must_use]
-    pub fn classify_all_threaded(&self, queries: &[BinaryHv], threads: usize) -> Vec<usize> {
-        self.classify_all_blocked(queries, hdc::kernels::QUERY_BLOCK, threads)
-    }
-
-    /// Query-blocked batch classification: each packed class hypervector is
+    /// Query-blocked batch classification on `threads` pool workers with
+    /// an explicit block size: [`EpochEngine::classify_epoch`] on
+    /// [`EpochEngine::with_block`]. Each packed class hypervector is
     /// streamed once against a block of `block` queries instead of once per
     /// query, so at the paper's `D = 10,000` the class set stays
     /// cache-resident while a whole block is scored.
@@ -166,61 +151,7 @@ impl HdcModel {
         block: usize,
         threads: usize,
     ) -> Vec<usize> {
-        if let Some(bad) = queries.iter().find(|q| q.dim() != self.dim) {
-            panic!(
-                "query dimension must match the model: {} vs {}",
-                bad.dim(),
-                self.dim
-            );
-        }
-        let rows: Vec<&[u64]> = self.class_hvs.iter().map(BinaryHv::as_words).collect();
-        let pool = threadpool::ThreadPool::new(threads);
-        let parts = pool.run_chunks(queries.len(), |range| {
-            let chunk_queries: Vec<&[u64]> =
-                queries[range].iter().map(BinaryHv::as_words).collect();
-            let mut preds = vec![0usize; chunk_queries.len()];
-            hdc::kernels::argmax_dot_blocked_into(&chunk_queries, &rows, block, &mut preds);
-            preds
-        });
-        parts.concat()
-    }
-
-    /// [`classify_all_threaded`](Self::classify_all_threaded) with inference
-    /// throughput metrics: records a `classify/corpus_ns` span and a
-    /// `classify/samples_per_sec` gauge and emits one `classify` event into
-    /// `rec`. Predictions are identical either way.
-    #[must_use]
-    pub fn classify_all_recorded(
-        &self,
-        queries: &[BinaryHv],
-        threads: usize,
-        rec: &obs::Recorder,
-    ) -> Vec<usize> {
-        let t = rec.start();
-        let predictions = self.classify_all_threaded(queries, threads);
-        if rec.enabled() {
-            let ns = rec.observe_since("classify/corpus_ns", &t);
-            let n = predictions.len() as u64;
-            rec.add("classify/samples", n);
-            let per_sec = if ns == 0 {
-                f64::INFINITY
-            } else {
-                n as f64 * 1e9 / ns as f64
-            };
-            rec.gauge("classify/samples_per_sec", per_sec);
-            rec.emit(
-                "classify",
-                &[
-                    ("samples", obs::Value::U64(n)),
-                    ("dim", obs::Value::U64(self.dim().get() as u64)),
-                    ("classes", obs::Value::U64(self.n_classes() as u64)),
-                    ("threads", obs::Value::U64(threads as u64)),
-                    ("wall_ns", obs::Value::U64(ns)),
-                    ("samples_per_sec", obs::Value::F64(per_sec)),
-                ],
-            );
-        }
-        predictions
+        EpochEngine::with_block(threads, block).classify_epoch(self, queries)
     }
 
     /// Classifies and reports the **margin**: the cosine-similarity gap
@@ -384,7 +315,8 @@ impl HdcModel {
         Ok((HdcModel::new(class_hvs)?, chosen))
     }
 
-    /// Accuracy on encoded samples with known labels.
+    /// Accuracy on encoded samples with known labels, on a one-thread
+    /// [`EpochEngine`].
     ///
     /// # Panics
     ///
@@ -394,21 +326,24 @@ impl HdcModel {
         self.accuracy_threaded(queries, labels, 1)
     }
 
-    /// [`HdcModel::accuracy`] fanned out over `threads` pool workers, on the
-    /// query-blocked classification path. The correct-count sum is exact
-    /// (integer) and the blocked predictions are identical to per-query
-    /// classification, so the result is identical at any thread count.
+    /// [`EpochEngine::accuracy`] on a `threads`-worker engine. The
+    /// correct-count sum is exact (integer) and the blocked predictions are
+    /// identical to per-query classification, so the result is identical
+    /// at any thread count.
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths or are empty.
     #[must_use]
     pub fn accuracy_threaded(&self, queries: &[BinaryHv], labels: &[usize], threads: usize) -> f64 {
-        assert_eq!(queries.len(), labels.len(), "one label per query required");
-        assert!(!queries.is_empty(), "empty query set has no accuracy");
-        let preds = self.classify_all_blocked(queries, hdc::kernels::QUERY_BLOCK, threads);
-        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-        correct as f64 / queries.len() as f64
+        EpochEngine::new(threads).accuracy(self, queries, labels)
+    }
+}
+
+impl Classifier for HdcModel {
+    fn classify_batch(&self, queries: &[BinaryHv], engine: &EpochEngine) -> Vec<usize> {
+        let rows: Vec<&[u64]> = self.class_hvs().iter().map(BinaryHv::as_words).collect();
+        engine.argmax_rows(&rows, self.dim(), queries)
     }
 }
 
@@ -511,34 +446,15 @@ impl NonBinaryModel {
         best.1
     }
 
-    /// Accuracy on encoded samples with known labels.
+    /// Accuracy on encoded samples with known labels, on a one-thread
+    /// [`EpochEngine`] (see [`EpochEngine::accuracy`] for any other).
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths or are empty.
     #[must_use]
     pub fn accuracy(&self, queries: &[BinaryHv], labels: &[usize]) -> f64 {
-        self.accuracy_threaded(queries, labels, 1)
-    }
-
-    /// [`accuracy`](Self::accuracy) fanned out over `threads` pool workers.
-    ///
-    /// Each chunk runs the identical per-sample cosine scan and the correct
-    /// count is an exact integer sum, so the result is identical at any
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or are empty.
-    #[must_use]
-    pub fn accuracy_threaded(&self, queries: &[BinaryHv], labels: &[usize], threads: usize) -> f64 {
-        assert_eq!(queries.len(), labels.len(), "one label per query required");
-        assert!(!queries.is_empty(), "empty query set has no accuracy");
-        let pool = threadpool::ThreadPool::new(threads);
-        let correct = pool.sum_indices(queries.len(), |i| {
-            usize::from(self.classify(&queries[i]) == labels[i])
-        });
-        correct as f64 / queries.len() as f64
+        EpochEngine::default().accuracy(self, queries, labels)
     }
 
     /// Binarizes into an [`HdcModel`] via `sgn` (paper Eq. 8 convention).
@@ -549,6 +465,14 @@ impl NonBinaryModel {
     /// model).
     pub fn to_binary(&self) -> Result<HdcModel, LehdcError> {
         HdcModel::new(self.class_hvs.iter().map(RealHv::sign).collect())
+    }
+}
+
+/// Each pool chunk runs the per-query cosine scan of
+/// [`NonBinaryModel::classify`]; there is no block to tile.
+impl Classifier for NonBinaryModel {
+    fn classify_batch(&self, queries: &[BinaryHv], engine: &EpochEngine) -> Vec<usize> {
+        engine.pool().map_indices(queries.len(), |i| self.classify(&queries[i]))
     }
 }
 
@@ -680,7 +604,7 @@ mod tests {
         let (model, hvs) = random_model(2, 512);
         let acc = model.accuracy(&[hvs[0].clone(), hvs[1].clone()], &[0, 0]);
         assert!((acc - 0.5).abs() < 1e-12);
-        assert_eq!(model.classify_all(&hvs), vec![0, 1]);
+        assert_eq!(EpochEngine::default().classify_epoch(&model, &hvs), vec![0, 1]);
     }
 
     #[test]
@@ -691,10 +615,11 @@ mod tests {
             .map(|_| BinaryHv::random(Dim::new(512), &mut rng))
             .collect();
         let labels: Vec<usize> = (0..25).map(|i| i % 3).collect();
-        let seq = model.classify_all(&queries);
+        let seq: Vec<usize> = queries.iter().map(|q| model.classify(q)).collect();
         let acc = model.accuracy(&queries, &labels);
         for threads in [2, 4, 7] {
-            assert_eq!(model.classify_all_threaded(&queries, threads), seq);
+            let engine = EpochEngine::new(threads);
+            assert_eq!(engine.classify_epoch(&model, &queries), seq);
             assert_eq!(model.accuracy_threaded(&queries, &labels, threads), acc);
         }
     }

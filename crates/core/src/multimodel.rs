@@ -19,9 +19,9 @@ use hdc::{kernels, Accumulator, BinaryHv};
 use testkit::Rng;
 
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, StrategySpans};
+use crate::engine::{Classifier, EpochEngine, StrategyEpoch};
 use crate::error::LehdcError;
-use crate::history::{EpochRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::model::HdcModel;
 
 /// Configuration of multi-model (SearcHD) training.
@@ -121,71 +121,23 @@ impl MultiModel {
         self.best_match(query).0
     }
 
-    /// Classifies a batch of queries through the query-blocked argmax kernel
-    /// over all `K·n` hypervectors, chunked across `threads` pool workers.
-    ///
-    /// The flattened row scan visits classes and models in the same order as
-    /// per-query [`classify`](Self::classify) and keeps the first minimum
-    /// Hamming distance, so predictions are bit-identical at any block size,
-    /// thread count, and kernel tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is zero or any query dimension differs.
-    #[must_use]
-    pub fn classify_all_blocked(
-        &self,
-        queries: &[BinaryHv],
-        block: usize,
-        threads: usize,
-    ) -> Vec<usize> {
-        let n = self.models_per_class();
-        let rows: Vec<&[u64]> = self
-            .models
-            .iter()
-            .flat_map(|class| class.iter().map(BinaryHv::as_words))
-            .collect();
-        if let Some(bad) = queries.iter().find(|q| q.dim() != self.models[0][0].dim()) {
-            panic!(
-                "query dimension must match the models: {} vs {}",
-                bad.dim(),
-                self.models[0][0].dim()
-            );
-        }
-        let pool = threadpool::ThreadPool::new(threads);
-        let parts = pool.run_chunks(queries.len(), |range| {
-            let chunk: Vec<&[u64]> = queries[range].iter().map(BinaryHv::as_words).collect();
-            let mut flat = vec![0usize; chunk.len()];
-            kernels::argmax_dot_blocked_into(&chunk, &rows, block, &mut flat);
-            flat.iter().map(|&f| f / n).collect::<Vec<usize>>()
-        });
-        parts.concat()
-    }
-
-    /// Accuracy on encoded samples.
+    /// Accuracy on encoded samples, on a one-thread [`EpochEngine`] (see
+    /// [`EpochEngine::accuracy`] for any other).
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths or are empty.
     #[must_use]
     pub fn accuracy(&self, queries: &[BinaryHv], labels: &[usize]) -> f64 {
-        self.accuracy_threaded(queries, labels, 1)
+        EpochEngine::default().accuracy(self, queries, labels)
     }
 
-    /// [`accuracy`](Self::accuracy) fanned out over `threads` pool workers
-    /// on the query-blocked classification path — identical result at any
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or are empty.
-    #[must_use]
-    pub fn accuracy_threaded(&self, queries: &[BinaryHv], labels: &[usize], threads: usize) -> f64 {
-        assert_eq!(queries.len(), labels.len(), "one label per query required");
-        assert!(!queries.is_empty(), "empty query set has no accuracy");
-        let preds = self.classify_all_blocked(queries, kernels::QUERY_BLOCK, threads);
-        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-        correct as f64 / queries.len() as f64
+    /// Every hypervector, class-major: row `k·n + m` is model `m` of class `k`.
+    fn rows(&self) -> Vec<&[u64]> {
+        self.models
+            .iter()
+            .flat_map(|class| class.iter().map(BinaryHv::as_words))
+            .collect()
     }
 
     /// Collapses to a single-hypervector-per-class [`HdcModel`] by majority
@@ -218,13 +170,8 @@ impl MultiModel {
     /// in the same order as the nested loop it replaced, so ties resolve
     /// identically (lowest class, then lowest model index).
     fn best_match(&self, query: &BinaryHv) -> (usize, usize, i64) {
-        let rows: Vec<&[u64]> = self
-            .models
-            .iter()
-            .flat_map(|class| class.iter().map(BinaryHv::as_words))
-            .collect();
         let mut flat = [0usize; 1];
-        kernels::argmax_dot_blocked_into(&[query.as_words()], &rows, 1, &mut flat);
+        kernels::argmax_dot_blocked_into(&[query.as_words()], &self.rows(), 1, &mut flat);
         let n = self.models_per_class();
         let (k, m) = (flat[0] / n, flat[0] % n);
         (k, m, query.dot(&self.models[k][m]))
@@ -241,13 +188,35 @@ impl MultiModel {
     }
 }
 
+/// The flattened row scan visits classes and models in the same order as
+/// per-query [`MultiModel::classify`] and keeps the first minimum Hamming
+/// distance, so predictions are bit-identical at any block size, thread
+/// count, and kernel tier.
+impl Classifier for MultiModel {
+    fn classify_batch(&self, queries: &[BinaryHv], engine: &EpochEngine) -> Vec<usize> {
+        let n = self.models_per_class();
+        let mut preds = engine.argmax_rows(&self.rows(), self.models[0][0].dim(), queries);
+        for p in &mut preds {
+            *p /= n;
+        }
+        preds
+    }
+}
+
 /// Trains a multi-model HDC classifier with SearcHD-style stochastic
-/// binary updates.
+/// binary updates on `engine`.
 ///
 /// Initialization bundles a random partition of each class's samples into
 /// its `n` models (falling back to random hypervectors when a class has
 /// fewer samples than models — the data-starvation regime in which the
 /// paper observes multi-model falling below the baseline).
+///
+/// The in-pass stochastic updates stay sequential — each sample's flips
+/// depend on the models as already mutated by earlier samples, and the flip
+/// RNG stream is consumed in sample order — so models and histories are
+/// bit-identical at any thread count; only the `best_match` scans and the
+/// evaluations are kernel-routed. Per-iteration classify/update/eval spans
+/// flow into the engine's recorder when it is enabled.
 ///
 /// # Errors
 ///
@@ -256,29 +225,7 @@ pub fn train_multimodel(
     train: &EncodedDataset,
     test: Option<&EncodedDataset>,
     config: &MultiModelConfig,
-) -> Result<(MultiModel, TrainingHistory), LehdcError> {
-    train_multimodel_recorded(train, test, config, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_multimodel`] with accuracy evaluations fanned out over `threads`
-/// pool workers and per-iteration classify/update/eval spans recorded into
-/// `rec` (and into [`EpochRecord::timing`]) when it is enabled.
-///
-/// The in-pass stochastic updates stay sequential — each sample's flips
-/// depend on the models as already mutated by earlier samples, and the flip
-/// RNG stream is consumed in sample order — so models and histories are
-/// bit-identical to [`train_multimodel`] at any thread count; only the
-/// `best_match` scans and evaluations are kernel-routed.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration.
-pub fn train_multimodel_recorded(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &MultiModelConfig,
-    threads: usize,
-    rec: &obs::Recorder,
+    engine: &EpochEngine,
 ) -> Result<(MultiModel, TrainingHistory), LehdcError> {
     config.validate()?;
     let k = train.n_classes();
@@ -312,6 +259,7 @@ pub fn train_multimodel_recorded(
     let mut model = MultiModel { models };
     let mut history = TrainingHistory::new();
     let d = dim.get();
+    let rec = engine.recorder();
 
     for iter in 0..config.iterations {
         let epoch_timer = rec.start();
@@ -356,29 +304,24 @@ pub fn train_multimodel_recorded(
             update_ns += t.elapsed_ns();
         }
         let t = rec.start();
-        let train_accuracy = correct as f64 / train.len() as f64;
-        let test_accuracy =
-            test.map(|ts| model.accuracy_threaded(ts.hvs(), ts.labels(), threads));
+        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
         let eval_ns = t.elapsed_ns();
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns: 0,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "multimodel", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(config.flip_rate),
-            timing,
-        });
+        engine.close_iteration(
+            &mut history,
+            &StrategyEpoch {
+                strategy: "multimodel",
+                epoch: iter,
+                samples: train.len(),
+                train_accuracy: correct as f64 / train.len() as f64,
+                test_accuracy,
+                learning_rate: config.flip_rate,
+                classify_ns,
+                update_ns,
+                eval_ns,
+                epoch_ns: epoch_timer.elapsed_ns(),
+                ..StrategyEpoch::default()
+            },
+        );
     }
     Ok((model, history))
 }
@@ -417,14 +360,14 @@ mod tests {
     #[test]
     fn multimodel_is_well_above_chance_on_hard_data() {
         let (train, test) = crate::test_util::hard_encoded_pair(21);
-        let baseline = train_baseline(&train, 0).unwrap();
+        let baseline = train_baseline(&train, 0, &EpochEngine::default()).unwrap();
         let cfg = MultiModelConfig {
             models_per_class: 3,
             iterations: 8,
             flip_rate: 0.2,
             seed: 3,
         };
-        let (mm, history) = train_multimodel(&train, None, &cfg).unwrap();
+        let (mm, history) = train_multimodel(&train, None, &cfg, &EpochEngine::default()).unwrap();
         let base_acc = baseline.accuracy(test.hvs(), test.labels());
         let mm_acc = mm.accuracy(test.hvs(), test.labels());
         // 10 classes → chance 0.1. With only ~50 samples per class the
@@ -450,7 +393,7 @@ mod tests {
             flip_rate: 0.5,
             seed: 5,
         };
-        let (mm, _) = train_multimodel(&train, None, &cfg).unwrap();
+        let (mm, _) = train_multimodel(&train, None, &cfg, &EpochEngine::default()).unwrap();
         let few = mm.accuracy(train.hvs(), train.labels());
         let cfg_fit = MultiModelConfig {
             models_per_class: 2,
@@ -458,7 +401,8 @@ mod tests {
             flip_rate: 0.5,
             seed: 5,
         };
-        let (mm_fit, _) = train_multimodel(&train, None, &cfg_fit).unwrap();
+        let (mm_fit, _) =
+            train_multimodel(&train, None, &cfg_fit, &EpochEngine::default()).unwrap();
         let fit = mm_fit.accuracy(train.hvs(), train.labels());
         assert!(
             few <= fit,
@@ -469,7 +413,8 @@ mod tests {
     #[test]
     fn collapse_produces_single_model() {
         let train = multimodal_corpus(2, 6, 256, 30, 23);
-        let (mm, _) = train_multimodel(&train, None, &MultiModelConfig::quick()).unwrap();
+        let cfg = MultiModelConfig::quick();
+        let (mm, _) = train_multimodel(&train, None, &cfg, &EpochEngine::default()).unwrap();
         let collapsed = mm.collapse(1).unwrap();
         assert_eq!(collapsed.n_classes(), 2);
         assert_eq!(collapsed.dim().get(), 256);
@@ -478,19 +423,20 @@ mod tests {
     #[test]
     fn blocked_classification_matches_per_query() {
         let train = multimodal_corpus(3, 4, 300, 25, 25);
-        let (mm, _) = train_multimodel(&train, None, &MultiModelConfig::quick()).unwrap();
+        let cfg = MultiModelConfig::quick();
+        let (mm, _) = train_multimodel(&train, None, &cfg, &EpochEngine::default()).unwrap();
         let serial: Vec<usize> = train.hvs().iter().map(|q| mm.classify(q)).collect();
         let serial_acc = mm.accuracy(train.hvs(), train.labels());
         for threads in [1, 4] {
             for block in [1, 7, 64] {
                 assert_eq!(
-                    mm.classify_all_blocked(train.hvs(), block, threads),
+                    EpochEngine::with_block(threads, block).classify_epoch(&mm, train.hvs()),
                     serial,
                     "threads={threads} block={block}"
                 );
             }
             assert_eq!(
-                mm.accuracy_threaded(train.hvs(), train.labels(), threads),
+                EpochEngine::new(threads).accuracy(&mm, train.hvs(), train.labels()),
                 serial_acc,
                 "threads={threads}"
             );
@@ -506,8 +452,8 @@ mod tests {
             flip_rate: 0.4,
             seed: 9,
         };
-        let (a, _) = train_multimodel(&train, None, &cfg).unwrap();
-        let (b, _) = train_multimodel(&train, None, &cfg).unwrap();
+        let (a, _) = train_multimodel(&train, None, &cfg, &EpochEngine::default()).unwrap();
+        let (b, _) = train_multimodel(&train, None, &cfg, &EpochEngine::default()).unwrap();
         assert_eq!(a, b);
     }
 }

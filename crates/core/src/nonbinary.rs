@@ -10,9 +10,9 @@
 use binnet::{softmax_cross_entropy, Adam, BatchSampler, DenseLinear, Dropout, Optimizer, PlateauDecay};
 use hdc::RealHv;
 
-use crate::baseline::{accumulate_class_sums, accumulate_class_sums_pooled};
+use crate::baseline::accumulate_class_sums;
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, StrategySpans};
+use crate::engine::{EpochEngine, StrategyEpoch};
 use crate::error::LehdcError;
 use crate::history::{EpochRecord, TrainingHistory};
 use crate::lehdc_trainer::LehdcConfig;
@@ -30,26 +30,35 @@ use crate::model::NonBinaryModel;
 /// ```
 /// use hdc::{Dim, RecordEncoder};
 /// use hdc_datasets::BenchmarkProfile;
-/// use lehdc::{nonbinary::train_nonbinary_baseline, EncodedDataset};
+/// use lehdc::{nonbinary::train_nonbinary_baseline, EncodedDataset, EpochEngine};
 ///
 /// # fn main() -> Result<(), lehdc::LehdcError> {
 /// let data = BenchmarkProfile::pamap().quick().generate(2)?;
 /// let enc = RecordEncoder::builder(Dim::new(512), data.train.n_features())
 ///     .seed(1)
 ///     .build()?;
-/// let train = EncodedDataset::encode(&data.train, &enc, 2)?;
+/// let train = EncodedDataset::encode(&data.train, &enc, &EpochEngine::new(2))?;
 /// let model = train_nonbinary_baseline(&train)?;
 /// assert_eq!(model.n_classes(), 5);
 /// # Ok(())
 /// # }
 /// ```
 pub fn train_nonbinary_baseline(train: &EncodedDataset) -> Result<NonBinaryModel, LehdcError> {
-    NonBinaryModel::new(accumulate_class_sums(train)?)
+    NonBinaryModel::new(accumulate_class_sums(train, &EpochEngine::default())?)
 }
 
-/// Fine-tunes a non-binary model with perceptron-style updates: each
-/// misclassified sample is added to its true class hypervector and
-/// subtracted from the predicted one (no binarization anywhere).
+/// Fine-tunes a non-binary model with perceptron-style updates on
+/// `engine`: each misclassified sample is added to its true class
+/// hypervector and subtracted from the predicted one (no binarization
+/// anywhere).
+///
+/// The class-sum initialization and the accuracy evaluations fan out over
+/// the engine's pool; the training pass itself stays sequential, because
+/// the perceptron updates mutate the class hypervectors mid-pass, so each
+/// sample's cosine scan depends on the updates before it. Models and
+/// histories are bit-identical at any thread count. Per-iteration
+/// classify/update/eval spans flow into the engine's recorder when it is
+/// enabled.
 ///
 /// # Errors
 ///
@@ -60,31 +69,7 @@ pub fn train_nonbinary(
     test: Option<&EncodedDataset>,
     alpha: f32,
     iterations: usize,
-) -> Result<(NonBinaryModel, TrainingHistory), LehdcError> {
-    train_nonbinary_recorded(train, test, alpha, iterations, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_nonbinary`] with the class-sum initialization and accuracy
-/// evaluations fanned out over `threads` pool workers, and per-iteration
-/// classify/update/eval spans recorded into `rec` (and into
-/// [`EpochRecord::timing`]) when it is enabled.
-///
-/// The training pass itself stays sequential: the perceptron updates mutate
-/// the class hypervectors mid-pass, so each sample's cosine scan depends on
-/// the updates before it. Models and histories are bit-identical to
-/// [`train_nonbinary`] at any thread count.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] if `iterations == 0`, `alpha` is
-/// non-positive, or a class has no samples.
-pub fn train_nonbinary_recorded(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    alpha: f32,
-    iterations: usize,
-    threads: usize,
-    rec: &obs::Recorder,
+    engine: &EpochEngine,
 ) -> Result<(NonBinaryModel, TrainingHistory), LehdcError> {
     if iterations == 0 {
         return Err(LehdcError::InvalidConfig(
@@ -96,8 +81,9 @@ pub fn train_nonbinary_recorded(
             "alpha must be positive, got {alpha}"
         )));
     }
-    let mut class_hvs = accumulate_class_sums_pooled(train, threads)?;
+    let mut class_hvs = accumulate_class_sums(train, engine)?;
     let mut history = TrainingHistory::new();
+    let rec = engine.recorder();
 
     for iter in 0..iterations {
         let epoch_timer = rec.start();
@@ -127,29 +113,24 @@ pub fn train_nonbinary_recorded(
         }
         let model = NonBinaryModel::new(class_hvs.clone())?;
         let t = rec.start();
-        let train_accuracy = correct as f64 / train.len() as f64;
-        let test_accuracy =
-            test.map(|ts| model.accuracy_threaded(ts.hvs(), ts.labels(), threads));
+        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
         let eval_ns = t.elapsed_ns();
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns: 0,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "nonbinary", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(alpha),
-            timing,
-        });
+        engine.close_iteration(
+            &mut history,
+            &StrategyEpoch {
+                strategy: "nonbinary",
+                epoch: iter,
+                samples: train.len(),
+                train_accuracy: correct as f64 / train.len() as f64,
+                test_accuracy,
+                learning_rate: alpha,
+                classify_ns,
+                update_ns,
+                eval_ns,
+                epoch_ns: epoch_timer.elapsed_ns(),
+                ..StrategyEpoch::default()
+            },
+        );
     }
     Ok((NonBinaryModel::new(class_hvs)?, history))
 }
@@ -180,7 +161,7 @@ pub fn train_lehdc_nonbinary(
     let k = train.n_classes();
 
     let mut layer = if config.warm_start {
-        let sums = accumulate_class_sums(train)?;
+        let sums = accumulate_class_sums(train, &EpochEngine::default())?;
         let scale = 1.0 / (train.len() as f32 / k as f32).max(1.0);
         DenseLinear::with_init(d, k, |r, c| sums[c].values()[r] * scale)
     } else {
@@ -246,7 +227,7 @@ mod tests {
         // Where the binary baseline is already perfect, the non-binary one
         // (richer information) must also be perfect.
         let train = multimodal_corpus(3, 10, 1024, 50, 41);
-        let binary = train_baseline(&train, 0).unwrap();
+        let binary = train_baseline(&train, 0, &EpochEngine::default()).unwrap();
         let nonbinary = train_nonbinary_baseline(&train).unwrap();
         let bin_acc = binary.accuracy(train.hvs(), train.labels());
         let nb_acc = nonbinary.accuracy(train.hvs(), train.labels());
@@ -260,7 +241,8 @@ mod tests {
     fn fine_tuning_improves_hard_data() {
         let train = multimodal_corpus(4, 10, 512, 120, 42);
         let baseline = train_nonbinary_baseline(&train).unwrap();
-        let (tuned, history) = train_nonbinary(&train, None, 1.0, 15).unwrap();
+        let (tuned, history) =
+            train_nonbinary(&train, None, 1.0, 15, &EpochEngine::default()).unwrap();
         let before = baseline.accuracy(train.hvs(), train.labels());
         let after = tuned.accuracy(train.hvs(), train.labels());
         assert!(after >= before, "tuning {after} should not hurt {before}");
@@ -270,9 +252,9 @@ mod tests {
     #[test]
     fn validation_rejects_bad_params() {
         let train = multimodal_corpus(2, 3, 128, 10, 43);
-        assert!(train_nonbinary(&train, None, 0.0, 5).is_err());
-        assert!(train_nonbinary(&train, None, 1.0, 0).is_err());
-        assert!(train_nonbinary(&train, None, f32::NAN, 5).is_err());
+        assert!(train_nonbinary(&train, None, 0.0, 5, &EpochEngine::default()).is_err());
+        assert!(train_nonbinary(&train, None, 1.0, 0, &EpochEngine::default()).is_err());
+        assert!(train_nonbinary(&train, None, f32::NAN, 5, &EpochEngine::default()).is_err());
     }
 
     #[test]
@@ -281,7 +263,9 @@ mod tests {
         // than the binary one, so it should not trail on held-out data.
         let (train, test) = crate::test_util::hard_encoded_pair(45);
         let cfg = LehdcConfig::quick().with_epochs(15);
-        let (binary, _) = crate::lehdc_trainer::train_lehdc(&train, None, &cfg).unwrap();
+        let (binary, _) =
+            crate::lehdc_trainer::train_lehdc(&train, None, &cfg, &obs::Recorder::disabled())
+                .unwrap();
         let (dense, history) = train_lehdc_nonbinary(&train, None, &cfg).unwrap();
         let bin_acc = binary.accuracy(test.hvs(), test.labels());
         let dense_acc = dense.accuracy(test.hvs(), test.labels());
@@ -314,7 +298,7 @@ mod tests {
         let train = multimodal_corpus(2, 5, 256, 20, 44); // odd per-class → no ties
         let nb = train_nonbinary_baseline(&train).unwrap();
         let bin = nb.to_binary().unwrap();
-        let direct = train_baseline(&train, 0).unwrap();
+        let direct = train_baseline(&train, 0, &EpochEngine::default()).unwrap();
         // Per-class counts are 2*5=10 (even) so ties are possible; compare
         // only where the sums are non-zero by checking high agreement.
         let mut agree = 0usize;

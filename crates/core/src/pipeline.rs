@@ -3,17 +3,18 @@
 use hdc::{Dim, RecordEncoder};
 use hdc_datasets::{MinMaxNormalizer, TrainTest};
 
-use crate::adaptive::{train_adaptive_recorded, AdaptiveConfig};
-use crate::baseline::train_baseline_threaded;
+use crate::adaptive::{train_adaptive, AdaptiveConfig};
+use crate::baseline::train_baseline;
 use crate::encoded::EncodedDataset;
-use crate::enhanced::train_enhanced_recorded;
+use crate::engine::{Classifier, EpochEngine};
+use crate::enhanced::train_enhanced;
 use crate::error::LehdcError;
 use crate::history::TrainingHistory;
-use crate::lehdc_trainer::{train_lehdc_recorded, LehdcConfig};
+use crate::lehdc_trainer::{train_lehdc, LehdcConfig};
 use crate::model::HdcModel;
-use crate::multimodel::{train_multimodel_recorded, MultiModelConfig};
-use crate::nonbinary::train_nonbinary_recorded;
-use crate::retrain::{train_retraining_recorded, RetrainConfig};
+use crate::multimodel::{train_multimodel, MultiModelConfig};
+use crate::nonbinary::train_nonbinary;
+use crate::retrain::{train_retraining, RetrainConfig};
 
 /// An HDC training strategy, as compared in the paper's Table 1 and
 /// Figures 3/5/6.
@@ -30,7 +31,9 @@ pub enum Strategy {
     Enhanced(RetrainConfig),
     /// Adaptive-rate retraining (AdaptHD, ref \[6\]).
     Adaptive(AdaptiveConfig),
-    /// LeHDC: equivalent-BNN training (Sec. 4).
+    /// LeHDC: equivalent-BNN training (Sec. 4). It trains on
+    /// [`LehdcConfig::threads`] workers, not the pipeline's thread count;
+    /// only its recorder and the outcome evaluation come from the pipeline.
     Lehdc(LehdcConfig),
     /// Non-binary HDC with perceptron fine-tuning (Sec. 3.1 remark).
     NonBinary {
@@ -149,9 +152,11 @@ impl<'a> PipelineBuilder<'a> {
         self
     }
 
-    /// Sets the worker thread count used for encoding, the batched epoch
-    /// forwards inside every strategy, and outcome evaluation (default:
-    /// available parallelism). Results are bit-identical at any count.
+    /// Sets the worker thread count used for encoding, the training of
+    /// every strategy except LeHDC, and outcome evaluation (default:
+    /// available parallelism). LeHDC trains on [`LehdcConfig::threads`]
+    /// instead, so a caller wanting a threaded LeHDC run sets both.
+    /// Results are bit-identical at any count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -168,7 +173,7 @@ impl<'a> PipelineBuilder<'a> {
     }
 
     /// Attaches a metrics recorder: encode throughput at build time and
-    /// per-epoch training spans (for LeHDC runs) flow into it, and every
+    /// every strategy's per-epoch training spans flow into it, and every
     /// `run` emits a `strategy_run` event. The default disabled recorder
     /// keeps the whole pipeline uninstrumented — and either way results are
     /// bit-identical, since instrumentation never touches an RNG stream.
@@ -200,18 +205,16 @@ impl<'a> PipelineBuilder<'a> {
             .value_range(0.0, 1.0)
             .seed(self.seed)
             .build()?;
-        let encoded_train =
-            EncodedDataset::encode_recorded(&train, &encoder, self.threads, &self.recorder)?;
-        let encoded_test =
-            EncodedDataset::encode_recorded(&test, &encoder, self.threads, &self.recorder)?;
+        let engine = EpochEngine::new(self.threads).with_recorder(self.recorder);
+        let encoded_train = EncodedDataset::encode(&train, &encoder, &engine)?;
+        let encoded_test = EncodedDataset::encode(&test, &encoder, &engine)?;
         Ok(Pipeline {
             encoder,
             normalizer,
             encoded_train,
             encoded_test,
             seed: self.seed,
-            threads: self.threads,
-            recorder: self.recorder,
+            engine,
         })
     }
 }
@@ -243,8 +246,7 @@ pub struct Pipeline {
     encoded_train: EncodedDataset,
     encoded_test: EncodedDataset,
     seed: u64,
-    threads: usize,
-    recorder: obs::Recorder,
+    engine: EpochEngine,
 }
 
 impl Pipeline {
@@ -290,8 +292,7 @@ impl Pipeline {
             encoded_train: train,
             encoded_test: test,
             seed,
-            threads: 1,
-            recorder: obs::Recorder::disabled(),
+            engine: EpochEngine::default(),
         })
     }
 
@@ -301,16 +302,17 @@ impl Pipeline {
         &self.encoder
     }
 
-    /// The metrics recorder attached at build time (disabled by default).
+    /// The execution context every `run` trains and evaluates on: the
+    /// builder's thread count and recorder.
     #[must_use]
-    pub fn recorder(&self) -> &obs::Recorder {
-        &self.recorder
+    pub fn engine(&self) -> &EpochEngine {
+        &self.engine
     }
 
     /// Attaches a metrics recorder to an already-built pipeline (see
     /// [`PipelineBuilder::recorder`]).
     pub fn set_recorder(&mut self, recorder: obs::Recorder) {
-        self.recorder = recorder;
+        self.engine.rec = recorder;
     }
 
     /// The feature normalizer fitted on the training split, if
@@ -346,11 +348,12 @@ impl Pipeline {
     ///
     /// Propagates configuration and training errors from the strategy.
     pub fn run(&self, strategy: Strategy) -> Result<Outcome, LehdcError> {
-        let run_timer = self.recorder.start();
+        let rec = self.engine.recorder();
+        let run_timer = rec.start();
         let outcome = self.run_inner(strategy)?;
-        if self.recorder.enabled() {
-            let ns = self.recorder.observe_since("pipeline/run_ns", &run_timer);
-            self.recorder.emit(
+        if rec.enabled() {
+            let ns = rec.observe_since("pipeline/run_ns", &run_timer);
+            rec.emit(
                 "strategy_run",
                 &[
                     ("strategy", obs::Value::Str(outcome.strategy)),
@@ -365,75 +368,39 @@ impl Pipeline {
     }
 
     fn run_inner(&self, strategy: Strategy) -> Result<Outcome, LehdcError> {
-        let train = &self.encoded_train;
-        let test = &self.encoded_test;
+        let (train, test, engine) = (&self.encoded_train, &self.encoded_test, &self.engine);
         let name = strategy.name();
-        match strategy {
+        let (model, history) = match strategy {
             Strategy::Baseline => {
-                let model = train_baseline_threaded(train, self.seed, self.threads)?;
-                Ok(self.outcome_from_model(name, model, TrainingHistory::new()))
+                (train_baseline(train, self.seed, engine)?, TrainingHistory::new())
             }
-            Strategy::Retraining(cfg) => {
-                let (model, history) =
-                    train_retraining_recorded(train, Some(test), &cfg, self.threads, &self.recorder)?;
-                Ok(self.outcome_from_model(name, model, history))
-            }
-            Strategy::Enhanced(cfg) => {
-                let (model, history) =
-                    train_enhanced_recorded(train, Some(test), &cfg, self.threads, &self.recorder)?;
-                Ok(self.outcome_from_model(name, model, history))
-            }
-            Strategy::Adaptive(cfg) => {
-                let (model, history) =
-                    train_adaptive_recorded(train, Some(test), &cfg, self.threads, &self.recorder)?;
-                Ok(self.outcome_from_model(name, model, history))
-            }
+            Strategy::Retraining(cfg) => train_retraining(train, Some(test), &cfg, engine)?,
+            Strategy::Enhanced(cfg) => train_enhanced(train, Some(test), &cfg, engine)?,
+            Strategy::Adaptive(cfg) => train_adaptive(train, Some(test), &cfg, engine)?,
             Strategy::Lehdc(cfg) => {
                 let cfg = LehdcConfig {
                     seed: hdc::rng::derive_seed(self.seed, cfg.seed),
                     ..cfg
                 };
-                let (model, history) =
-                    train_lehdc_recorded(train, Some(test), &cfg, &self.recorder)?;
-                Ok(self.outcome_from_model(name, model, history))
+                train_lehdc(train, Some(test), &cfg, engine.recorder())?
             }
             Strategy::MultiModel(cfg) => {
                 let cfg = MultiModelConfig {
                     seed: hdc::rng::derive_seed(self.seed, cfg.seed),
                     ..cfg
                 };
-                let (mm, history) =
-                    train_multimodel_recorded(train, Some(test), &cfg, self.threads, &self.recorder)?;
-                Ok(Outcome {
-                    strategy: name,
-                    train_accuracy: mm.accuracy_threaded(train.hvs(), train.labels(), self.threads),
-                    test_accuracy: mm.accuracy_threaded(test.hvs(), test.labels(), self.threads),
-                    history,
-                    model: None,
-                })
+                let (mm, history) = train_multimodel(train, Some(test), &cfg, engine)?;
+                return Ok(self.outcome(name, &mm, history));
             }
             Strategy::NonBinary { alpha, iterations } => {
-                let (model, history) = train_nonbinary_recorded(
-                    train,
-                    Some(test),
-                    alpha,
-                    iterations,
-                    self.threads,
-                    &self.recorder,
-                )?;
-                Ok(Outcome {
-                    strategy: name,
-                    train_accuracy: model.accuracy_threaded(
-                        train.hvs(),
-                        train.labels(),
-                        self.threads,
-                    ),
-                    test_accuracy: model.accuracy_threaded(test.hvs(), test.labels(), self.threads),
-                    history,
-                    model: None,
-                })
+                let (model, history) =
+                    train_nonbinary(train, Some(test), alpha, iterations, engine)?;
+                return Ok(self.outcome(name, &model, history));
             }
-        }
+        };
+        let mut outcome = self.outcome(name, &model, history);
+        outcome.model = Some(model);
+        Ok(outcome)
     }
 
     /// K-fold cross-validation of a strategy over a *raw* dataset: each
@@ -487,26 +454,21 @@ impl Pipeline {
         Ok(accuracies)
     }
 
-    fn outcome_from_model(
+    /// Scores `classifier` on both splits through the engine (the outcome
+    /// carries no model; the caller attaches binary ones).
+    fn outcome<M: Classifier>(
         &self,
         strategy: &'static str,
-        model: HdcModel,
+        classifier: &M,
         history: TrainingHistory,
     ) -> Outcome {
+        let (train, test) = (&self.encoded_train, &self.encoded_test);
         Outcome {
             strategy,
-            train_accuracy: model.accuracy_threaded(
-                self.encoded_train.hvs(),
-                self.encoded_train.labels(),
-                self.threads,
-            ),
-            test_accuracy: model.accuracy_threaded(
-                self.encoded_test.hvs(),
-                self.encoded_test.labels(),
-                self.threads,
-            ),
+            train_accuracy: self.engine.accuracy(classifier, train.hvs(), train.labels()),
+            test_accuracy: self.engine.accuracy(classifier, test.hvs(), test.labels()),
             history,
-            model: Some(model),
+            model: None,
         }
     }
 }

@@ -1,12 +1,9 @@
 //! The QuantHD retraining strategy (paper Sec. 2.2, Eq. 3, ref \[4\]).
 
-use hdc::RealHv;
-
-use crate::baseline::accumulate_class_sums_pooled;
 use crate::encoded::EncodedDataset;
-use crate::engine::{record_strategy_epoch, EpochEngine, StrategySpans, VoteLedger};
+use crate::engine::{retrain_loop, EpochEngine, Schedule, Update, VoteLedger};
 use crate::error::LehdcError;
-use crate::history::{EpochRecord, TrainingHistory};
+use crate::history::TrainingHistory;
 use crate::model::HdcModel;
 
 /// Configuration of the retraining strategy.
@@ -88,7 +85,27 @@ impl RetrainConfig {
     }
 }
 
-/// Trains a binary HDC model with QuantHD-style retraining.
+impl RetrainConfig {
+    /// The learning rate of iteration `iter`: `first_alpha`, then `alpha`.
+    pub(crate) fn rate(&self, iter: usize) -> f32 {
+        if iter == 0 {
+            self.first_alpha
+        } else {
+            self.alpha
+        }
+    }
+
+    /// The loop schedule of a run named `strategy` under this config.
+    pub(crate) fn schedule(&self, strategy: &'static str) -> Schedule {
+        Schedule {
+            strategy,
+            iterations: self.iterations,
+            convergence_threshold: self.convergence_threshold,
+        }
+    }
+}
+
+/// Trains a binary HDC model with QuantHD-style retraining on `engine`.
 ///
 /// Starting from the baseline bundling (non-binary class sums), each
 /// iteration classifies every training sample with the current **binary**
@@ -102,6 +119,9 @@ impl RetrainConfig {
 ///
 /// and the binary model is refreshed from the signs after the pass. When
 /// `test` is given, test accuracy is logged per iteration (paper Fig. 3).
+/// Per-iteration classify/update/binarize/eval spans flow into the
+/// engine's recorder (and into [`EpochRecord::timing`](crate::EpochRecord))
+/// when it is enabled.
 ///
 /// # Batched semantics
 ///
@@ -125,125 +145,36 @@ pub fn train_retraining(
     train: &EncodedDataset,
     test: Option<&EncodedDataset>,
     config: &RetrainConfig,
-) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    train_retraining_recorded(train, test, config, 1, &obs::Recorder::disabled())
-}
-
-/// [`train_retraining`] fanned out over `threads` pool workers, with
-/// per-iteration classify/update/binarize/eval spans recorded into `rec`
-/// (and into [`EpochRecord::timing`]) when it is enabled.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration or a
-/// class with no training samples.
-pub fn train_retraining_recorded(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &RetrainConfig,
-    threads: usize,
-    rec: &obs::Recorder,
-) -> Result<(HdcModel, TrainingHistory), LehdcError> {
-    train_retraining_with_engine(train, test, config, &EpochEngine::new(threads), rec)
-}
-
-/// [`train_retraining_recorded`] against a caller-built [`EpochEngine`] —
-/// the determinism suite uses this to pin block-size invariance.
-///
-/// # Errors
-///
-/// Returns [`LehdcError::InvalidConfig`] for an invalid configuration or a
-/// class with no training samples.
-pub fn train_retraining_with_engine(
-    train: &EncodedDataset,
-    test: Option<&EncodedDataset>,
-    config: &RetrainConfig,
     engine: &EpochEngine,
-    rec: &obs::Recorder,
 ) -> Result<(HdcModel, TrainingHistory), LehdcError> {
     config.validate()?;
-    let mut nonbinary: Vec<RealHv> = accumulate_class_sums_pooled(train, engine.threads())?;
-    let mut model = binarize(&nonbinary)?;
-    let mut history = TrainingHistory::new();
     let mut ledger = VoteLedger::new(train.n_classes(), train.dim());
-
-    for iter in 0..config.iterations {
-        let alpha = if iter == 0 {
-            config.first_alpha
-        } else {
-            config.alpha
-        };
-        let epoch_timer = rec.start();
-
-        let t = rec.start();
-        let predictions = engine.classify_epoch(&model, train.hvs());
-        let classify_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        ledger.clear();
-        let mut correct = 0usize;
-        for (i, &predicted) in predictions.iter().enumerate() {
-            let (hv, label) = train.sample(i);
-            if predicted == label {
-                correct += 1;
-            } else {
-                ledger.record(hv, label, predicted);
+    retrain_loop(
+        &config.schedule("retraining"),
+        train,
+        test,
+        engine,
+        |model| engine.classify_epoch(model, train.hvs()),
+        |iter, predictions: Vec<usize>, nonbinary| {
+            let alpha = config.rate(iter);
+            ledger.clear();
+            let mut correct = 0usize;
+            for (i, &predicted) in predictions.iter().enumerate() {
+                let (hv, label) = train.sample(i);
+                if predicted == label {
+                    correct += 1;
+                } else {
+                    ledger.record(hv, label, predicted);
+                }
             }
-        }
-        ledger.apply(&mut nonbinary, alpha, engine.pool());
-        let update_ns = t.elapsed_ns();
-
-        let t = rec.start();
-        // Only the ledger-touched classes can change sign: an untouched
-        // class's non-binary hypervector is bit-unchanged, so its row is
-        // too. Re-sign exactly those rows, folding their Hamming flips into
-        // the paper's "updating on class hypervectors" convergence signal
-        // (untouched classes contribute zero flips by construction).
-        let flipped: usize = ledger
-            .touched_classes()
-            .into_iter()
-            .map(|k| model.resign_class(k, &nonbinary[k]))
-            .sum();
-        let binarize_ns = t.elapsed_ns();
-        let flip_fraction =
-            flipped as f64 / (train.dim().get() * train.n_classes()) as f64;
-
-        let t = rec.start();
-        let train_accuracy = correct as f64 / train.len() as f64;
-        let test_accuracy = test.map(|ts| engine.accuracy(&model, ts.hvs(), ts.labels()));
-        let eval_ns = t.elapsed_ns();
-
-        let spans = StrategySpans {
-            classify_ns,
-            update_ns,
-            binarize_ns,
-            eval_ns,
-            epoch_ns: epoch_timer.elapsed_ns(),
-            samples: train.len(),
-        };
-        let timing =
-            record_strategy_epoch(rec, "retraining", iter, &spans, train_accuracy, test_accuracy);
-        history.push(EpochRecord {
-            epoch: iter,
-            train_accuracy,
-            test_accuracy,
-            validation_accuracy: None,
-            loss: None,
-            learning_rate: Some(alpha),
-            timing,
-        });
-        if let Some(threshold) = config.convergence_threshold {
-            // Never stop on the first (boosted-α) iteration.
-            if iter > 0 && flip_fraction < threshold {
-                break;
+            ledger.apply(nonbinary, alpha, engine.pool());
+            Update {
+                correct,
+                touched: ledger.touched_classes(),
+                learning_rate: alpha,
             }
-        }
-    }
-    Ok((model, history))
-}
-
-pub(crate) fn binarize(nonbinary: &[RealHv]) -> Result<HdcModel, LehdcError> {
-    HdcModel::new(nonbinary.iter().map(RealHv::sign).collect())
+        },
+    )
 }
 
 #[cfg(test)]
@@ -280,9 +211,10 @@ mod tests {
     #[test]
     fn retraining_improves_on_baseline_for_hard_data() {
         let (train, test) = crate::test_util::hard_encoded_pair(1);
-        let baseline = train_baseline(&train, 0).unwrap();
+        let baseline = train_baseline(&train, 0, &EpochEngine::default()).unwrap();
         let (retrained, history) =
-            train_retraining(&train, None, &RetrainConfig::quick()).unwrap();
+            train_retraining(&train, None, &RetrainConfig::quick(), &EpochEngine::default())
+                .unwrap();
         let base_acc = baseline.accuracy(test.hvs(), test.labels());
         let re_acc = retrained.accuracy(test.hvs(), test.labels());
         assert!(
@@ -300,7 +232,8 @@ mod tests {
             iterations: 5,
             ..RetrainConfig::default()
         };
-        let (_, history) = train_retraining(&train, Some(&test), &cfg).unwrap();
+        let (_, history) =
+            train_retraining(&train, Some(&test), &cfg, &EpochEngine::default()).unwrap();
         assert_eq!(history.len(), 5);
         assert!(history.records().iter().all(|r| r.test_accuracy.is_some()));
         assert_eq!(history.records()[0].learning_rate, Some(1.5));
@@ -315,7 +248,8 @@ mod tests {
             convergence_threshold: Some(0.002),
             ..RetrainConfig::default()
         };
-        let (_, history) = train_retraining(&train, None, &converge).unwrap();
+        let (_, history) =
+            train_retraining(&train, None, &converge, &EpochEngine::default()).unwrap();
         assert!(
             history.len() < 40,
             "should stop before the budget, ran {} iterations",
@@ -333,8 +267,8 @@ mod tests {
     fn retraining_is_deterministic() {
         let train = multimodal_corpus(3, 5, 256, 40, 3);
         let cfg = RetrainConfig::quick();
-        let (m1, _) = train_retraining(&train, None, &cfg).unwrap();
-        let (m2, _) = train_retraining(&train, None, &cfg).unwrap();
+        let (m1, _) = train_retraining(&train, None, &cfg, &EpochEngine::default()).unwrap();
+        let (m2, _) = train_retraining(&train, None, &cfg, &EpochEngine::default()).unwrap();
         assert_eq!(m1, m2);
     }
 
@@ -356,7 +290,8 @@ mod tests {
             iterations: 3,
             ..RetrainConfig::default()
         };
-        let (model, history) = train_retraining(&train, None, &cfg).unwrap();
+        let (model, history) =
+            train_retraining(&train, None, &cfg, &EpochEngine::default()).unwrap();
         assert_eq!(model.class_hvs()[0], a);
         assert_eq!(model.class_hvs()[1], b);
         assert!(history

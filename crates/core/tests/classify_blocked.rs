@@ -1,7 +1,7 @@
 //! Tie-break determinism of query-blocked, threaded, tier-dispatched
 //! classification.
 //!
-//! The claim under test: `classify_all` predictions are **bit-identical**
+//! The claim under test: batch predictions are **bit-identical**
 //! across kernel tiers (`LEHDC_KERNEL=scalar|avx2` — check.sh runs this
 //! suite under both), query block sizes {1, 7, 64, full}, and thread counts
 //! {1, 4}. The anchor is an explicitly-scalar per-query argmax reference
@@ -10,8 +10,9 @@
 //! tie-break (lowest class index wins) is pinned independently of blocking.
 
 use hdc::kernels;
-use hdc::{BinaryHv, Dim};
-use lehdc::HdcModel;
+use hdc::{BinaryHv, Dim, Encode, RecordEncoder};
+use lehdc::io::ModelBundle;
+use lehdc::{EpochEngine, HdcModel};
 use testkit::{Rng, Xoshiro256pp};
 
 const BLOCKS: &[usize] = &[1, 7, 64, usize::MAX];
@@ -51,9 +52,9 @@ fn blocked_classification_is_invariant_across_blocks_threads_and_tier() {
         let (model, queries) = random_fixture(k, d, n, 0xC0FFEE + d as u64);
         let expect = scalar_reference(&model, &queries);
         assert_eq!(
-            model.classify_all(&queries),
+            EpochEngine::default().classify_epoch(&model, &queries),
             expect,
-            "classify_all d={d}"
+            "classify_epoch d={d}"
         );
         for &block in BLOCKS {
             for &threads in THREADS {
@@ -130,16 +131,41 @@ fn accuracy_matches_blocked_predictions_at_any_thread_count() {
 
 #[test]
 fn recorded_classification_matches_blocked_path() {
-    let (model, queries) = random_fixture(6, 257, 50, 99);
-    let expect = scalar_reference(&model, &queries);
-    let rec = obs::Recorder::disabled();
-    assert_eq!(model.classify_all_recorded(&queries, 2, &rec), expect);
+    // End to end through a bundle, with a live recorder: the recording
+    // branch must leave the predictions equal to the unrecorded path and to
+    // the scalar reference, and must record both spans.
+    let (n_features, d) = (6, 257);
+    let mut rng = Xoshiro256pp::seed_from_u64(99);
+    let encoder = RecordEncoder::builder(Dim::new(d), n_features).seed(4).build().unwrap();
+    let class_hvs = (0..6).map(|_| BinaryHv::random(Dim::new(d), &mut rng)).collect();
+    let bundle = ModelBundle {
+        model: HdcModel::new(class_hvs).unwrap(),
+        encoder,
+        normalizer: None,
+        selection: None,
+    };
+    let rows: Vec<Vec<f32>> = (0..50)
+        .map(|_| (0..n_features).map(|_| rng.random::<f32>()).collect())
+        .collect();
+    let queries: Vec<BinaryHv> = rows.iter().map(|r| bundle.encoder.encode(r).unwrap()).collect();
+    let expect = scalar_reference(&bundle.model, &queries);
+
+    let rec = obs::Recorder::builder()
+        .jsonl_writer(Box::new(std::io::sink()))
+        .build();
+    let engine = EpochEngine::new(2).with_recorder(rec.clone());
+    assert_eq!(bundle.classify_all_recorded(&rows, &engine).unwrap(), expect);
+    assert_eq!(bundle.classify_all(&rows, 2).unwrap(), expect);
+    let names: Vec<String> = rec.metrics().into_iter().map(|(n, _)| n).collect();
+    for expected in ["encode/ns", "classify/corpus_ns"] {
+        assert!(names.iter().any(|n| n == expected), "missing {expected} in {names:?}");
+    }
 }
 
 #[test]
 fn empty_query_set_classifies_to_empty() {
     let (model, _) = random_fixture(3, 64, 0, 5);
-    assert_eq!(model.classify_all(&[]), Vec::<usize>::new());
+    assert_eq!(EpochEngine::default().classify_epoch(&model, &[]), Vec::<usize>::new());
     assert_eq!(model.classify_all_blocked(&[], 7, 4), Vec::<usize>::new());
 }
 

@@ -9,8 +9,8 @@
 use hdc::{Dim, RecordEncoder};
 use hdc_datasets::SyntheticSpec;
 use lehdc::baseline::train_baseline;
-use lehdc::lehdc_trainer::{train_lehdc, train_lehdc_recorded};
-use lehdc::{EncodedDataset, HdcModel, LehdcConfig};
+use lehdc::lehdc_trainer::train_lehdc;
+use lehdc::{EncodedDataset, EpochEngine, HdcModel, LehdcConfig};
 
 fn train_once(seed: u64) -> (HdcModel, EncodedDataset) {
     let spec = SyntheticSpec::builder("det", 12, 4)
@@ -26,8 +26,8 @@ fn train_once(seed: u64) -> (HdcModel, EncodedDataset) {
         .seed(seed)
         .build()
         .unwrap();
-    let train = EncodedDataset::encode(&data.train, &enc, 2).unwrap();
-    (train_baseline(&train, seed).unwrap(), train)
+    let train = EncodedDataset::encode(&data.train, &enc, &EpochEngine::new(2)).unwrap();
+    (train_baseline(&train, seed, &EpochEngine::default()).unwrap(), train)
 }
 
 #[test]
@@ -75,17 +75,18 @@ fn one_worker_set_serves_the_whole_pipeline_deterministically() {
         .seed(11)
         .build()
         .unwrap();
-    let queries = lehdc::EncodedDataset::encode(&data.test, &enc, 1).unwrap();
+    let queries = EncodedDataset::encode(&data.test, &enc, &EpochEngine::default()).unwrap();
 
     let jobs_before = threadpool::dispatched_jobs();
     let run = |threads: usize| {
-        let train = EncodedDataset::encode(&data.train, &enc, threads).unwrap();
+        let engine = EpochEngine::new(threads);
+        let train = EncodedDataset::encode(&data.train, &enc, &engine).unwrap();
         let cfg = LehdcConfig::quick()
             .with_epochs(2)
             .with_seed(11)
             .with_threads(threads);
-        let (model, _) = train_lehdc(&train, None, &cfg).unwrap();
-        let predictions = model.classify_all_threaded(queries.hvs(), threads);
+        let (model, _) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
+        let predictions = engine.classify_epoch(&model, queries.hvs());
         (model, predictions)
     };
     let (m1, p1) = run(1);
@@ -120,11 +121,11 @@ fn metrics_recorder_leaves_training_bit_identical() {
             .with_epochs(3)
             .with_seed(9)
             .with_threads(threads);
-        let (plain, h_plain) = train_lehdc(&train, None, &cfg).unwrap();
+        let (plain, h_plain) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
 
         let rec = obs::Recorder::builder().build();
         obs::set_runtime_stats(true);
-        let result = train_lehdc_recorded(&train, None, &cfg, &rec);
+        let result = train_lehdc(&train, None, &cfg, &rec);
         obs::set_runtime_stats(false);
         let (recorded, h_rec) = result.unwrap();
 
@@ -171,8 +172,8 @@ fn lehdc_training_is_bit_identical_across_runs() {
     // binarized weight updates on top of the baseline path — all seeded.
     let (_, train) = train_once(7);
     let cfg = LehdcConfig::quick().with_epochs(2).with_seed(7);
-    let (first, _) = train_lehdc(&train, None, &cfg).unwrap();
-    let (second, _) = train_lehdc(&train, None, &cfg).unwrap();
+    let (first, _) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
+    let (second, _) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled()).unwrap();
     assert_eq!(
         first.class_hvs(),
         second.class_hvs(),

@@ -6,8 +6,9 @@
 //! (class, dimension) instead of one f32 `add_scaled` per misclassified
 //! sample. This suite pins what that buys and what it costs:
 //!
-//! - every strategy is **bit-identical** across thread counts and engine
-//!   query-block sizes (the integer votes make sample order irrelevant);
+//! - retraining, enhanced and adaptive are **bit-identical** across thread
+//!   counts and engine query-block sizes (the integer votes make sample
+//!   order irrelevant), multi-model and non-binary across thread counts;
 //! - the integer-vote application matches a naive sequential integer-vote
 //!   reference exactly, bit for bit;
 //! - the accuracy *trajectory* of the new semantics tracks the historical
@@ -15,7 +16,8 @@
 //!   differently, so bits may differ — accuracy must not);
 //! - the enhanced/adaptive tie-break now prefers the **lowest** class index,
 //!   matching `model.classify` (regression test with an engineered tie);
-//! - attaching an observability recorder never perturbs results;
+//! - attaching an observability recorder never perturbs any of the five
+//!   iterative strategies, on any engine of that grid;
 //! - pinned goldens on a fixed corpus catch any silent semantic drift.
 //!
 //! `scripts/check.sh` runs this suite under both `LEHDC_KERNEL=scalar` and
@@ -24,14 +26,12 @@
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RealHv};
 use testkit::Rng;
-use lehdc::adaptive::train_adaptive_recorded;
-use lehdc::baseline::{accumulate_class_sums, accumulate_class_sums_pooled, train_baseline};
-use lehdc::enhanced::train_enhanced_recorded;
-use lehdc::multimodel::{train_multimodel, train_multimodel_recorded};
-use lehdc::nonbinary::train_nonbinary_recorded;
-use lehdc::retrain::{
-    train_retraining, train_retraining_recorded, train_retraining_with_engine,
-};
+use lehdc::adaptive::train_adaptive;
+use lehdc::baseline::{accumulate_class_sums, train_baseline};
+use lehdc::enhanced::train_enhanced;
+use lehdc::multimodel::train_multimodel;
+use lehdc::nonbinary::train_nonbinary;
+use lehdc::retrain::train_retraining;
 use lehdc::{
     AdaptiveConfig, EncodedDataset, EpochEngine, HdcModel, MultiModelConfig, RetrainConfig,
     TrainingHistory,
@@ -76,6 +76,10 @@ fn live_recorder() -> obs::Recorder {
         .build()
 }
 
+/// The engine grid the block-sensitive strategies are pinned across.
+const THREADS: [usize; 3] = [1, 2, 4];
+const BLOCKS: [usize; 4] = [1, 7, 64, 256];
+
 // ---------------------------------------------------------------------------
 // Bit-identity across threads, engine block sizes, and recorder state
 // ---------------------------------------------------------------------------
@@ -88,16 +92,12 @@ fn retraining_is_bit_identical_across_threads_and_blocks() {
         iterations: 8,
         ..RetrainConfig::default()
     };
-    let disabled = obs::Recorder::disabled();
     let (reference, ref_hist) =
-        train_retraining_with_engine(&train, Some(&test), &cfg, &EpochEngine::new(1), &disabled)
-            .unwrap();
-    for threads in [1usize, 4] {
-        for block in [1usize, 7, 64, 256] {
+        train_retraining(&train, Some(&test), &cfg, &EpochEngine::default()).unwrap();
+    for threads in THREADS {
+        for block in BLOCKS {
             let engine = EpochEngine::with_block(threads, block);
-            let (model, hist) =
-                train_retraining_with_engine(&train, Some(&test), &cfg, &engine, &disabled)
-                    .unwrap();
+            let (model, hist) = train_retraining(&train, Some(&test), &cfg, &engine).unwrap();
             assert_eq!(
                 model, reference,
                 "retraining diverged at threads={threads} block={block}"
@@ -109,6 +109,8 @@ fn retraining_is_bit_identical_across_threads_and_blocks() {
 
 #[test]
 fn enhanced_and_adaptive_are_bit_identical_across_threads() {
+    // Both read the block through `similarities_epoch`, so they are pinned
+    // across the same (threads, block) grid as retraining.
     let train = corpus(3, 3, 512, 90, 3);
     let test = corpus(3, 3, 512, 30, 4);
     let rcfg = RetrainConfig {
@@ -119,18 +121,19 @@ fn enhanced_and_adaptive_are_bit_identical_across_threads() {
         iterations: 6,
         ..AdaptiveConfig::default()
     };
-    let disabled = obs::Recorder::disabled();
-    let (e1, eh1) = train_enhanced_recorded(&train, Some(&test), &rcfg, 1, &disabled).unwrap();
-    let (a1, ah1) = train_adaptive_recorded(&train, Some(&test), &acfg, 1, &disabled).unwrap();
-    for threads in [2usize, 4] {
-        let (e, eh) =
-            train_enhanced_recorded(&train, Some(&test), &rcfg, threads, &disabled).unwrap();
-        let (a, ah) =
-            train_adaptive_recorded(&train, Some(&test), &acfg, threads, &disabled).unwrap();
-        assert_eq!(e, e1, "enhanced diverged at {threads} threads");
-        assert_eq!(a, a1, "adaptive diverged at {threads} threads");
-        assert_eq!(strip_timing(&eh), strip_timing(&eh1));
-        assert_eq!(strip_timing(&ah), strip_timing(&ah1));
+    let reference = EpochEngine::default();
+    let (e1, eh1) = train_enhanced(&train, Some(&test), &rcfg, &reference).unwrap();
+    let (a1, ah1) = train_adaptive(&train, Some(&test), &acfg, &reference).unwrap();
+    for threads in THREADS {
+        for block in BLOCKS {
+            let engine = EpochEngine::with_block(threads, block);
+            let (e, eh) = train_enhanced(&train, Some(&test), &rcfg, &engine).unwrap();
+            let (a, ah) = train_adaptive(&train, Some(&test), &acfg, &engine).unwrap();
+            assert_eq!(e, e1, "enhanced diverged at threads={threads} block={block}");
+            assert_eq!(a, a1, "adaptive diverged at threads={threads} block={block}");
+            assert_eq!(strip_timing(&eh), strip_timing(&eh1));
+            assert_eq!(strip_timing(&ah), strip_timing(&ah1));
+        }
     }
 }
 
@@ -143,49 +146,76 @@ fn multimodel_and_nonbinary_are_bit_identical_across_threads() {
         iterations: 3,
         ..MultiModelConfig::quick()
     };
-    let disabled = obs::Recorder::disabled();
-    let (mm1, mh1) = train_multimodel_recorded(&train, Some(&test), &cfg, 1, &disabled).unwrap();
-    let (nb1, nh1) = train_nonbinary_recorded(&train, Some(&test), 1.0, 4, 1, &disabled).unwrap();
-    // the threaded paths must also match the historical serial entry point
-    let (mm_legacy, _) = train_multimodel(&train, Some(&test), &cfg).unwrap();
-    assert_eq!(mm1.accuracy(test.hvs(), test.labels()), mm_legacy.accuracy(test.hvs(), test.labels()));
+    let reference = EpochEngine::default();
+    let (mm1, mh1) = train_multimodel(&train, Some(&test), &cfg, &reference).unwrap();
+    let (nb1, nh1) = train_nonbinary(&train, Some(&test), 1.0, 4, &reference).unwrap();
     for threads in [2usize, 4] {
-        let (mm, mh) =
-            train_multimodel_recorded(&train, Some(&test), &cfg, threads, &disabled).unwrap();
-        let (nb, nh) =
-            train_nonbinary_recorded(&train, Some(&test), 1.0, 4, threads, &disabled).unwrap();
+        let engine = EpochEngine::new(threads);
+        let (mm, mh) = train_multimodel(&train, Some(&test), &cfg, &engine).unwrap();
+        let (nb, nh) = train_nonbinary(&train, Some(&test), 1.0, 4, &engine).unwrap();
+        assert_eq!(mm, mm1, "multimodel diverged at {threads} threads");
+        assert_eq!(nb, nb1, "nonbinary diverged at {threads} threads");
         assert_eq!(strip_timing(&mh), strip_timing(&mh1), "multimodel history diverged");
         assert_eq!(strip_timing(&nh), strip_timing(&nh1), "nonbinary history diverged");
-        assert_eq!(
-            mm.accuracy(test.hvs(), test.labels()),
-            mm1.accuracy(test.hvs(), test.labels()),
-            "multimodel accuracy diverged at {threads} threads"
-        );
-        assert_eq!(
-            nb.to_binary().unwrap(),
-            nb1.to_binary().unwrap(),
-            "nonbinary model diverged at {threads} threads"
-        );
     }
+}
+
+/// Trains once on `engine` and once on the same engine recording into a
+/// live recorder: the models and the histories without timing must match,
+/// and timing must be attached iff the recorder is enabled.
+fn assert_recorder_free<M: PartialEq + std::fmt::Debug>(
+    name: &str,
+    engine: &EpochEngine,
+    run: impl Fn(&EpochEngine) -> (M, TrainingHistory),
+) {
+    let (plain, plain_hist) = run(engine);
+    let (recorded, rec_hist) = run(&engine.clone().with_recorder(live_recorder()));
+    let at = format!("{name} on {engine:?}");
+    assert_eq!(plain, recorded, "{at}");
+    assert_eq!(strip_timing(&plain_hist), strip_timing(&rec_hist), "{at}");
+    assert!(plain_hist.records().iter().all(|r| r.timing.is_none()), "{at}");
+    assert!(rec_hist.records().iter().all(|r| r.timing.is_some()), "{at}");
 }
 
 #[test]
 fn recorder_never_perturbs_results() {
     let train = corpus(3, 2, 256, 60, 7);
-    let cfg = RetrainConfig {
+    let test = corpus(3, 2, 256, 21, 8);
+    let rcfg = RetrainConfig {
         iterations: 4,
         ..RetrainConfig::default()
     };
-    let rec = live_recorder();
-    assert!(rec.enabled());
-    let (plain, plain_hist) =
-        train_retraining_recorded(&train, None, &cfg, 2, &obs::Recorder::disabled()).unwrap();
-    let (recorded, rec_hist) = train_retraining_recorded(&train, None, &cfg, 2, &rec).unwrap();
-    assert_eq!(plain, recorded);
-    assert_eq!(strip_timing(&plain_hist), strip_timing(&rec_hist));
-    // timing is attached iff the recorder is enabled
-    assert!(plain_hist.records().iter().all(|r| r.timing.is_none()));
-    assert!(rec_hist.records().iter().all(|r| r.timing.is_some()));
+    let acfg = AdaptiveConfig {
+        iterations: 4,
+        ..AdaptiveConfig::default()
+    };
+    let mcfg = MultiModelConfig {
+        models_per_class: 4,
+        iterations: 3,
+        ..MultiModelConfig::quick()
+    };
+    assert!(live_recorder().enabled());
+    for threads in THREADS {
+        for block in BLOCKS {
+            let engine = EpochEngine::with_block(threads, block);
+            let test = Some(&test);
+            assert_recorder_free("retraining", &engine, |e| {
+                train_retraining(&train, test, &rcfg, e).unwrap()
+            });
+            assert_recorder_free("enhanced", &engine, |e| {
+                train_enhanced(&train, test, &rcfg, e).unwrap()
+            });
+            assert_recorder_free("adaptive", &engine, |e| {
+                train_adaptive(&train, test, &acfg, e).unwrap()
+            });
+            assert_recorder_free("multimodel", &engine, |e| {
+                train_multimodel(&train, test, &mcfg, e).unwrap()
+            });
+            assert_recorder_free("nonbinary", &engine, |e| {
+                train_nonbinary(&train, test, 1.0, 3, e).unwrap()
+            });
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -205,7 +235,7 @@ fn sequential_retrain(
 ) -> (HdcModel, Vec<f64>) {
     let k = train.n_classes();
     let d = train.dim().get();
-    let mut nonbinary: Vec<RealHv> = accumulate_class_sums(train).unwrap();
+    let mut nonbinary: Vec<RealHv> = accumulate_class_sums(train, &EpochEngine::default()).unwrap();
     let mut model =
         HdcModel::new(nonbinary.iter().map(RealHv::sign).collect::<Vec<_>>()).unwrap();
     let mut accuracies = Vec::new();
@@ -254,7 +284,7 @@ fn batched_retraining_matches_sequential_integer_vote_reference_exactly() {
         ..RetrainConfig::default()
     };
     let (reference, ref_accs) = sequential_retrain(&train, &cfg, true);
-    let (batched, hist) = train_retraining(&train, None, &cfg).unwrap();
+    let (batched, hist) = train_retraining(&train, None, &cfg, &EpochEngine::default()).unwrap();
     assert_eq!(batched, reference, "integer-vote application must be exact");
     assert_eq!(hist.train_series(), ref_accs);
 }
@@ -267,7 +297,7 @@ fn batched_trajectory_tracks_historical_f32_semantics() {
         ..RetrainConfig::default()
     };
     let (_, legacy_accs) = sequential_retrain(&train, &cfg, false);
-    let (_, hist) = train_retraining(&train, None, &cfg).unwrap();
+    let (_, hist) = train_retraining(&train, None, &cfg, &EpochEngine::default()).unwrap();
     let new_accs = hist.train_series();
     assert_eq!(new_accs.len(), legacy_accs.len());
     // Identical first iteration (the initial model is shared), and the
@@ -285,9 +315,9 @@ fn batched_trajectory_tracks_historical_f32_semantics() {
 #[test]
 fn pooled_class_sums_match_serial_exactly() {
     let train = corpus(5, 2, 512, 150, 10);
-    let serial = accumulate_class_sums(&train).unwrap();
+    let serial = accumulate_class_sums(&train, &EpochEngine::default()).unwrap();
     for threads in [1usize, 2, 4] {
-        let pooled = accumulate_class_sums_pooled(&train, threads).unwrap();
+        let pooled = accumulate_class_sums(&train, &EpochEngine::new(threads)).unwrap();
         assert_eq!(pooled, serial, "pooled sums diverged at {threads} threads");
     }
 }
@@ -317,8 +347,7 @@ fn enhanced_tie_break_prefers_lowest_class_index() {
         iterations: 1,
         ..RetrainConfig::default()
     };
-    let (_, hist) =
-        train_enhanced_recorded(&train, None, &cfg, 1, &obs::Recorder::disabled()).unwrap();
+    let (_, hist) = train_enhanced(&train, None, &cfg, &EpochEngine::default()).unwrap();
     // Ties resolve to class 0: the four class-0 and four class-2 samples are
     // correct, the two class-1 samples lose their tie → exactly 8/10. The
     // historical last-minimum scan predicted class 1 on ties → 6/10.
@@ -332,8 +361,7 @@ fn adaptive_tie_break_prefers_lowest_class_index() {
         iterations: 1,
         ..AdaptiveConfig::default()
     };
-    let (_, hist) =
-        train_adaptive_recorded(&train, None, &cfg, 1, &obs::Recorder::disabled()).unwrap();
+    let (_, hist) = train_adaptive(&train, None, &cfg, &EpochEngine::default()).unwrap();
     assert_eq!(hist.train_series(), vec![0.8]);
 }
 
@@ -341,7 +369,7 @@ fn adaptive_tie_break_prefers_lowest_class_index() {
 fn tie_break_matches_model_classify() {
     // The engine path and model.classify must agree on the tied query.
     let train = tied_corpus(Dim::new(256));
-    let model = train_baseline(&train, 0).unwrap();
+    let model = train_baseline(&train, 0, &EpochEngine::default()).unwrap();
     let p = train.sample(0).0;
     assert_eq!(model.classify(p), 0, "argmax kernels break ties low");
     let engine = EpochEngine::new(2);
@@ -381,7 +409,6 @@ fn golden_strategy_outputs_on_fixed_corpus() {
         .unwrap()
     };
     let (train, test) = (split(0..200), split(200..280));
-    let disabled = obs::Recorder::disabled();
     let rcfg = RetrainConfig {
         iterations: 8,
         ..RetrainConfig::default()
@@ -391,10 +418,10 @@ fn golden_strategy_outputs_on_fixed_corpus() {
         ..AdaptiveConfig::default()
     };
 
-    let (re, re_hist) =
-        train_retraining_recorded(&train, Some(&test), &rcfg, 4, &disabled).unwrap();
-    let (en, en_hist) = train_enhanced_recorded(&train, Some(&test), &rcfg, 4, &disabled).unwrap();
-    let (ad, ad_hist) = train_adaptive_recorded(&train, Some(&test), &acfg, 4, &disabled).unwrap();
+    let engine = EpochEngine::new(4);
+    let (re, re_hist) = train_retraining(&train, Some(&test), &rcfg, &engine).unwrap();
+    let (en, en_hist) = train_enhanced(&train, Some(&test), &rcfg, &engine).unwrap();
+    let (ad, ad_hist) = train_adaptive(&train, Some(&test), &acfg, &engine).unwrap();
 
     let observed = [
         ("retraining", fingerprint(&re), summary(&re_hist)),

@@ -57,6 +57,7 @@ fn main() {
             pipeline.encoded_train(),
             Some(pipeline.encoded_test()),
             &cfg,
+            &obs::Recorder::disabled(),
         )
         .expect("lehdc");
         let first = history.records().first().and_then(|r| r.test_accuracy);
@@ -113,6 +114,7 @@ fn main() {
             pipeline.encoded_train(),
             Some(pipeline.encoded_test()),
             &cfg,
+            &obs::Recorder::disabled(),
         )
         .expect("lehdc");
         let test = pipeline.encoded_test();

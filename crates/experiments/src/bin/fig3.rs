@@ -11,8 +11,8 @@
 
 use hdc::Dim;
 use hdc_datasets::BenchmarkProfile;
-use lehdc::enhanced::train_enhanced_recorded;
-use lehdc::retrain::train_retraining_recorded;
+use lehdc::enhanced::train_enhanced;
+use lehdc::retrain::train_retraining;
 use lehdc::{Pipeline, RetrainConfig};
 use lehdc_experiments::{render_series, Options};
 
@@ -56,22 +56,11 @@ fn main() {
         ..RetrainConfig::default()
     };
 
-    let (_, basic) = train_retraining_recorded(
-        pipeline.encoded_train(),
-        Some(pipeline.encoded_test()),
-        &cfg,
-        opts.threads,
-        &rec,
-    )
-    .expect("basic retraining");
-    let (_, enhanced) = train_enhanced_recorded(
-        pipeline.encoded_train(),
-        Some(pipeline.encoded_test()),
-        &cfg,
-        opts.threads,
-        &rec,
-    )
-    .expect("enhanced retraining");
+    let (train, test) = (pipeline.encoded_train(), pipeline.encoded_test());
+    let (_, basic) = train_retraining(train, Some(test), &cfg, pipeline.engine())
+        .expect("basic retraining");
+    let (_, enhanced) =
+        train_enhanced(train, Some(test), &cfg, pipeline.engine()).expect("enhanced retraining");
 
     let xs: Vec<String> = (0..iterations).map(|i| i.to_string()).collect();
     println!(

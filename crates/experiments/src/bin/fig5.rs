@@ -77,6 +77,7 @@ fn main() {
             pipeline.encoded_train(),
             Some(pipeline.encoded_test()),
             cfg,
+            &obs::Recorder::disabled(),
         )
         .expect("lehdc training");
         summary.row(vec![

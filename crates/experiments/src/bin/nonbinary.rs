@@ -50,7 +50,7 @@ fn main() {
 
         let baseline = pipeline.run(Strategy::Baseline).expect("baseline");
         let nb_baseline = train_nonbinary_baseline(train).expect("nb baseline");
-        let (lehdc, _) = train_lehdc(train, None, &cfg).expect("lehdc");
+        let (lehdc, _) = train_lehdc(train, None, &cfg, &obs::Recorder::disabled()).expect("lehdc");
         let (nb_lehdc, _) = train_lehdc_nonbinary(train, None, &cfg).expect("nb lehdc");
 
         table.row(vec![

@@ -102,12 +102,11 @@ fn main() {
                     iterations: 1,
                     ..MultiModelConfig::quick()
                 };
-                let (mm, _) = lehdc::multimodel::train_multimodel_recorded(
+                let (mm, _) = lehdc::multimodel::train_multimodel(
                     pipeline.encoded_train(),
                     None,
                     &cfg,
-                    opts.threads,
-                    &rec,
+                    pipeline.engine(),
                 )
                 .expect("multimodel");
                 let built = start.elapsed(); // exclude build time below

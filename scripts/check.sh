@@ -54,6 +54,18 @@ cut -d, -f2- "$smoke_dir/train.csv" > "$smoke_dir/features.csv"
 ./target/release/lehdc_cli predict \
     --model "$smoke_dir/model.lehdc" --data "$smoke_dir/features.csv" \
     > "$smoke_dir/offline.txt"
+# The same predictions with the recorder on: the inference spans land in
+# valid JSON lines and change no answer.
+./target/release/lehdc_cli predict \
+    --model "$smoke_dir/model.lehdc" --data "$smoke_dir/features.csv" --threads 2 \
+    --metrics-out "$smoke_dir/predict.jsonl" > "$smoke_dir/offline_recorded.txt"
+./target/release/jsonl_check "$smoke_dir/predict.jsonl"
+for event in encode classify; do
+    grep -q "\"event\": \"$event\"" "$smoke_dir/predict.jsonl" \
+        || { echo "ERROR: no \"$event\" event in predict.jsonl" >&2; exit 1; }
+done
+cmp "$smoke_dir/offline.txt" "$smoke_dir/offline_recorded.txt" \
+    || { echo "ERROR: predict --metrics-out changed the predictions" >&2; exit 1; }
 serve_tiers="scalar"
 if grep -q '\bavx2\b' /proc/cpuinfo 2>/dev/null; then
     serve_tiers="scalar avx2"

@@ -38,7 +38,9 @@ use lehdc_suite::datasets::loader::csv::{load_csv, LabelColumn};
 use lehdc_suite::datasets::TrainTest;
 use lehdc_suite::hdc::{Dim, Encode};
 use lehdc_suite::lehdc::io::{describe_file, load_bundle, save_bundle, ModelBundle};
-use lehdc_suite::lehdc::{AdaptiveConfig, LehdcConfig, Pipeline, RetrainConfig, Strategy};
+use lehdc_suite::lehdc::{
+    AdaptiveConfig, EpochEngine, LehdcConfig, Pipeline, RetrainConfig, Strategy,
+};
 use lehdc_suite::serve::flags::{parse_flags, parse_num, required};
 use lehdc_suite::{obs, threadpool};
 
@@ -304,7 +306,7 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
         .map(|i| dataset.row(i).to_vec())
         .collect();
     let predictions = bundle
-        .classify_all_recorded(&rows, threads, &rec)
+        .classify_all_recorded(&rows, &EpochEngine::new(threads).with_recorder(rec.clone()))
         .map_err(|e| e.to_string())?;
     let mut correct = 0usize;
     let mut confusion = binnet::ConfusionMatrix::new(bundle.model.n_classes());
@@ -361,7 +363,7 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
     // scratch per worker), and classifies through the blocked argmax —
     // same prediction per row as the one-at-a-time `bundle.classify`.
     let predictions = bundle
-        .classify_all_recorded(&rows, threads, &rec)
+        .classify_all_recorded(&rows, &EpochEngine::new(threads).with_recorder(rec.clone()))
         .map_err(|e| e.to_string())?;
     for predicted in predictions {
         println!("{predicted}");

@@ -6,7 +6,7 @@ use lehdc_suite::datasets::BenchmarkProfile;
 use lehdc_suite::hdc::{Dim, NgramEncoder};
 use lehdc_suite::lehdc::baseline::train_baseline;
 use lehdc_suite::lehdc::lehdc_trainer::train_lehdc;
-use lehdc_suite::lehdc::{EncodedDataset, LehdcConfig};
+use lehdc_suite::lehdc::{EncodedDataset, EpochEngine, LehdcConfig};
 
 #[test]
 fn lehdc_trains_on_ngram_encodings() {
@@ -16,12 +16,14 @@ fn lehdc_trains_on_ngram_encodings() {
         .generate(11)
         .unwrap();
     let encoder = NgramEncoder::new(Dim::new(1024), 24, 3, 16, (0.0, 1.0), 11).unwrap();
-    let train = EncodedDataset::encode(&data.train, &encoder, 2).unwrap();
-    let test = EncodedDataset::encode(&data.test, &encoder, 2).unwrap();
+    let engine = EpochEngine::new(2);
+    let train = EncodedDataset::encode(&data.train, &encoder, &engine).unwrap();
+    let test = EncodedDataset::encode(&data.test, &encoder, &engine).unwrap();
 
-    let baseline = train_baseline(&train, 0).unwrap();
+    let baseline = train_baseline(&train, 0, &engine).unwrap();
+    let cfg = LehdcConfig::quick().with_epochs(15);
     let (learned, history) =
-        train_lehdc(&train, Some(&test), &LehdcConfig::quick().with_epochs(15)).unwrap();
+        train_lehdc(&train, Some(&test), &cfg, &obs::Recorder::disabled()).unwrap();
 
     let base_acc = baseline.accuracy(test.hvs(), test.labels());
     let lehdc_acc = learned.accuracy(test.hvs(), test.labels());
@@ -48,8 +50,9 @@ fn record_and_ngram_encoders_yield_same_artifact_shape() {
         .build()
         .unwrap();
     let ngram = NgramEncoder::new(Dim::new(512), 16, 2, 16, (0.0, 1.0), 1).unwrap();
-    let enc_record = EncodedDataset::encode(&data.train, &record, 1).unwrap();
-    let enc_ngram = EncodedDataset::encode(&data.train, &ngram, 1).unwrap();
+    let engine = EpochEngine::default();
+    let enc_record = EncodedDataset::encode(&data.train, &record, &engine).unwrap();
+    let enc_ngram = EncodedDataset::encode(&data.train, &ngram, &engine).unwrap();
     assert_eq!(enc_record.dim(), enc_ngram.dim());
     assert_eq!(enc_record.len(), enc_ngram.len());
     assert_eq!(enc_record.labels(), enc_ngram.labels());

@@ -71,9 +71,10 @@ fn trained_model_roundtrips_through_disk() {
     assert_eq!(restored, model);
     // The restored model classifies identically.
     let test = pipeline.encoded_test();
+    let engine = pipeline.engine();
     assert_eq!(
-        restored.classify_all(test.hvs()),
-        model.classify_all(test.hvs())
+        engine.classify_epoch(&restored, test.hvs()),
+        engine.classify_epoch(&model, test.hvs())
     );
 }
 

@@ -76,7 +76,8 @@ fn rendered_at_both_thread_counts(warm_start: bool) -> String {
                 threads,
                 ..LehdcConfig::default()
             };
-            let (model, history) = train_lehdc(&train, None, &cfg).expect("training succeeds");
+            let (model, history) = train_lehdc(&train, None, &cfg, &obs::Recorder::disabled())
+                .expect("training succeeds");
             let (pops, fnv) = fingerprint(&model);
             let losses: Vec<String> = history
                 .records()
