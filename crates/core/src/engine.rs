@@ -52,10 +52,15 @@ pub struct EpochEngine {
 }
 
 /// A frozen classifier an [`EpochEngine`] can run a whole corpus through.
-pub trait Classifier {
-    /// Predicts every query in order, fanned out over `engine`'s pool.
-    /// Identical to a per-query classify loop at any thread count and block.
-    fn classify_batch(&self, queries: &[BinaryHv], engine: &EpochEngine) -> Vec<usize>;
+pub trait Classifier: Sync {
+    /// The query dimension the classifier expects.
+    fn dim(&self) -> Dim;
+
+    /// Writes the prediction for `queries[i]` into `out[i]` on the calling
+    /// thread, tiling the scan by `block` queries. Identical to a per-query
+    /// classify loop for every block size; [`EpochEngine::classify_into`]
+    /// hands each pool chunk one call.
+    fn classify_into(&self, queries: &[BinaryHv], out: &mut [usize], block: usize);
 }
 
 impl EpochEngine {
@@ -121,15 +126,35 @@ impl EpochEngine {
     }
 
     /// Classifies the whole corpus against a frozen model in one blocked,
-    /// thread-chunked fan-out — the batched replacement for a per-sample
-    /// `model.classify(hv)` loop. Identical to that loop bit-for-bit.
+    /// thread-chunked fan-out, writing `out[i]` for `queries[i]`: each pool
+    /// chunk fills its own slice of `out`, so nothing is gathered or
+    /// spliced. Identical bit-for-bit to a per-sample `model.classify(hv)`
+    /// loop at any thread count and block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != queries.len()` or any query dimension differs
+    /// from the model's.
+    pub fn classify_into<M: Classifier>(&self, model: &M, queries: &[BinaryHv], out: &mut [usize]) {
+        assert_eq!(queries.len(), out.len(), "one prediction slot per query");
+        check_dims(queries, model.dim());
+        let block = self.block_for(model.dim());
+        self.pool
+            .for_each_chunk_mut(out, queries.len(), 1, |range, preds| {
+                model.classify_into(&queries[range], preds, block);
+            });
+    }
+
+    /// [`classify_into`](Self::classify_into) a fresh vector.
     ///
     /// # Panics
     ///
     /// Panics if any query dimension differs from the model's.
     #[must_use]
     pub fn classify_epoch<M: Classifier>(&self, model: &M, queries: &[BinaryHv]) -> Vec<usize> {
-        model.classify_batch(queries, self)
+        let mut preds = vec![0; queries.len()];
+        self.classify_into(model, queries, &mut preds);
+        preds
     }
 
     /// Accuracy of a frozen model over `queries`, through
@@ -153,25 +178,6 @@ impl EpochEngine {
         correct as f64 / queries.len() as f64
     }
 
-    /// The index of the first row with the largest dot product for every
-    /// query: one blocked argmax per pool chunk, spliced in query order.
-    pub(crate) fn argmax_rows(
-        &self,
-        rows: &[&[u64]],
-        dim: Dim,
-        queries: &[BinaryHv],
-    ) -> Vec<usize> {
-        check_dims(queries, dim);
-        let block = self.block_for(dim);
-        let parts = self.pool.run_chunks(queries.len(), |range| {
-            let chunk: Vec<&[u64]> = queries[range].iter().map(BinaryHv::as_words).collect();
-            let mut preds = vec![0usize; chunk.len()];
-            kernels::argmax_dot_blocked_into(&chunk, rows, block, &mut preds);
-            preds
-        });
-        parts.concat()
-    }
-
     /// The full logit matrix of a frozen model over the corpus: row `i`
     /// holds the `n_classes` exact integer dot products of `queries[i]`,
     /// row-major (`out[i·K + k]`). This is the batched forward the
@@ -183,17 +189,14 @@ impl EpochEngine {
     #[must_use]
     pub fn similarities_epoch(&self, model: &HdcModel, queries: &[BinaryHv]) -> Vec<i64> {
         check_dims(queries, model.dim());
-        let d = model.dim().get();
-        let k = model.n_classes();
-        let rows: Vec<&[u64]> = model.class_hvs().iter().map(BinaryHv::as_words).collect();
+        let (d, k) = (model.dim().get(), model.n_classes());
         let block = self.block_for(model.dim());
-        let parts = self.pool.run_chunks(queries.len(), |range| {
-            let chunk: Vec<&[u64]> = queries[range].iter().map(BinaryHv::as_words).collect();
-            let mut out = vec![0i64; chunk.len() * k];
-            kernels::dots_blocked_into(d, &chunk, &rows, block, &mut out);
-            out
-        });
-        parts.concat()
+        let mut logits = vec![0i64; queries.len() * k];
+        self.pool
+            .for_each_chunk_mut(&mut logits, queries.len(), k, |range, out| {
+                kernels::dots_blocked_into(d, &queries[range], model.class_hvs(), block, out);
+            });
+        logits
     }
 
     /// Closes one strategy iteration: folds its spans into the recorder
@@ -528,30 +531,69 @@ pub(crate) fn retrain_loop<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc::Dim;
+    use crate::model::NonBinaryModel;
+    use crate::multimodel::{train_multimodel, MultiModelConfig};
 
     fn corpus(d: Dim, n: usize, seed: u64) -> Vec<BinaryHv> {
         let mut rng = hdc::rng::rng_for(seed, 0xE9);
         (0..n).map(|_| BinaryHv::random(d, &mut rng)).collect()
     }
 
-    #[test]
-    fn classify_epoch_matches_serial_classify() {
-        let d = Dim::new(517);
-        let classes = corpus(d, 5, 1);
-        let model = HdcModel::new(classes).unwrap();
-        let queries = corpus(d, 33, 2);
-        let serial: Vec<usize> = queries.iter().map(|q| model.classify(q)).collect();
+    /// `classify_epoch`, and `classify_into` over a `usize::MAX`-filled
+    /// output, against the per-query `serial` predictions at every
+    /// `(threads, block)`.
+    fn assert_batch_matches_serial<M: Classifier>(
+        model: &M,
+        queries: &[BinaryHv],
+        serial: &[usize],
+    ) {
         for threads in [1, 4] {
             for block in [1, 7, 64] {
                 let engine = EpochEngine::with_block(threads, block);
-                assert_eq!(
-                    engine.classify_epoch(&model, &queries),
-                    serial,
-                    "threads={threads} block={block}"
-                );
+                let ctx = format!("threads={threads} block={block}");
+                assert_eq!(engine.classify_epoch(model, queries), serial, "{ctx}");
+                let mut out = vec![usize::MAX; queries.len()];
+                engine.classify_into(model, queries, &mut out);
+                assert_eq!(out, serial, "classify_into {ctx}");
             }
         }
+    }
+
+    #[test]
+    fn classify_epoch_matches_serial_classify() {
+        let d = Dim::new(517);
+        let queries = corpus(d, 33, 2);
+
+        let model = HdcModel::new(corpus(d, 5, 1)).unwrap();
+        let serial: Vec<usize> = queries.iter().map(|q| model.classify(q)).collect();
+        assert_batch_matches_serial(&model, &queries, &serial);
+
+        let nonbinary = NonBinaryModel::new(
+            corpus(d, 5, 3)
+                .iter()
+                .zip(corpus(d, 5, 4))
+                .map(|(a, b)| {
+                    let mut c = RealHv::from_binary(a);
+                    c.add_scaled(&b, 0.5);
+                    c
+                })
+                .collect(),
+        )
+        .unwrap();
+        let serial: Vec<usize> = queries.iter().map(|q| nonbinary.classify(q)).collect();
+        assert_batch_matches_serial(&nonbinary, &queries, &serial);
+
+        // 4 classes × 64 models of 9 words outsize the kernel's 16 KB
+        // per-query fallback, so this runs the blocked scan.
+        let train = crate::test_util::multimodal_corpus(4, 6, d.get(), 40, 5);
+        let config = MultiModelConfig {
+            models_per_class: 64,
+            iterations: 1,
+            ..MultiModelConfig::default()
+        };
+        let (multi, _) = train_multimodel(&train, None, &config, &EpochEngine::default()).unwrap();
+        let serial: Vec<usize> = queries.iter().map(|q| multi.classify(q)).collect();
+        assert_batch_matches_serial(&multi, &queries, &serial);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::error::LehdcError;
 use crate::format::{
     self, meta_f32, read_varint, truncated, write_varint, Artifact, Compression, MetaWriter,
 };
-use crate::model::{project_dims, HdcModel};
+use crate::model::{project_dims, project_dims_into, HdcModel};
 
 const LEGACY_MODEL_MAGIC: &[u8; 8] = b"LEHDCMDL";
 const LEGACY_MODEL_VERSION: u32 = 1;
@@ -319,51 +319,104 @@ impl ModelBundle {
         Ok(())
     }
 
-    /// Projects an encoder-dimension query onto the model's kept dims.
-    /// Identity (no cost) for non-distilled bundles.
-    #[must_use]
-    pub fn project_query(&self, hv: BinaryHv) -> BinaryHv {
-        match &self.selection {
-            Some(sel) => project_dims(&hv, sel),
-            None => hv,
-        }
-    }
-
-    /// Classifies one raw feature vector end-to-end (normalize + encode +
-    /// project + Hamming inference).
+    /// Classifies one raw feature vector end-to-end (row check, normalize,
+    /// encode, project, Hamming inference): the per-row reference every
+    /// batch path is compared against.
     ///
     /// # Errors
     ///
-    /// Returns [`LehdcError::Hdc`] if `features.len()` differs from the
-    /// encoder's feature count, and [`LehdcError::InvalidConfig`] naming
-    /// the first non-finite feature (NaN/±inf cannot be quantized).
+    /// Returns [`LehdcError::InvalidConfig`] with the
+    /// [`check_row`](Self::check_row) rejection if the row fails it.
     pub fn classify(&self, features: &[f32]) -> Result<usize, LehdcError> {
-        if let Some(i) = features.iter().position(|v| !v.is_finite()) {
-            return Err(LehdcError::InvalidConfig(format!(
-                "feature {i} is not finite (NaN/±inf cannot be quantized)"
-            )));
+        self.check_row(features).map_err(LehdcError::InvalidConfig)?;
+        let mut row = features.to_vec();
+        if let Some(norm) = &self.normalizer {
+            norm.apply_row(&mut row);
         }
-        let hv = match &self.normalizer {
-            Some(norm) => {
-                if features.len() != norm.n_features() {
-                    return Err(LehdcError::Hdc(hdc::HdcError::FeatureCountMismatch {
-                        expected: norm.n_features(),
-                        actual: features.len(),
-                    }));
-                }
-                let mut row = features.to_vec();
-                norm.apply_row(&mut row);
-                self.encoder.encode(&row)?
-            }
-            None => self.encoder.encode(features)?,
-        };
-        Ok(self.model.classify(&self.project_query(hv)))
+        let hv = self.encoder.encode(&row)?;
+        Ok(match &self.selection {
+            Some(sel) => self.model.classify(&project_dims(&hv, sel)),
+            None => self.model.classify(&hv),
+        })
     }
 
     /// Expected raw feature count per classify request.
     #[must_use]
     pub fn n_features(&self) -> usize {
         self.encoder.n_features()
+    }
+
+    /// The check every raw row passes before it is encoded: the encoder's
+    /// feature count, and no NaN/±inf (they cannot be quantized). The
+    /// message does not name the row; each caller says where it came from.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rejection text: `expected N features, got M` or
+    /// `feature j is not finite (NaN/±inf cannot be quantized)`.
+    pub fn check_row(&self, row: &[f32]) -> Result<(), String> {
+        let expected = self.encoder.n_features();
+        if row.len() != expected {
+            return Err(format!("expected {expected} features, got {}", row.len()));
+        }
+        match row.iter().position(|v| !v.is_finite()) {
+            Some(j) => Err(format!(
+                "feature {j} is not finite (NaN/±inf cannot be quantized)"
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// [`check_row`](Self::check_row) over a batch, naming the first row
+    /// that fails by its index in `rows`.
+    fn check_rows<R: AsRef<[f32]>>(&self, rows: &[R]) -> Result<(), LehdcError> {
+        rows.iter().enumerate().try_for_each(|(i, row)| {
+            self.check_row(row.as_ref())
+                .map_err(|msg| LehdcError::InvalidConfig(format!("row {i}: {msg}")))
+        })
+    }
+
+    /// The raw-row batch path up to classification: checks every row
+    /// ([`check_row`](Self::check_row)), normalizes the rows into
+    /// `buffers`, encodes them with the encoder's pooled batch encode on
+    /// `pool`, and projects distilled queries onto the kept dims in place.
+    /// Returns the model-dimension queries, row `i` at index `i`, ready for
+    /// [`EpochEngine::classify_into`] against [`ModelBundle::model`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LehdcError::InvalidConfig`] naming the first row that fails
+    /// the row check, before anything is encoded.
+    pub fn encode_batch<'b, R: AsRef<[f32]>>(
+        &self,
+        rows: &[R],
+        buffers: &'b mut QueryBuffers,
+        pool: ThreadPool,
+    ) -> Result<&'b [BinaryHv], LehdcError> {
+        self.check_rows(rows)?;
+        let QueryBuffers {
+            features,
+            encoded,
+            projected,
+        } = buffers;
+        features.clear();
+        for row in rows {
+            let start = features.len();
+            features.extend_from_slice(row.as_ref());
+            if let Some(norm) = &self.normalizer {
+                norm.apply_row(&mut features[start..]);
+            }
+        }
+        let encoded = sized(encoded, rows.len(), self.encoder.dim());
+        self.encoder.encode_batch_into(features, encoded, pool)?;
+        let Some(sel) = &self.selection else {
+            return Ok(encoded);
+        };
+        let projected = sized(projected, rows.len(), self.model.dim());
+        for (query, out) in encoded.iter().zip(projected.iter_mut()) {
+            project_dims_into(query, sel, out);
+        }
+        Ok(projected)
     }
 
     /// Classifies a batch of raw feature vectors end-to-end on `threads`
@@ -378,15 +431,16 @@ impl ModelBundle {
     }
 
     /// Classifies a batch of raw feature vectors end-to-end on `engine`:
-    /// the encode fans out over its pool with one [`hdc::EncodeScratch`]
-    /// per chunk, and the packed queries are answered by one
-    /// [`EpochEngine::classify_epoch`]. Results are in query order and
-    /// bit-identical to calling [`ModelBundle::classify`] per row at any
-    /// thread count.
+    /// [`encode_batch`](Self::encode_batch) then
+    /// [`EpochEngine::classify_into`], a window of 256 rows at a time over
+    /// one set of buffers, so the working memory does not grow with the
+    /// batch. Results are bit-identical to [`ModelBundle::classify`] per
+    /// row at any thread count.
     ///
     /// The engine's recorder gets an `encode/ns` span and one `encode`
     /// event, then a `classify/corpus_ns` span, a `classify/samples` count,
-    /// a `classify/samples_per_sec` gauge and one `classify` event.
+    /// a `classify/samples_per_sec` gauge and one `classify` event, the
+    /// spans summed over the windows.
     ///
     /// # Errors
     ///
@@ -398,27 +452,33 @@ impl ModelBundle {
         rows: &[Vec<f32>],
         engine: &EpochEngine,
     ) -> Result<Vec<usize>, LehdcError> {
+        self.check_rows(rows)?;
         let rec = engine.recorder();
-        let threads = obs::Value::U64(engine.threads() as u64);
-        let t = rec.start();
-        let queries = self.encode_rows(rows, engine.pool())?;
+        let mut buffers = QueryBuffers::default();
+        let mut predictions = vec![0; rows.len()];
+        let (mut encode_ns, mut classify_ns) = (0, 0);
+        for (window, out) in rows.chunks(256).zip(predictions.chunks_mut(256)) {
+            let t = rec.start();
+            let queries = self.encode_batch(window, &mut buffers, engine.pool())?;
+            encode_ns += t.elapsed_ns();
+            let t = rec.start();
+            engine.classify_into(&self.model, queries, out);
+            classify_ns += t.elapsed_ns();
+        }
         if rec.enabled() {
-            rec.observe_since("encode/ns", &t);
+            let n = rows.len() as u64;
+            let threads = obs::Value::U64(engine.threads() as u64);
+            rec.observe_ns("encode/ns", encode_ns);
             rec.emit(
                 "encode",
-                &[("samples", obs::Value::U64(rows.len() as u64)), ("threads", threads)],
+                &[("samples", obs::Value::U64(n)), ("threads", threads)],
             );
-        }
-        let t = rec.start();
-        let predictions = engine.classify_epoch(&self.model, &queries);
-        if rec.enabled() {
-            let ns = rec.observe_since("classify/corpus_ns", &t);
-            let n = predictions.len() as u64;
+            rec.observe_ns("classify/corpus_ns", classify_ns);
             rec.add("classify/samples", n);
-            let per_sec = if ns == 0 {
+            let per_sec = if classify_ns == 0 {
                 f64::INFINITY
             } else {
-                n as f64 * 1e9 / ns as f64
+                n as f64 * 1e9 / classify_ns as f64
             };
             rec.gauge("classify/samples_per_sec", per_sec);
             rec.emit(
@@ -428,7 +488,7 @@ impl ModelBundle {
                     ("dim", obs::Value::U64(self.model.dim().get() as u64)),
                     ("classes", obs::Value::U64(self.model.n_classes() as u64)),
                     ("threads", threads),
-                    ("wall_ns", obs::Value::U64(ns)),
+                    ("wall_ns", obs::Value::U64(classify_ns)),
                     ("samples_per_sec", obs::Value::F64(per_sec)),
                 ],
             );
@@ -463,54 +523,25 @@ impl ModelBundle {
         distilled.validate_shape()?;
         Ok(distilled)
     }
+}
 
-    /// Normalizes and encodes every row in parallel, validating feature
-    /// counts and finiteness up front so the fan-out itself cannot fail,
-    /// then projects distilled bundles onto their kept dims.
-    fn encode_rows(
-        &self,
-        rows: &[Vec<f32>],
-        pool: ThreadPool,
-    ) -> Result<Vec<BinaryHv>, LehdcError> {
-        let expected = self.encoder.n_features();
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != expected {
-                return Err(LehdcError::InvalidConfig(format!(
-                    "row {i}: expected {expected} features, got {}",
-                    row.len()
-                )));
-            }
-            if let Some(j) = row.iter().position(|v| !v.is_finite()) {
-                return Err(LehdcError::InvalidConfig(format!(
-                    "row {i}: feature {j} is not finite (NaN/±inf cannot be quantized)"
-                )));
-            }
-        }
-        let dim = self.encoder.dim();
-        let chunks = pool.run_chunks(rows.len(), |range| {
-            let mut scratch = hdc::EncodeScratch::new(dim);
-            let mut normalized = Vec::new();
-            let mut out = Vec::with_capacity(range.len());
-            for row in &rows[range] {
-                let features = match &self.normalizer {
-                    Some(norm) => {
-                        normalized.clear();
-                        normalized.extend_from_slice(row);
-                        norm.apply_row(&mut normalized);
-                        normalized.as_slice()
-                    }
-                    None => row.as_slice(),
-                };
-                let mut hv = BinaryHv::zeros(dim);
-                self.encoder
-                    .encode_into(features, &mut scratch, &mut hv)
-                    .expect("feature counts were validated above");
-                out.push(self.project_query(hv));
-            }
-            out
-        });
-        Ok(chunks.into_iter().flatten().collect())
-    }
+/// Caller-owned working memory of [`ModelBundle::encode_batch`]: normalized
+/// rows, encoder-dimension queries and their model-dimension projections.
+/// Kept across batches (the serve collector keeps one), the path stops
+/// allocating at the largest batch.
+#[derive(Debug, Default)]
+pub struct QueryBuffers {
+    features: Vec<f32>,
+    encoded: Vec<BinaryHv>,
+    projected: Vec<BinaryHv>,
+}
+
+/// The first `len` hypervectors of `buf`, all of dimension `dim`: entries
+/// of another dimension are dropped and missing ones allocated.
+fn sized(buf: &mut Vec<BinaryHv>, len: usize, dim: Dim) -> &mut [BinaryHv] {
+    buf.retain(|hv| hv.dim() == dim);
+    buf.resize(buf.len().max(len), BinaryHv::zeros(dim));
+    &mut buf[..len]
 }
 
 // ---------------------------------------------------------------------------

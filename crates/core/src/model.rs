@@ -341,9 +341,12 @@ impl HdcModel {
 }
 
 impl Classifier for HdcModel {
-    fn classify_batch(&self, queries: &[BinaryHv], engine: &EpochEngine) -> Vec<usize> {
-        let rows: Vec<&[u64]> = self.class_hvs().iter().map(BinaryHv::as_words).collect();
-        engine.argmax_rows(&rows, self.dim(), queries)
+    fn dim(&self) -> Dim {
+        self.dim
+    }
+
+    fn classify_into(&self, queries: &[BinaryHv], out: &mut [usize], block: usize) {
+        hdc::kernels::argmax_dot_blocked_into(queries, &self.class_hvs, block, out);
     }
 }
 
@@ -357,7 +360,18 @@ impl Classifier for HdcModel {
 /// Panics if `dims` is empty or any index is out of range.
 #[must_use]
 pub fn project_dims(hv: &BinaryHv, dims: &[u32]) -> BinaryHv {
-    BinaryHv::from_fn(Dim::new(dims.len()), |j| hv.get(dims[j] as usize))
+    let mut out = BinaryHv::zeros(Dim::new(dims.len()));
+    project_dims_into(hv, dims, &mut out);
+    out
+}
+
+/// [`project_dims`] into a caller-owned hypervector of dimension
+/// `dims.len()`, overwriting every bit.
+pub(crate) fn project_dims_into(hv: &BinaryHv, dims: &[u32], out: &mut BinaryHv) {
+    assert_eq!(out.dim().get(), dims.len(), "one output bit per kept dim");
+    for (j, &d) in dims.iter().enumerate() {
+        out.set(j, hv.get(d as usize));
+    }
 }
 
 /// A non-binary HDC classifier: real-valued class hypervectors with cosine
@@ -471,8 +485,14 @@ impl NonBinaryModel {
 /// Each pool chunk runs the per-query cosine scan of
 /// [`NonBinaryModel::classify`]; there is no block to tile.
 impl Classifier for NonBinaryModel {
-    fn classify_batch(&self, queries: &[BinaryHv], engine: &EpochEngine) -> Vec<usize> {
-        engine.pool().map_indices(queries.len(), |i| self.classify(&queries[i]))
+    fn dim(&self) -> Dim {
+        self.dim
+    }
+
+    fn classify_into(&self, queries: &[BinaryHv], out: &mut [usize], _block: usize) {
+        for (query, pred) in queries.iter().zip(out) {
+            *pred = self.classify(query);
+        }
     }
 }
 

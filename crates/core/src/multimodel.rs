@@ -15,7 +15,7 @@
 
 use hdc::item_memory::random_codebook;
 use hdc::rng::rng_for;
-use hdc::{kernels, Accumulator, BinaryHv};
+use hdc::{kernels, Accumulator, BinaryHv, Dim};
 use testkit::Rng;
 
 use crate::encoded::EncodedDataset;
@@ -193,13 +193,16 @@ impl MultiModel {
 /// distance, so predictions are bit-identical at any block size, thread
 /// count, and kernel tier.
 impl Classifier for MultiModel {
-    fn classify_batch(&self, queries: &[BinaryHv], engine: &EpochEngine) -> Vec<usize> {
+    fn dim(&self) -> Dim {
+        self.models[0][0].dim()
+    }
+
+    fn classify_into(&self, queries: &[BinaryHv], out: &mut [usize], block: usize) {
+        kernels::argmax_dot_blocked_into(queries, &self.rows(), block, out);
         let n = self.models_per_class();
-        let mut preds = engine.argmax_rows(&self.rows(), self.models[0][0].dim(), queries);
-        for p in &mut preds {
-            *p /= n;
+        for pred in out {
+            *pred /= n;
         }
-        preds
     }
 }
 

@@ -125,7 +125,6 @@ pub struct PipelineBuilder<'a> {
     levels: usize,
     seed: u64,
     threads: usize,
-    normalize: bool,
     recorder: obs::Recorder,
 }
 
@@ -163,15 +162,6 @@ impl<'a> PipelineBuilder<'a> {
         self
     }
 
-    /// Disables min–max normalization (when the data is already in
-    /// `[0, 1]`, e.g. synthetic profiles; normalization is then a no-op but
-    /// costs a pass).
-    #[must_use]
-    pub fn skip_normalization(mut self) -> Self {
-        self.normalize = false;
-        self
-    }
-
     /// Attaches a metrics recorder: encode throughput at build time and
     /// every strategy's per-epoch training spans flow into it, and every
     /// `run` emits a `strategy_run` event. The default disabled recorder
@@ -192,14 +182,9 @@ impl<'a> PipelineBuilder<'a> {
     pub fn build(self) -> Result<Pipeline, LehdcError> {
         let mut train = self.data.train.clone();
         let mut test = self.data.test.clone();
-        let normalizer = if self.normalize {
-            let normalizer = MinMaxNormalizer::fit(&train)?;
-            normalizer.apply(&mut train);
-            normalizer.apply(&mut test);
-            Some(normalizer)
-        } else {
-            None
-        };
+        let normalizer = MinMaxNormalizer::fit(&train)?;
+        normalizer.apply(&mut train);
+        normalizer.apply(&mut test);
         let encoder = RecordEncoder::builder(self.dim, train.n_features())
             .levels(self.levels)
             .value_range(0.0, 1.0)
@@ -210,7 +195,7 @@ impl<'a> PipelineBuilder<'a> {
         let encoded_test = EncodedDataset::encode(&test, &encoder, &engine)?;
         Ok(Pipeline {
             encoder,
-            normalizer,
+            normalizer: Some(normalizer),
             encoded_train,
             encoded_test,
             seed: self.seed,
@@ -259,7 +244,6 @@ impl Pipeline {
             levels: 32,
             seed: 0,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            normalize: true,
             recorder: obs::Recorder::disabled(),
         }
     }

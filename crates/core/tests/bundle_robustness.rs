@@ -184,16 +184,34 @@ fn batch_classify_matches_serial_and_reports_bad_rows() {
     let bundle = test_bundle();
     use testkit::Rng;
     let mut rng = rng_for(7, 7);
-    let rows: Vec<Vec<f32>> = (0..53)
-        .map(|_| {
-            (0..6)
-                .map(|_| (rng.random::<u64>() % 1000) as f32 / 1000.0)
-                .collect()
-        })
-        .collect();
+    let mut random_rows = |n: usize| -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|_| {
+                (0..6)
+                    .map(|_| (rng.random::<u64>() % 1000) as f32 / 1000.0)
+                    .collect()
+            })
+            .collect()
+    };
+    let rows = random_rows(53);
     let serial: Vec<usize> = rows.iter().map(|r| bundle.classify(r).unwrap()).collect();
     for threads in [1, 2, 4] {
         assert_eq!(bundle.classify_all(&rows, threads).unwrap(), serial);
+    }
+
+    // More rows than one window of the batch path, full and distilled:
+    // the windows splice in row order, and a bad row is named by its index
+    // in the whole batch.
+    let many = random_rows(600);
+    for b in [bundle.clone(), bundle.distill(100).unwrap()] {
+        let serial: Vec<usize> = many.iter().map(|r| b.classify(r).unwrap()).collect();
+        for threads in [1, 2] {
+            assert_eq!(b.classify_all(&many, threads).unwrap(), serial);
+        }
+        let mut bad = many.clone();
+        bad[517][3] = f32::NAN;
+        let err = b.classify_all(&bad, 2).unwrap_err().to_string();
+        assert!(err.contains("row 517: feature 3 is not finite"), "{err}");
     }
 
     let mut bad = rows;

@@ -122,9 +122,77 @@ pub fn load_csv(
     )
 }
 
+/// Parses features-only CSV text, the input of batch prediction and load
+/// generation: one sample per non-empty line, every comma-separated field
+/// an `f32`. There is no label column and no header, and NaN/±inf are
+/// refused, since no encoder can quantize them.
+///
+/// # Errors
+///
+/// Returns [`DatasetError::Parse`] naming the line of the first field that
+/// is not numeric or not finite.
+pub fn parse_feature_rows(text: &str, name: &str) -> Result<Vec<Vec<f32>>, DatasetError> {
+    let mut rows = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let row = line
+            .split(',')
+            .map(str::trim)
+            .enumerate()
+            .map(|(j, field)| match field.parse::<f32>() {
+                Ok(v) if v.is_finite() => Ok(v),
+                Ok(_) => Err(format!(
+                    "feature {j} ({field:?}) is not finite (NaN/±inf cannot be quantized)"
+                )),
+                Err(_) => Err(format!("feature field {field:?} is not numeric")),
+            })
+            .collect::<Result<Vec<f32>, String>>()
+            .map_err(|message| DatasetError::Parse {
+                context: format!("{name}:{}", lineno + 1),
+                message,
+            })?;
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+/// Reads and parses a features-only CSV file.
+///
+/// # Errors
+///
+/// Returns [`DatasetError::Io`] naming `path` on read failure, otherwise as
+/// [`parse_feature_rows`].
+pub fn load_feature_rows(path: &Path) -> Result<Vec<Vec<f32>>, DatasetError> {
+    let text = fs::read_to_string(path)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    parse_feature_rows(&text, &path.display().to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn feature_rows_parse_and_name_the_bad_line() {
+        let rows = parse_feature_rows("0.5, 1\n\n-2,3e2\n", "f").unwrap();
+        assert_eq!(rows, vec![vec![0.5, 1.0], vec![-2.0, 300.0]]);
+        for (text, want) in [
+            ("1,2\n3,x\n", "f:2: feature field \"x\" is not numeric"),
+            ("1,NaN\n", "f:1: feature 1 (\"NaN\") is not finite"),
+            ("1,2\n\n-inf,0\n", "f:3: feature 0 (\"-inf\") is not finite"),
+        ] {
+            let err = parse_feature_rows(text, "f").unwrap_err().to_string();
+            assert!(err.contains(want), "{text:?}: {err}");
+        }
+        let missing = load_feature_rows(Path::new("/nonexistent/rows.csv")).unwrap_err();
+        assert!(
+            missing.to_string().contains("/nonexistent/rows.csv"),
+            "{missing}"
+        );
+    }
 
     #[test]
     fn parses_label_first_csv() {

@@ -74,15 +74,11 @@ impl Options {
     /// values.
     pub fn parse<I: Iterator<Item = String>>(mut args: I) -> Result<Options, String> {
         let mut opts = Options::default();
+        let mut dim_given = false;
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => opts.full = false,
-                "--full" => {
-                    opts.full = true;
-                    if opts.dim == Options::default().dim {
-                        opts.dim = 10_000; // the paper's dimension
-                    }
-                }
+                "--full" => opts.full = true,
                 "--seeds" => {
                     let v = args.next().ok_or("--seeds needs a value")?;
                     opts.seeds = v.parse().map_err(|_| format!("bad --seeds value {v:?}"))?;
@@ -96,6 +92,7 @@ impl Options {
                     if opts.dim == 0 {
                         return Err("--dim must be at least 1".into());
                     }
+                    dim_given = true;
                 }
                 "--threads" => {
                     let v = args.next().ok_or("--threads needs a value")?;
@@ -127,6 +124,9 @@ impl Options {
                 }
                 other => return Err(format!("unknown flag {other:?} (try --help)")),
             }
+        }
+        if opts.full && !dim_given {
+            opts.dim = 10_000; // the paper's dimension
         }
         Ok(opts)
     }
@@ -346,6 +346,7 @@ mod tests {
         assert_eq!(parse(&["--full"]).unwrap().dim, 10_000);
         assert_eq!(parse(&["--full", "--dim", "512"]).unwrap().dim, 512);
         assert_eq!(parse(&["--dim", "512", "--full"]).unwrap().dim, 512);
+        assert_eq!(parse(&["--dim", "1024", "--full"]).unwrap().dim, 1024);
     }
 
     #[test]

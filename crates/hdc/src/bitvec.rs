@@ -453,6 +453,13 @@ impl BinaryHv {
     }
 }
 
+/// The packed words, so the blocked kernels take hypervector slices as is.
+impl AsRef<[u64]> for BinaryHv {
+    fn as_ref(&self) -> &[u64] {
+        &self.words
+    }
+}
+
 impl fmt::Debug for BinaryHv {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BinaryHv(D={}, ones={}", self.dim, self.count_ones())?;

@@ -1,5 +1,7 @@
 //! Hypervector encoders: record-based (paper Eq. 1) and N-gram.
 
+use std::cell::Cell;
+
 use testkit::Xoshiro256pp;
 use threadpool::ThreadPool;
 
@@ -24,19 +26,90 @@ pub trait Encode: Sync {
     /// The number of input features `N` a sample must have.
     fn n_features(&self) -> usize;
 
-    /// Encodes one sample.
+    /// Encodes one sample into a caller-owned hypervector, bundling in
+    /// `scratch`'s accumulator — the allocation-free per-sample path every
+    /// other encode goes through.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::FeatureCountMismatch`] if
     /// `features.len() != self.n_features()`.
-    fn encode(&self, features: &[f32]) -> Result<BinaryHv, HdcError>;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` or `out` was sized for a different dimension.
+    fn encode_into(
+        &self,
+        features: &[f32],
+        scratch: &mut EncodeScratch,
+        out: &mut BinaryHv,
+    ) -> Result<(), HdcError>;
+
+    /// Encodes one sample into a fresh hypervector.
+    ///
+    /// # Errors
+    ///
+    /// As [`encode_into`](Encode::encode_into).
+    fn encode(&self, features: &[f32]) -> Result<BinaryHv, HdcError> {
+        let mut out = BinaryHv::zeros(self.dim());
+        self.encode_into(features, &mut EncodeScratch::new(self.dim()), &mut out)?;
+        Ok(out)
+    }
+
+    /// The pooled batch encode: `out[i]` becomes the encoding of row `i` of
+    /// the flat row-major `samples`, one contiguous chunk of rows per pool
+    /// worker, identical to a per-row [`encode_into`](Encode::encode_into)
+    /// loop at any width. Each thread bundles in its own [`EncodeScratch`],
+    /// allocated by that thread and kept across calls, so repeated batches
+    /// allocate nothing and no two workers write near each other's counters.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error [`encode_into`](Encode::encode_into) reports,
+    /// in chunk order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `samples.len() == out.len() * self.n_features()`, or if
+    /// an output hypervector has another dimension.
+    fn encode_batch_into(
+        &self,
+        samples: &[f32],
+        out: &mut [BinaryHv],
+        pool: ThreadPool,
+    ) -> Result<(), HdcError> {
+        let (n, dim) = (self.n_features(), self.dim());
+        assert_eq!(
+            samples.len(),
+            out.len() * n,
+            "one output hypervector per sample row"
+        );
+        let ranges = threadpool::chunk_ranges(out.len(), pool.threads());
+        let mut results = vec![Ok(()); ranges.len()];
+        let mut tasks = Vec::with_capacity(ranges.len());
+        let mut rest = out;
+        for (range, result) in ranges.iter().zip(&mut results) {
+            let (outs, tail) = rest.split_at_mut(range.len());
+            rest = tail;
+            tasks.push((&samples[range.start * n..range.end * n], outs, result));
+        }
+        pool.for_each_task(tasks, |_, (rows, outs, result)| {
+            let mut scratch = THREAD_SCRATCH
+                .take()
+                .filter(|s| s.dim() == dim)
+                .unwrap_or_else(|| EncodeScratch::new(dim));
+            *result = rows
+                .chunks(n)
+                .zip(outs)
+                .try_for_each(|(row, hv)| self.encode_into(row, &mut scratch, hv));
+            THREAD_SCRATCH.set(Some(scratch));
+        });
+        results.into_iter().collect()
+    }
 
     /// Encodes a flat row-major corpus (`samples.len()` must be a multiple of
-    /// `n_features()`), fanning out across `threads` persistent pool workers.
-    ///
-    /// The result is identical to calling [`encode`](Encode::encode) on each
-    /// row sequentially.
+    /// `n_features()`) into fresh hypervectors on `threads` pool workers:
+    /// [`encode_batch_into`](Encode::encode_batch_into) into a new vector.
     ///
     /// # Errors
     ///
@@ -50,18 +123,8 @@ pub trait Encode: Sync {
                 actual: samples.len() % n,
             });
         }
-        let n_samples = samples.len() / n;
-        let pool = ThreadPool::new(threads);
-        let parts = pool.run_chunks(n_samples, |rows| {
-            samples[rows.start * n..rows.end * n]
-                .chunks(n)
-                .map(|row| self.encode(row))
-                .collect::<Result<Vec<BinaryHv>, HdcError>>()
-        });
-        let mut all = Vec::with_capacity(n_samples);
-        for part in parts {
-            all.extend(part?);
-        }
+        let mut all = vec![BinaryHv::zeros(self.dim()); samples.len() / n];
+        self.encode_batch_into(samples, &mut all, ThreadPool::new(threads))?;
         Ok(all)
     }
 
@@ -108,7 +171,12 @@ pub trait Encode: Sync {
     }
 }
 
-/// Reusable working memory for [`RecordEncoder::encode_into`].
+thread_local! {
+    /// The scratch [`Encode::encode_batch_into`] bundles in on this thread.
+    static THREAD_SCRATCH: Cell<Option<EncodeScratch>> = const { Cell::new(None) };
+}
+
+/// Reusable working memory for [`Encode::encode_into`].
 ///
 /// Holds the bundle accumulator (bit-sliced counter planes plus carry
 /// scratch) across encode calls, so a loop over many samples performs no
@@ -211,28 +279,25 @@ impl RecordEncoder {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+}
 
-    /// [`encode`](Encode::encode) into a caller-owned output hypervector,
-    /// reusing `scratch` across calls — the zero-alloc per-sample path.
-    ///
+impl Encode for RecordEncoder {
+    fn dim(&self) -> Dim {
+        self.positions.dim()
+    }
+
+    fn n_features(&self) -> usize {
+        self.positions.n_features()
+    }
+
     /// One pass over the features chains the tie-break content hash and
     /// collects the position∘level pairs on the stack, a group of
     /// [`Accumulator::GROUP`] at a time; each group goes into the bit-sliced
     /// accumulator with the bind fused into one carry-save tree
     /// ([`Accumulator::add_bound_many`]), so no intermediate hypervector is
     /// materialized. The majority threshold then writes directly into `out`
-    /// ([`Accumulator::threshold_into`]). Output is bit-identical to
-    /// [`encode`](Encode::encode).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::FeatureCountMismatch`] if
-    /// `features.len() != self.n_features()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` or `out` was sized for a different dimension.
-    pub fn encode_into(
+    /// ([`Accumulator::threshold_into`]).
+    fn encode_into(
         &self,
         features: &[f32],
         scratch: &mut EncodeScratch,
@@ -269,54 +334,6 @@ impl RecordEncoder {
         let mut tie_rng = Xoshiro256pp::seed_from_u64(content_hash);
         acc.threshold_into(&mut tie_rng, out);
         Ok(())
-    }
-}
-
-impl Encode for RecordEncoder {
-    fn dim(&self) -> Dim {
-        self.positions.dim()
-    }
-
-    fn n_features(&self) -> usize {
-        self.positions.n_features()
-    }
-
-    fn encode(&self, features: &[f32]) -> Result<BinaryHv, HdcError> {
-        let mut scratch = EncodeScratch::new(self.dim());
-        let mut out = BinaryHv::zeros(self.dim());
-        self.encode_into(features, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Corpus encode with one [`EncodeScratch`] per pool chunk: the bundle
-    /// accumulator is reset and reused row to row, so the hot loop allocates
-    /// nothing but the output hypervectors.
-    fn encode_all(&self, samples: &[f32], threads: usize) -> Result<Vec<BinaryHv>, HdcError> {
-        let n = self.n_features();
-        if !samples.len().is_multiple_of(n) {
-            return Err(HdcError::FeatureCountMismatch {
-                expected: n,
-                actual: samples.len() % n,
-            });
-        }
-        let n_samples = samples.len() / n;
-        let pool = ThreadPool::new(threads);
-        let parts = pool.run_chunks(n_samples, |rows| {
-            let mut scratch = EncodeScratch::new(self.dim());
-            samples[rows.start * n..rows.end * n]
-                .chunks(n)
-                .map(|row| {
-                    let mut out = BinaryHv::zeros(self.dim());
-                    self.encode_into(row, &mut scratch, &mut out)?;
-                    Ok(out)
-                })
-                .collect::<Result<Vec<BinaryHv>, HdcError>>()
-        });
-        let mut all = Vec::with_capacity(n_samples);
-        for part in parts {
-            all.extend(part?);
-        }
-        Ok(all)
     }
 }
 
@@ -474,7 +491,12 @@ impl Encode for NgramEncoder {
         self.n_features
     }
 
-    fn encode(&self, features: &[f32]) -> Result<BinaryHv, HdcError> {
+    fn encode_into(
+        &self,
+        features: &[f32],
+        scratch: &mut EncodeScratch,
+        out: &mut BinaryHv,
+    ) -> Result<(), HdcError> {
         if features.len() != self.n_features {
             return Err(HdcError::FeatureCountMismatch {
                 expected: self.n_features,
@@ -491,7 +513,8 @@ impl Encode for NgramEncoder {
         // rotation work and materializes no per-window hypervector. Binding
         // (XNOR) is associative and commutative, so folding the last factor
         // into `add_bound` is bit-identical to binding the full gram first.
-        let mut acc = Accumulator::new(self.dim());
+        let acc = &mut scratch.acc;
+        acc.clear();
         if self.n == 1 {
             for &l in &levels {
                 acc.add(self.rot(0, l));
@@ -507,9 +530,8 @@ impl Encode for NgramEncoder {
             }
         }
         let mut tie_rng = Xoshiro256pp::seed_from_u64(content_hash);
-        let mut out = BinaryHv::zeros(self.dim());
-        acc.threshold_into(&mut tie_rng, &mut out);
-        Ok(out)
+        acc.threshold_into(&mut tie_rng, out);
+        Ok(())
     }
 }
 

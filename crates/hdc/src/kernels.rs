@@ -679,24 +679,6 @@ pub fn masked_dot_words(kept: usize, a: &[u64], b: &[u64], mask: &[u64]) -> i64 
     kept as i64 - 2 * masked_hamming_words(a, b, mask) as i64
 }
 
-/// Batch kernel: the dot products of one packed query against many packed
-/// rows, written into `out` in row order.
-///
-/// # Panics
-///
-/// Panics if `out` is shorter than the row iterator.
-pub fn dots_into<'a, I>(d: usize, x: &[u64], rows: I, out: &mut [f32])
-where
-    I: IntoIterator<Item = &'a [u64]>,
-{
-    let mut n = 0;
-    for (slot, row) in out.iter_mut().zip(rows) {
-        *slot = dot_words(d, x, row) as f32;
-        n += 1;
-    }
-    debug_assert!(n <= out.len());
-}
-
 /// Batch argmax kernel: the index of the packed row with the largest dot
 /// product against `x` (ties resolve to the lowest index), or `None` for an
 /// empty row set. Classification by minimum Hamming distance is exactly
@@ -776,9 +758,9 @@ pub fn pack_signs_words(values: &[f32], out: &mut [u64]) {
 ///
 /// Panics if `rows` is empty, `block` is zero, or `out.len()` differs from
 /// `queries.len()`.
-pub fn argmax_dot_blocked_into(
-    queries: &[&[u64]],
-    rows: &[&[u64]],
+pub fn argmax_dot_blocked_into<Q: AsRef<[u64]>, R: AsRef<[u64]>>(
+    queries: &[Q],
+    rows: &[R],
     block: usize,
     out: &mut [usize],
 ) {
@@ -790,10 +772,11 @@ pub fn argmax_dot_blocked_into(
     // loop's extra bookkeeping only costs. Fall back to the per-query
     // argmax there — [`argmax_dot`] and the blocked loop are proven
     // identical for every block size, so this is purely a tiling choice.
-    let row_bytes: usize = rows.iter().map(|r| size_of_val(*r)).sum();
+    let row_bytes: usize = rows.iter().map(|r| size_of_val(r.as_ref())).sum();
     if row_bytes <= 16 * 1024 {
         for (q, slot) in queries.iter().zip(out.iter_mut()) {
-            *slot = argmax_dot(q, rows.iter().copied()).expect("row set is non-empty");
+            *slot = argmax_dot(q.as_ref(), rows.iter().map(AsRef::as_ref))
+                .expect("row set is non-empty");
         }
         return;
     }
@@ -803,7 +786,7 @@ pub fn argmax_dot_blocked_into(
         best.fill(usize::MAX);
         for (k, row) in rows.iter().enumerate() {
             for ((q, h_best), slot) in q_blk.iter().zip(best.iter_mut()).zip(out_blk.iter_mut()) {
-                let h = hamming_words(q, row);
+                let h = hamming_words(q.as_ref(), row.as_ref());
                 if h < *h_best {
                     *h_best = h;
                     *slot = k;
@@ -827,10 +810,10 @@ pub fn argmax_dot_blocked_into(
 ///
 /// Panics if `rows` is empty, `block` is zero, or `out.len()` differs from
 /// `queries.len() · rows.len()`.
-pub fn dots_blocked_into(
+pub fn dots_blocked_into<Q: AsRef<[u64]>, R: AsRef<[u64]>>(
     d: usize,
-    queries: &[&[u64]],
-    rows: &[&[u64]],
+    queries: &[Q],
+    rows: &[R],
     block: usize,
     out: &mut [i64],
 ) {
@@ -846,7 +829,7 @@ pub fn dots_blocked_into(
     for (q_blk, out_blk) in queries.chunks(block).zip(out.chunks_mut(block * k_rows)) {
         for (k, row) in rows.iter().enumerate() {
             for (i, q) in q_blk.iter().enumerate() {
-                out_blk[i * k_rows + k] = dot_words(d, q, row);
+                out_blk[i * k_rows + k] = dot_words(d, q.as_ref(), row.as_ref());
             }
         }
     }
@@ -918,20 +901,6 @@ mod tests {
             masked_dot_words(0, a.as_words(), b.as_words(), zeros.as_words()),
             0
         );
-    }
-
-    #[test]
-    fn dots_into_fills_in_row_order() {
-        let d = 256;
-        let mut rng = crate::rng::rng_for(8, 1);
-        let dim = Dim::new(d);
-        let x = BinaryHv::random(dim, &mut rng);
-        let rows: Vec<BinaryHv> = (0..5).map(|_| BinaryHv::random(dim, &mut rng)).collect();
-        let mut out = vec![0.0f32; 5];
-        dots_into(d, x.as_words(), rows.iter().map(BinaryHv::as_words), &mut out);
-        for (k, row) in rows.iter().enumerate() {
-            assert_eq!(out[k], x.dot(row) as f32);
-        }
     }
 
     #[test]
@@ -1033,27 +1002,27 @@ mod tests {
             assert_eq!(out, expect, "block={block}");
         }
         // empty query set is a no-op
-        dots_blocked_into(d, &[], &row_words, 8, &mut []);
+        dots_blocked_into::<&[u64], _>(d, &[], &row_words, 8, &mut []);
     }
 
     #[test]
     #[should_panic(expected = "empty row set")]
     fn blocked_dots_reject_empty_rows() {
         let (a, _) = pair(64);
-        dots_blocked_into(64, &[a.as_words()], &[], 8, &mut [0]);
+        dots_blocked_into::<_, &[u64]>(64, &[a.as_words()], &[], 8, &mut [0]);
     }
 
     #[test]
     fn blocked_argmax_handles_empty_query_set() {
         let (a, _) = pair(64);
-        argmax_dot_blocked_into(&[], &[a.as_words()], 8, &mut []);
+        argmax_dot_blocked_into::<&[u64], _>(&[], &[a.as_words()], 8, &mut []);
     }
 
     #[test]
     #[should_panic(expected = "empty row set")]
     fn blocked_argmax_rejects_empty_rows() {
         let (a, _) = pair(64);
-        argmax_dot_blocked_into(&[a.as_words()], &[], 8, &mut [0]);
+        argmax_dot_blocked_into::<_, &[u64]>(&[a.as_words()], &[], 8, &mut [0]);
     }
 
     #[test]

@@ -1,25 +1,27 @@
 //! The micro-batch collector: the perf heart of the daemon.
 //!
 //! Connection readers enqueue [`ClassifyRequest`]s; one collector thread
-//! drains the ring in batches and answers each batch with *one* packed
-//! classify fan-out. That coalescing is where the throughput comes from —
-//! per-request costs (queue hop, model snapshot, kernel dispatch) are paid
-//! once per batch, and the encode + argmax work runs on the persistent
-//! threadpool at full width instead of one request at a time.
+//! drains the ring in batches and answers each batch with the bundle's
+//! batch path: one pooled encode ([`ModelBundle::encode_batch`]) and one
+//! blocked classify fan-out ([`EpochEngine::classify_into`]). That
+//! coalescing is where the throughput comes from — per-request costs (queue
+//! hop, model snapshot, kernel dispatch) are paid once per batch, and the
+//! encode + argmax work runs on the persistent threadpool at full width
+//! instead of one request at a time.
 //!
-//! Steady-state request handling allocates nothing: the batch `Vec`s, the
-//! packed query hypervectors, and the per-worker [`EncodeScratch`]es are
-//! all reused across batches (re-sized only when a hot swap changes the
-//! model dimension).
+//! Steady-state request handling allocates nothing: the batch `Vec`s and
+//! the path's [`QueryBuffers`] are reused across batches (re-sized only
+//! when a hot swap changes the model dimension).
+//!
+//! [`ModelBundle::encode_batch`]: lehdc::io::ModelBundle::encode_batch
 
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hdc::kernels::query_block_for;
-use hdc::{BinaryHv, Encode, EncodeScratch};
+use lehdc::io::QueryBuffers;
+use lehdc::EpochEngine;
 use obs::Recorder;
-use threadpool::ThreadPool;
 
 use crate::queue::RingBuffer;
 use crate::state::ModelState;
@@ -38,10 +40,17 @@ pub struct ClassifyRequest {
     pub reply: SyncSender<ClassifyReply>,
 }
 
+/// The request's feature row, as the bundle's batch path reads it.
+impl AsRef<[f32]> for ClassifyRequest {
+    fn as_ref(&self) -> &[f32] {
+        &self.features
+    }
+}
+
 pub(crate) struct Collector {
     pub queue: Arc<RingBuffer<ClassifyRequest>>,
     pub state: Arc<ModelState>,
-    pub pool: ThreadPool,
+    pub engine: EpochEngine,
     pub max_batch: usize,
     pub max_wait: Duration,
     pub rec: Recorder,
@@ -52,9 +61,8 @@ impl Collector {
     /// made it into the ring is answered even during shutdown.
     pub(crate) fn run(&self) {
         let mut pending: Vec<ClassifyRequest> = Vec::with_capacity(self.max_batch);
-        let mut queries: Vec<BinaryHv> = Vec::new();
-        let mut scratches: Vec<EncodeScratch> = Vec::new();
-        let mut scratch_dim = None;
+        let mut buffers = QueryBuffers::default();
+        let mut preds: Vec<usize> = Vec::with_capacity(self.max_batch);
 
         while self
             .queue
@@ -65,99 +73,35 @@ impl Collector {
             let snap = self.state.snapshot();
             let bundle = &snap.bundle;
 
-            // Reject shape mismatches and non-finite features up front so
-            // the fan-out below is infallible; the rest of the batch
-            // proceeds unaffected. The protocol layer already screens for
-            // NaN/±inf, so the finiteness check here is defense in depth
-            // (e.g. against a future ingress path that skips decode).
-            let expected = bundle.n_features();
-            pending.retain(|req| {
-                if req.features.len() != expected {
-                    let _ = req.reply.send(Err(format!(
-                        "expected {expected} features, got {}",
-                        req.features.len()
-                    )));
-                    return false;
+            // Reject shape mismatches and non-finite features per request,
+            // so one bad row never fails the rest of its batch. The protocol
+            // layer already screens for NaN/±inf, so the finiteness half of
+            // the check is defense in depth (e.g. against a future ingress
+            // path that skips decode).
+            pending.retain(|req| match bundle.check_row(&req.features) {
+                Ok(()) => true,
+                Err(msg) => {
+                    let _ = req.reply.send(Err(msg));
+                    false
                 }
-                if let Some(i) = req.features.iter().position(|v| !v.is_finite()) {
-                    let _ = req.reply.send(Err(format!(
-                        "feature {i} is not finite (NaN/±inf cannot be quantized)"
-                    )));
-                    return false;
-                }
-                true
             });
             let n = pending.len();
             if n == 0 {
                 continue;
             }
 
-            // Queries are encoded at the *encoder* dimension; a distilled
-            // bundle then projects each one down to the model dimension
-            // before the argmax fan-out.
-            let enc_dim = bundle.encoder.dim();
-            let model_dim = bundle.model.dim();
-            if scratch_dim != Some(enc_dim) {
-                queries.clear();
-                scratches.clear();
-                scratch_dim = Some(enc_dim);
-            }
-            while queries.len() < n {
-                queries.push(BinaryHv::zeros(enc_dim));
-            }
-            let ranges = threadpool::chunk_ranges(n, self.pool.threads());
-            while scratches.len() < ranges.len() {
-                scratches.push(EncodeScratch::new(enc_dim));
-            }
-
-            // Encode fan-out: each worker gets a disjoint slice of requests
-            // and output rows plus its own scratch. Normalization happens
-            // in place on the request's owned features.
+            // Normalize, encode and (for a distilled bundle) project.
             let encode_timer = self.rec.start();
-            {
-                let mut tasks = Vec::with_capacity(ranges.len());
-                let mut req_rest = &mut pending[..];
-                let mut out_rest = &mut queries[..n];
-                let mut scratch_rest = &mut scratches[..];
-                for range in &ranges {
-                    let (reqs, rr) = req_rest.split_at_mut(range.len());
-                    let (outs, or) = out_rest.split_at_mut(range.len());
-                    let (scratch, sr) = scratch_rest.split_at_mut(1);
-                    req_rest = rr;
-                    out_rest = or;
-                    scratch_rest = sr;
-                    tasks.push((reqs, outs, &mut scratch[0]));
-                }
-                self.pool.for_each_task(tasks, |_, (reqs, outs, scratch)| {
-                    for (req, out) in reqs.iter_mut().zip(outs.iter_mut()) {
-                        if let Some(norm) = &bundle.normalizer {
-                            norm.apply_row(&mut req.features);
-                        }
-                        bundle
-                            .encoder
-                            .encode_into(&req.features, scratch, out)
-                            .expect("feature counts were validated above");
-                    }
-                });
-            }
+            let queries = bundle
+                .encode_batch(&pending, &mut buffers, self.engine.pool())
+                .expect("every row passed the bundle's row check");
             self.rec.observe_since("serve/encode_ns", &encode_timer);
 
             // One blocked argmax fan-out answers the whole batch.
             let classify_timer = self.rec.start();
-            let block = query_block_for(model_dim.words());
-            let preds = if bundle.selection.is_some() {
-                let projected: Vec<BinaryHv> = queries[..n]
-                    .iter()
-                    .map(|q| bundle.project_query(q.clone()))
-                    .collect();
-                bundle
-                    .model
-                    .classify_all_blocked(&projected, block, self.pool.threads())
-            } else {
-                bundle
-                    .model
-                    .classify_all_blocked(&queries[..n], block, self.pool.threads())
-            };
+            preds.resize(n, 0);
+            self.engine
+                .classify_into(&bundle.model, queries, &mut preds[..n]);
             self.rec.observe_since("serve/classify_ns", &classify_timer);
 
             // Record before replying: a client that just received its
@@ -176,7 +120,7 @@ impl Collector {
                 self.rec.gauge("serve/last_batch_size", n as f64);
                 self.rec.observe_since("serve/batch_ns", &batch_timer);
             }
-            for (req, pred) in pending.drain(..).zip(preds) {
+            for (req, &pred) in pending.drain(..).zip(&preds) {
                 let _ = req.reply.send(Ok((pred as u32, snap.epoch)));
             }
         }

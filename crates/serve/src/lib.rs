@@ -7,9 +7,10 @@
 //! trick is **micro-batching**: connection readers enqueue requests into a
 //! bounded MPSC ring, and a single collector thread drains up to
 //! `max_batch` of them (waiting at most `max_wait` past the first arrival),
-//! answering the whole batch with one packed `classify_all_blocked` fan-out
-//! on the persistent threadpool — so per-request overhead is paid once per
-//! batch, and the kernels run at full width.
+//! answering the whole batch through the bundle's batch path — one pooled
+//! encode and one blocked `classify_into` fan-out on the persistent
+//! threadpool — so per-request overhead is paid once per batch, and the
+//! kernels run at full width.
 //!
 //! The served model is an epoch-stamped [`Arc`](std::sync::Arc) snapshot
 //! that an admin `SWAP` command replaces atomically: in-flight batches
@@ -19,7 +20,8 @@
 //! Module map:
 //! - [`protocol`] — length-prefixed binary frames + line-mode fallback
 //! - [`queue`] — the bounded ring buffer between readers and the collector
-//! - [`batcher`] — the collector: validate, encode fan-out, one classify
+//! - [`batcher`] — the collector: screen each request, then the bundle's
+//!   encode and classify calls
 //! - [`state`] — epoch-swappable model state
 //! - [`server`] — accept loop, connection threads, shutdown orchestration
 //! - [`client`] — lockstep + pipelined binary client

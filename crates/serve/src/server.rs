@@ -31,8 +31,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lehdc::io::ModelBundle;
+use lehdc::EpochEngine;
 use obs::Recorder;
-use threadpool::ThreadPool;
 
 use crate::batcher::{ClassifyReply, ClassifyRequest, Collector};
 use crate::protocol::{
@@ -145,7 +145,7 @@ impl Server {
 
         let collector_handle = {
             let shared = Arc::clone(&shared);
-            let pool = ThreadPool::new(cfg.threads);
+            let engine = EpochEngine::new(cfg.threads);
             let max_batch = cfg.max_batch.max(1);
             let max_wait = cfg.max_wait;
             std::thread::Builder::new()
@@ -154,7 +154,7 @@ impl Server {
                     Collector {
                         queue: Arc::clone(&shared.queue),
                         state: Arc::clone(&shared.state),
-                        pool,
+                        engine,
                         max_batch,
                         max_wait,
                         rec: shared.rec.clone(),

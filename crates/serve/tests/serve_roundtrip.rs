@@ -99,6 +99,79 @@ fn concurrent_pipelined_clients_match_serial_at_every_batch_size() {
 }
 
 #[test]
+fn rejected_rows_inside_a_batch_leave_the_rest_of_it_and_the_connection_intact() {
+    // Every third request has the wrong width. A pipelined window of 16
+    // keeps good and bad rows in flight together, so batches mix them; the
+    // collector must reject each bad row on its own, answer the good ones
+    // exactly as serial classification does, and count only those.
+    let full = test_bundle(3);
+    let distilled = full.distill(96).unwrap();
+    let rows = random_rows(48, 5);
+    let requests: Vec<Vec<f32>> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| match i % 6 {
+            1 => row[..N_FEATURES - 1].to_vec(),
+            4 => [row.as_slice(), &[0.5]].concat(),
+            _ => row.clone(),
+        })
+        .collect();
+    let window = 16;
+    for (name, bundle) in [("full", &full), ("distilled", &distilled)] {
+        for threads in [1usize, 2] {
+            for max_batch in [1usize, 7, 64] {
+                let ctx = format!("{name} threads={threads} max_batch={max_batch}");
+                let cfg = ServeConfig {
+                    threads,
+                    max_batch,
+                    max_wait: Duration::from_micros(200),
+                    queue_capacity: 256,
+                };
+                let server = Server::start(
+                    bundle.clone(),
+                    "127.0.0.1:0",
+                    &cfg,
+                    obs::Recorder::builder().build(),
+                )
+                .unwrap();
+                let mut client = Client::connect(server.local_addr()).unwrap();
+                for request in &requests[..window] {
+                    client.send_classify(request).unwrap();
+                }
+                let mut good = 0;
+                for (i, request) in requests.iter().enumerate() {
+                    let reply = client.recv_classified();
+                    if request.len() == N_FEATURES {
+                        let expected = bundle.classify(request).unwrap() as u32;
+                        assert_eq!(reply.unwrap(), (expected, 0), "{ctx}: row {i}");
+                        good += 1;
+                    } else {
+                        let err = reply.unwrap_err().to_string();
+                        assert!(
+                            err.contains(&format!("expected {N_FEATURES} features")),
+                            "{ctx}: row {i}: {err}"
+                        );
+                    }
+                    if i + window < requests.len() {
+                        client.send_classify(&requests[i + window]).unwrap();
+                    }
+                }
+                client.ping().unwrap();
+                let stats = client.stats().unwrap();
+                let counted = stats
+                    .split("\"serve/requests_total\": ")
+                    .nth(1)
+                    .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+                    .and_then(|n| n.parse::<usize>().ok());
+                assert_eq!(counted, Some(good), "{ctx}: {stats}");
+                server.shutdown();
+                server.join();
+            }
+        }
+    }
+}
+
+#[test]
 fn admin_commands_roundtrip() {
     let bundle = test_bundle(1);
     let server = start(bundle, 64);

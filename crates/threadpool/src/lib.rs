@@ -144,21 +144,6 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Maps every index in `0..n` through `f`, fanning chunks out across the
-    /// pool; the result vector is ordered by index exactly as a sequential
-    /// `(0..n).map(f)` would be.
-    pub fn map_indices<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut out = Vec::with_capacity(n);
-        for part in self.run_chunks(n, |range| range.map(&f).collect::<Vec<T>>()) {
-            out.extend(part);
-        }
-        out
-    }
-
     /// Splits `data` into per-chunk sub-slices of `items` logical items of
     /// `item_len` elements each and hands each worker its chunk's item range
     /// plus the mutable sub-slice covering exactly those items.
@@ -252,17 +237,6 @@ impl ThreadPool {
             f(i, t);
         };
         fan_out(slots.len(), &task);
-    }
-
-    /// Sums `f` over every index in `0..n` (fan out, add partials in chunk
-    /// order) — the shape of parallel counting and accuracy reductions.
-    pub fn sum_indices<F>(&self, n: usize, f: F) -> usize
-    where
-        F: Fn(usize) -> usize + Sync,
-    {
-        self.run_chunks(n, |range| range.map(&f).sum::<usize>())
-            .into_iter()
-            .sum()
     }
 }
 
@@ -678,13 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn map_indices_preserves_order() {
-        let pool = ThreadPool::new(4);
-        assert_eq!(pool.map_indices(6, |i| i * i), vec![0, 1, 4, 9, 16, 25]);
-        assert!(pool.map_indices(0, |i| i).is_empty());
-    }
-
-    #[test]
     fn for_each_chunk_mut_covers_disjoint_rows() {
         for threads in [1, 2, 5] {
             let pool = ThreadPool::new(threads);
@@ -734,13 +701,6 @@ mod tests {
                 assert_eq!(b, &vec![base + i, base + i + 1, base + i + 2], "threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn sum_indices_matches_sequential_sum() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.sum_indices(100, |i| i % 7), (0..100).map(|i| i % 7).sum());
-        assert_eq!(pool.sum_indices(0, |_| 1), 0);
     }
 
     #[test]
@@ -806,7 +766,8 @@ mod tests {
                 .map(|t| {
                     scope.spawn(move || {
                         let pool = ThreadPool::new(3);
-                        (t, pool.sum_indices(1000, move |i| i + t))
+                        let partials = pool.run_chunks(1000, |r| r.map(|i| i + t).sum::<usize>());
+                        (t, partials.into_iter().sum::<usize>())
                     })
                 })
                 .collect();

@@ -94,6 +94,12 @@ for tier in $serve_tiers; do
     grep -q '"serve/requests_total": 360' "$smoke_dir/stats_$tier.json" \
         || { echo "ERROR: STATS did not count all 360 requests" >&2
              cat "$smoke_dir/stats_$tier.json" >&2; exit 1; }
+    # perfbench's serve.queue.* and serve.batcher.* metrics read these.
+    for hist in queue_wait_ns encode_ns classify_ns batch_ns; do
+        grep -Eq "\"serve/$hist\": \{\"count\": [1-9]" "$smoke_dir/stats_$tier.json" \
+            || { echo "ERROR: STATS has no serve/$hist histogram with a non-zero count" >&2
+                 cat "$smoke_dir/stats_$tier.json" >&2; exit 1; }
+    done
     wait "$serve_pid" \
         || { echo "ERROR: lehdc_serve exited nonzero" >&2
              cat "$smoke_dir/serve_$tier.err" >&2; exit 1; }

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use lehdc_suite::datasets::loader::csv::{load_csv, LabelColumn};
+use lehdc_suite::datasets::loader::csv::{load_csv, load_feature_rows, LabelColumn};
 use lehdc_suite::datasets::TrainTest;
 use lehdc_suite::hdc::{Dim, Encode};
 use lehdc_suite::lehdc::io::{describe_file, load_bundle, save_bundle, ModelBundle};
@@ -336,29 +336,8 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
     let rec = build_recorder(&flags)?;
     let bundle = load_bundle(&PathBuf::from(required(&flags, "model")?))
         .map_err(|e| e.to_string())?;
-    let text = std::fs::read_to_string(PathBuf::from(required(&flags, "data")?))
-        .map_err(|e| e.to_string())?;
-    let mut rows = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let features: Result<Vec<f32>, _> =
-            line.split(',').map(|f| f.trim().parse::<f32>()).collect();
-        let features = features
-            .map_err(|_| format!("line {}: features must all be numeric", lineno + 1))?;
-        // `f32::parse` accepts "NaN"/"inf"; those cannot be quantized, so
-        // reject them here with the line number instead of deep in encode.
-        if let Some(j) = features.iter().position(|v| !v.is_finite()) {
-            return Err(format!(
-                "line {}: feature {} is not finite (NaN/±inf are rejected)",
-                lineno + 1,
-                j + 1
-            ));
-        }
-        rows.push(features);
-    }
+    let rows =
+        load_feature_rows(&PathBuf::from(required(&flags, "data")?)).map_err(|e| e.to_string())?;
     // The bundle's bulk path normalizes, encodes (parallel, zero-alloc
     // scratch per worker), and classifies through the blocked argmax —
     // same prediction per row as the one-at-a-time `bundle.classify`.

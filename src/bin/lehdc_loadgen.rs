@@ -21,10 +21,12 @@
 //! and prints the server's STATS JSON after the run; `--shutdown` asks the
 //! daemon to exit once done.
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use lehdc_suite::datasets::loader::csv::load_feature_rows;
 use lehdc_suite::serve::flags::{parse_flags, parse_num, required};
 use lehdc_suite::serve::Client;
 
@@ -48,19 +50,7 @@ fn main() -> ExitCode {
 }
 
 fn load_rows(path: &str) -> Result<Vec<Vec<f32>>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut rows = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let features: Result<Vec<f32>, _> =
-            line.split(',').map(|f| f.trim().parse::<f32>()).collect();
-        rows.push(features.map_err(|_| {
-            format!("{path}:{}: features must all be numeric", lineno + 1)
-        })?);
-    }
+    let rows = load_feature_rows(Path::new(path)).map_err(|e| e.to_string())?;
     if rows.is_empty() {
         return Err(format!("{path}: no feature rows"));
     }
