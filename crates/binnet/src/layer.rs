@@ -1,6 +1,6 @@
 //! The binary linear layer with straight-through gradients.
 
-use hdc::kernels::active_tier;
+use hdc::kernels::{active_tier, KernelTier};
 use testkit::Rng;
 use threadpool::{chunk_ranges, ThreadPool};
 
@@ -265,10 +265,11 @@ impl BinaryLinear {
     ///   of class row `i / wpr`, with `w = i mod wpr`, and row `c` ends where
     ///   row `c + 1` begins, so each chunk owns one contiguous range of the
     ///   latent, gradient and Adam moment buffers, and its own words.
-    /// - The AVX2 tier (chosen by [`hdc::kernels::active_tier`], as for the
-    ///   other kernels) runs Adam 8 lanes at a time with the scalar IEEE
-    ///   operations in the scalar order and packs 8 bits per `movemask`; see
-    ///   the `packed::avx2` module for its exactness traps.
+    /// - On the AVX2 and AVX-512 tiers (chosen by
+    ///   [`hdc::kernels::active_tier`], as for the other kernels) the AVX2
+    ///   kernel runs Adam 8 lanes at a time with the scalar IEEE operations
+    ///   in the scalar order and packs 8 bits per `movemask`; see the
+    ///   `packed::avx2` module for its exactness traps.
     ///
     /// # Panics
     ///
@@ -276,6 +277,28 @@ impl BinaryLinear {
     /// with a different parameter length, or `grad_clip` is negative or
     /// NaN.
     pub fn apply_gradient_fused(&mut self, grad: &Matrix, opt: &mut Adam, grad_clip: Option<f32>) {
+        self.apply_gradient_fused_on(active_tier(), grad, opt, grad_clip);
+    }
+
+    /// [`apply_gradient_fused`](Self::apply_gradient_fused) forced onto
+    /// `tier`, for differential testing.
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_gradient_fused`](Self::apply_gradient_fused), and if this
+    /// CPU cannot run `tier` — check [`KernelTier::available`] first.
+    pub fn apply_gradient_fused_on(
+        &mut self,
+        tier: KernelTier,
+        grad: &Matrix,
+        opt: &mut Adam,
+        grad_clip: Option<f32>,
+    ) {
+        assert!(
+            tier.available(),
+            "the {} kernels need a CPU that supports them",
+            tier.name()
+        );
         let (d, k) = (self.d_in, self.k_out);
         assert_eq!(
             (grad.rows(), grad.cols()),
@@ -315,7 +338,6 @@ impl BinaryLinear {
                 adam,
             });
         }
-        let tier = active_tier();
         pool.for_each_task(tasks, |_, chunk| fused_step_on(tier, d, wpr, chunk));
         self.rec.observe_since("layer/fused_step_ns", &t);
     }

@@ -46,14 +46,13 @@
 //!
 //! The parity tests in `tests/packed_parity.rs` enforce exact `==` on the
 //! resulting matrices across shapes, masks, and thread counts, and diff the
-//! AVX2 gradient tier against the scalar one bit for bit.
+//! gradient product and the fused optimizer step on the AVX2 and AVX-512
+//! tiers (both run the AVX2 kernels) against the scalar ones bit for bit.
 //!
 //! [`BinaryHv`]: hdc::BinaryHv
 
 use std::ops::Range;
 
-#[cfg(target_arch = "x86_64")]
-use hdc::kernels::avx2_available;
 use hdc::kernels::{active_tier, dot_words, masked_dot_words, KernelTier, QUERY_BLOCK};
 use threadpool::{chunk_ranges, ThreadPool};
 
@@ -641,10 +640,10 @@ const TILE_F32S: usize = 4096;
 ///   streams over it. The ±1 sign is applied as a branchless sign-bit flip —
 ///   IEEE negation is exact — rather than a `±1.0` multiply, which pays the
 ///   subnormal-assist penalty that softmax gradients trigger at large D.
-/// - **AVX2**: lanes over 8 adjacent output dims with one register per
-///   class, each stored with one vector store into its class row (see the
-///   `avx2` submodule); chunk heads and tails that are not 8-aligned take
-///   the scalar code.
+/// - **AVX2**, on the AVX2 and AVX-512 tiers: lanes over 8 adjacent output
+///   dims with one register per class, each stored with one vector store
+///   into its class row (see the `avx2` submodule); chunk heads and tails
+///   that are not 8-aligned take the scalar code.
 ///
 /// The result equals the dense reference at any `pool` width for finite
 /// gradients. Masked dims are exactly `+0.0` where the dense reference
@@ -668,11 +667,12 @@ pub fn packed_transpose_matmul_into(
     pool: &ThreadPool,
     out: &mut Matrix,
 ) -> Result<(), BinnetError> {
-    transpose_matmul_on(active_tier(), x, g, mask, pool, out)
+    packed_transpose_matmul_into_on(active_tier(), x, g, mask, pool, out)
 }
 
-/// [`packed_transpose_matmul_into`] forced onto the scalar reference tier,
-/// for differential testing.
+/// [`packed_transpose_matmul_into`] forced onto `tier`, for differential
+/// testing. The scalar tier runs the reference code; the AVX2 and AVX-512
+/// tiers both run the AVX2 kernel, the only vector body of this product.
 ///
 /// # Errors
 ///
@@ -680,46 +680,9 @@ pub fn packed_transpose_matmul_into(
 ///
 /// # Panics
 ///
-/// As [`packed_transpose_matmul_into`].
-pub fn packed_transpose_matmul_into_scalar(
-    x: &PackedMatrix,
-    g: &Matrix,
-    mask: Option<&DropMask>,
-    pool: &ThreadPool,
-    out: &mut Matrix,
-) -> Result<(), BinnetError> {
-    transpose_matmul_on(KernelTier::Scalar, x, g, mask, pool, out)
-}
-
-/// [`packed_transpose_matmul_into`] forced onto the AVX2 tier, for
-/// differential testing.
-///
-/// # Errors
-///
-/// As [`packed_transpose_matmul_into`].
-///
-/// # Panics
-///
-/// As [`packed_transpose_matmul_into`], and if AVX2 is unavailable — check
-/// [`hdc::kernels::avx2_available`] first.
-#[cfg(target_arch = "x86_64")]
-pub fn packed_transpose_matmul_into_avx2(
-    x: &PackedMatrix,
-    g: &Matrix,
-    mask: Option<&DropMask>,
-    pool: &ThreadPool,
-    out: &mut Matrix,
-) -> Result<(), BinnetError> {
-    assert!(
-        avx2_available(),
-        "the AVX2 kernels need an AVX2-capable CPU"
-    );
-    transpose_matmul_on(KernelTier::Avx2, x, g, mask, pool, out)
-}
-
-/// The gradient product on `tier`; the Avx2 tier must only be requested on
-/// CPUs that have it.
-fn transpose_matmul_on(
+/// As [`packed_transpose_matmul_into`], and if this CPU cannot run `tier` —
+/// check [`KernelTier::available`] first.
+pub fn packed_transpose_matmul_into_on(
     tier: KernelTier,
     x: &PackedMatrix,
     g: &Matrix,
@@ -727,6 +690,11 @@ fn transpose_matmul_on(
     pool: &ThreadPool,
     out: &mut Matrix,
 ) -> Result<(), BinnetError> {
+    assert!(
+        tier.available(),
+        "the {} kernels need a CPU that supports them",
+        tier.name()
+    );
     if x.rows != g.rows() {
         return Err(BinnetError::ShapeMismatch {
             op: "packed_transpose_matmul",
@@ -766,10 +734,17 @@ fn transpose_matmul_on(
         }
     }
     pool.for_each_task(tasks, |_, (dims, mut rows)| match tier {
-        // SAFETY: the Avx2 tier is only requested on CPUs with AVX2.
+        KernelTier::Scalar => gradient_dims_scalar(op, dims.clone(), dims.start, &mut rows),
+        // SAFETY: `tier` is available (asserted above), and both SIMD tiers
+        // are only available on CPUs with AVX2.
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { gradient_dims_avx2(op, dims, &mut rows) },
-        _ => gradient_dims_scalar(op, dims.clone(), dims.start, &mut rows),
+        KernelTier::Avx2 | KernelTier::Avx512 => unsafe {
+            gradient_dims_avx2(op, dims, &mut rows)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelTier::Avx2 | KernelTier::Avx512 => {
+            unreachable!("the SIMD tiers are only available on x86-64")
+        }
     });
     Ok(())
 }
@@ -870,15 +845,20 @@ pub(crate) struct FusedChunk<'a> {
 
 /// Runs one fused-step task on `tier`: the Adam update of each coordinate,
 /// then each packed word rebuilt from the signs (`l >= 0.0`) of its
-/// updated latents. Both tiers perform the same IEEE operations per
-/// coordinate in the same order, so they are bit-identical; the Avx2 tier
-/// must only be requested on CPUs that have it.
+/// updated latents. The AVX2 and AVX-512 tiers run the AVX2 kernel, which
+/// performs the scalar IEEE operations per coordinate in the same order, so
+/// every tier is bit-identical; `tier` must be available on this CPU.
 pub(crate) fn fused_step_on(tier: KernelTier, d: usize, wpr: usize, chunk: FusedChunk<'_>) {
     match tier {
-        // SAFETY: the Avx2 tier is only requested on CPUs with AVX2.
+        // SAFETY: callers pass an available tier, and both SIMD tiers are
+        // only available on CPUs with AVX2.
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { avx2::fused_step(d, wpr, chunk) },
-        _ => {
+        KernelTier::Avx2 | KernelTier::Avx512 => unsafe { avx2::fused_step(d, wpr, chunk) },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelTier::Avx2 | KernelTier::Avx512 => {
+            unreachable!("the SIMD tiers are only available on x86-64")
+        }
+        KernelTier::Scalar => {
             let FusedChunk {
                 words,
                 packed,

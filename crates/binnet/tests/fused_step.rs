@@ -1,8 +1,8 @@
 //! The fused update (`BinaryLinear::apply_gradient_fused`) must be
 //! **bit-identical** to the reference sequence it replaces — clamp the
 //! gradient, `Adam::step` over the class-major latents, pack every sign with
-//! `>= 0.0` — at any thread count and on either kernel tier (`LEHDC_KERNEL`
-//! picks it; `scripts/check.sh` runs both), on ordinary and edge values, and
+//! `>= 0.0` — at any thread count and on every kernel tier (`LEHDC_KERNEL`
+//! picks it; `scripts/check.sh` runs each), on ordinary and edge values, and
 //! it must not allocate once the layer exists.
 
 use binnet::{Adam, BinaryLinear, Matrix, Optimizer, PackedMatrix};

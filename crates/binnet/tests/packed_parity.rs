@@ -8,6 +8,8 @@ use binnet::{
     packed_matmul, packed_matmul_masked, packed_transpose_matmul, BinaryLinear, Dropout, Matrix,
     PackedMatrix,
 };
+#[cfg(target_arch = "x86_64")]
+use hdc::kernels::KernelTier;
 use testkit::prelude::*;
 use threadpool::ThreadPool;
 
@@ -260,9 +262,19 @@ fn layer_forward_is_blocked_identically_to_dense_for_large_batches() {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel tiers: the AVX2 gradient product must equal the scalar reference
-// bit for bit (compared as `to_bits`, so `+0.0` vs `-0.0` would count).
+// Kernel tiers: on the AVX2 and AVX-512 tiers the gradient product and the
+// fused optimizer step must equal the scalar reference bit for bit
+// (compared as `to_bits`, so `+0.0` vs `-0.0` would count).
 // ---------------------------------------------------------------------------
+
+/// The SIMD tiers this CPU runs.
+#[cfg(target_arch = "x86_64")]
+fn simd_tiers() -> Vec<KernelTier> {
+    [KernelTier::Avx2, KernelTier::Avx512]
+        .into_iter()
+        .filter(|tier| tier.available())
+        .collect()
+}
 
 /// Gradient entries that stress the float path: subnormals of both signs,
 /// `±0.0`, magnitudes large enough that some sums overflow to `±∞`, and
@@ -292,9 +304,10 @@ fn bits(m: &Matrix) -> Vec<u32> {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_gradient_matches_scalar_bit_for_bit() {
-    use binnet::packed::{packed_transpose_matmul_into_avx2, packed_transpose_matmul_into_scalar};
+    use binnet::packed::packed_transpose_matmul_into_on;
 
-    if !hdc::kernels::avx2_available() {
+    let tiers = simd_tiers();
+    if tiers.is_empty() {
         eprintln!("skipping: no AVX2 on this host");
         return;
     }
@@ -314,21 +327,83 @@ fn avx2_gradient_matches_scalar_bit_for_bit() {
                     // NaN-filled outputs: every element must be written. The
                     // scalar tier is thread-invariant (the dense-reference
                     // tests above pin it), so one reference serves every
-                    // AVX2 pool width.
+                    // SIMD tier and pool width.
                     let nan = Matrix::from_flat(k, d, vec![f32::NAN; d * k]).unwrap();
                     let mut scalar = nan.clone();
-                    packed_transpose_matmul_into_scalar(&px, &g, mask, &pools[0], &mut scalar)
-                        .unwrap();
+                    packed_transpose_matmul_into_on(
+                        KernelTier::Scalar,
+                        &px,
+                        &g,
+                        mask,
+                        &pools[0],
+                        &mut scalar,
+                    )
+                    .unwrap();
                     let expect = bits(&scalar);
-                    for pool in &pools {
+                    for (&tier, pool) in
+                        tiers.iter().flat_map(|t| pools.iter().map(move |p| (t, p)))
+                    {
                         let mut simd = nan.clone();
-                        packed_transpose_matmul_into_avx2(&px, &g, mask, pool, &mut simd).unwrap();
+                        packed_transpose_matmul_into_on(tier, &px, &g, mask, pool, &mut simd)
+                            .unwrap();
                         assert!(
                             bits(&simd) == expect,
-                            "d={d} batch={batch} k={k} masked={} threads={}",
+                            "tier={} d={d} batch={batch} k={k} masked={} threads={}",
+                            tier.name(),
                             mask.is_some(),
                             pool.threads()
                         );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn fused_step_tiers_match_scalar_bit_for_bit() {
+    use binnet::Adam;
+
+    let tiers = simd_tiers();
+    if tiers.is_empty() {
+        eprintln!("skipping: no AVX2 on this host");
+        return;
+    }
+    let mut rng = Xoshiro256pp::seed_from_u64(0xF05E);
+    for d in [1usize, 7, 8, 9, 63, 64, 65, 200, 257] {
+        for k in [1usize, 3, 5] {
+            for threads in [1, 3] {
+                for clip in [None, Some(0.05f32)] {
+                    let start =
+                        BinaryLinear::new(d, k, d as u64 * 31 + k as u64).with_threads(threads);
+                    let opt = Adam::new(0.05).weight_decay(0.01);
+                    let mut scalar = (start.clone(), opt.clone());
+                    let mut simd: Vec<_> = tiers
+                        .iter()
+                        .map(|&tier| (tier, start.clone(), opt.clone()))
+                        .collect();
+                    for step in 0..4 {
+                        let grad = awkward_gradient(k, d, &mut rng);
+                        scalar.0.apply_gradient_fused_on(
+                            KernelTier::Scalar,
+                            &grad,
+                            &mut scalar.1,
+                            clip,
+                        );
+                        let expect = bits(scalar.0.latent());
+                        for (tier, layer, opt) in &mut simd {
+                            layer.apply_gradient_fused_on(*tier, &grad, opt, clip);
+                            let context = format!(
+                                "tier={} d={d} k={k} threads={threads} clip={clip:?} step={step}",
+                                tier.name()
+                            );
+                            assert!(bits(layer.latent()) == expect, "latents: {context}");
+                            assert!(
+                                layer.packed_weights() == scalar.0.packed_weights(),
+                                "packed weights: {context}"
+                            );
+                        }
                     }
                 }
             }

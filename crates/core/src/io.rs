@@ -28,7 +28,7 @@ use crate::error::LehdcError;
 use crate::format::{
     self, meta_f32, read_varint, truncated, write_varint, Artifact, Compression, MetaWriter,
 };
-use crate::model::{project_dims, project_dims_into, HdcModel};
+use crate::model::{project_dims, HdcModel};
 
 const LEGACY_MODEL_MAGIC: &[u8; 8] = b"LEHDCMDL";
 const LEGACY_MODEL_VERSION: u32 = 1;
@@ -414,7 +414,7 @@ impl ModelBundle {
         };
         let projected = sized(projected, rows.len(), self.model.dim());
         for (query, out) in encoded.iter().zip(projected.iter_mut()) {
-            project_dims_into(query, sel, out);
+            query.project_into(sel, out);
         }
         Ok(projected)
     }

@@ -353,7 +353,7 @@ impl Classifier for HdcModel {
 /// Projects a hypervector onto a dimension subset: output bit `j` is input
 /// bit `dims[j]`. The companion to [`HdcModel::distill`] — queries encoded
 /// at the full dimension are projected through the model's selection
-/// before classification.
+/// before classification. [`BinaryHv::project_into`] is the in-place form.
 ///
 /// # Panics
 ///
@@ -361,17 +361,8 @@ impl Classifier for HdcModel {
 #[must_use]
 pub fn project_dims(hv: &BinaryHv, dims: &[u32]) -> BinaryHv {
     let mut out = BinaryHv::zeros(Dim::new(dims.len()));
-    project_dims_into(hv, dims, &mut out);
+    hv.project_into(dims, &mut out);
     out
-}
-
-/// [`project_dims`] into a caller-owned hypervector of dimension
-/// `dims.len()`, overwriting every bit.
-pub(crate) fn project_dims_into(hv: &BinaryHv, dims: &[u32], out: &mut BinaryHv) {
-    assert_eq!(out.dim().get(), dims.len(), "one output bit per kept dim");
-    for (j, &d) in dims.iter().enumerate() {
-        out.set(j, hv.get(d as usize));
-    }
 }
 
 /// A non-binary HDC classifier: real-valued class hypervectors with cosine

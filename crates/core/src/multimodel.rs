@@ -84,21 +84,23 @@ impl MultiModelConfig {
 /// A trained multi-model HDC classifier: `K × n` binary hypervectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiModel {
-    // models[k] holds the n hypervectors of class k
-    models: Vec<Vec<BinaryHv>>,
+    // class-major: row k·n + m is model m of class k
+    models: Vec<BinaryHv>,
+    // models per class n (non-zero)
+    n: usize,
 }
 
 impl MultiModel {
     /// Number of classes `K`.
     #[must_use]
     pub fn n_classes(&self) -> usize {
-        self.models.len()
+        self.models.len() / self.n
     }
 
     /// Hypervectors per class `n`.
     #[must_use]
     pub fn models_per_class(&self) -> usize {
-        self.models.first().map_or(0, Vec::len)
+        self.n
     }
 
     /// The hypervectors of class `k`.
@@ -108,7 +110,7 @@ impl MultiModel {
     /// Panics if `k` is out of range.
     #[must_use]
     pub fn class_models(&self, k: usize) -> &[BinaryHv] {
-        &self.models[k]
+        &self.models[k * self.n..(k + 1) * self.n]
     }
 
     /// Classifies by the most similar of all `K·n` hypervectors.
@@ -118,7 +120,7 @@ impl MultiModel {
     /// Panics if the query dimension differs from the models'.
     #[must_use]
     pub fn classify(&self, query: &BinaryHv) -> usize {
-        self.best_match(query).0
+        self.best_match(query).0 / self.n
     }
 
     /// Accuracy on encoded samples, on a one-thread [`EpochEngine`] (see
@@ -132,14 +134,6 @@ impl MultiModel {
         EpochEngine::default().accuracy(self, queries, labels)
     }
 
-    /// Every hypervector, class-major: row `k·n + m` is model `m` of class `k`.
-    fn rows(&self) -> Vec<&[u64]> {
-        self.models
-            .iter()
-            .flat_map(|class| class.iter().map(BinaryHv::as_words))
-            .collect()
-    }
-
     /// Collapses to a single-hypervector-per-class [`HdcModel`] by majority
     /// voting each class's models (for storage-parity comparisons).
     ///
@@ -151,7 +145,7 @@ impl MultiModel {
         let mut rng = rng_for(seed, 0xC0_11A5);
         let hvs = self
             .models
-            .iter()
+            .chunks(self.n)
             .map(|class| {
                 let mut acc = Accumulator::new(class[0].dim());
                 for hv in class {
@@ -163,28 +157,27 @@ impl MultiModel {
         HdcModel::new(hvs)
     }
 
-    /// `(class, model index, dot)` of the globally best-matching hypervector.
+    /// `(row, dot)` of the globally best-matching hypervector, where row
+    /// `k·n + m` is model `m` of class `k`.
     ///
-    /// Routed through the blocked argmax kernel over the flattened
-    /// class-major row list; the flat first-win scan visits `(k, m)` pairs
-    /// in the same order as the nested loop it replaced, so ties resolve
-    /// identically (lowest class, then lowest model index).
-    fn best_match(&self, query: &BinaryHv) -> (usize, usize, i64) {
-        let mut flat = [0usize; 1];
-        kernels::argmax_dot_blocked_into(&[query.as_words()], &self.rows(), 1, &mut flat);
-        let n = self.models_per_class();
-        let (k, m) = (flat[0] / n, flat[0] % n);
-        (k, m, query.dot(&self.models[k][m]))
+    /// Routed through the blocked argmax kernel over the class-major rows;
+    /// the flat first-win scan visits `(k, m)` pairs in nested-loop order,
+    /// so ties resolve to the lowest class, then the lowest model index.
+    fn best_match(&self, query: &BinaryHv) -> (usize, i64) {
+        let mut row = [0usize; 1];
+        kernels::argmax_dot_blocked_into(std::slice::from_ref(query), &self.models, 1, &mut row);
+        (row[0], query.dot(&self.models[row[0]]))
     }
 
-    /// Best-matching model index within one class (lowest index on ties,
-    /// like [`best_match`](Self::best_match)).
+    /// Row of the best-matching model within class `k` (lowest index on
+    /// ties, like [`best_match`](Self::best_match)).
     fn best_in_class(&self, query: &BinaryHv, k: usize) -> usize {
-        kernels::argmax_dot(
+        let m = kernels::argmax_dot(
             query.as_words(),
-            self.models[k].iter().map(BinaryHv::as_words),
+            self.class_models(k).iter().map(BinaryHv::as_words),
         )
-        .expect("every class holds at least one model")
+        .expect("every class holds at least one model");
+        k * self.n + m
     }
 }
 
@@ -194,14 +187,13 @@ impl MultiModel {
 /// count, and kernel tier.
 impl Classifier for MultiModel {
     fn dim(&self) -> Dim {
-        self.models[0][0].dim()
+        self.models[0].dim()
     }
 
     fn classify_into(&self, queries: &[BinaryHv], out: &mut [usize], block: usize) {
-        kernels::argmax_dot_blocked_into(queries, &self.rows(), block, out);
-        let n = self.models_per_class();
+        kernels::argmax_dot_blocked_into(queries, &self.models, block, out);
         for pred in out {
-            *pred /= n;
+            *pred /= self.n;
         }
     }
 }
@@ -247,19 +239,15 @@ pub fn train_multimodel(
         buckets[label][seen[label] % n].add(hv);
         seen[label] += 1;
     }
-    let mut models: Vec<Vec<BinaryHv>> = Vec::with_capacity(k);
-    for class_buckets in &buckets {
-        let mut class_models = Vec::with_capacity(n);
-        for acc in class_buckets {
-            if acc.is_empty() {
-                class_models.extend(random_codebook(dim, 1, &mut rng));
-            } else {
-                class_models.push(acc.threshold(&mut rng));
-            }
+    let mut models: Vec<BinaryHv> = Vec::with_capacity(k * n);
+    for acc in buckets.iter().flatten() {
+        if acc.is_empty() {
+            models.extend(random_codebook(dim, 1, &mut rng));
+        } else {
+            models.push(acc.threshold(&mut rng));
         }
-        models.push(class_models);
     }
-    let mut model = MultiModel { models };
+    let mut model = MultiModel { models, n };
     let mut history = TrainingHistory::new();
     let d = dim.get();
     let rec = engine.recorder();
@@ -272,9 +260,9 @@ pub fn train_multimodel(
         for i in 0..train.len() {
             let (hv, label) = train.sample(i);
             let t = rec.start();
-            let (pred_class, pred_model, pred_dot) = model.best_match(hv);
+            let (pred_row, pred_dot) = model.best_match(hv);
             classify_ns += t.elapsed_ns();
-            if pred_class == label {
+            if pred_row / n == label {
                 correct += 1;
                 continue;
             }
@@ -283,12 +271,12 @@ pub fn train_multimodel(
             // more similar the wrong winner is than the best model of the
             // true class. Near-ties get tiny, late-training updates.
             let target = model.best_in_class(hv, label);
-            let label_dot = hv.dot(&model.models[label][target]);
+            let label_dot = hv.dot(&model.models[target]);
             let gap = (pred_dot - label_dot) as f32 / d as f32;
             let p = (config.flip_rate * gap).clamp(0.0, 0.05);
             // Push the wrong winner away: flip bits where it AGREES with H.
             {
-                let wrong = &mut model.models[pred_class][pred_model];
+                let wrong = &mut model.models[pred_row];
                 for bit in 0..d {
                     if wrong.get(bit) == hv.get(bit) && rng.random::<f32>() < p {
                         wrong.flip(bit);
@@ -297,7 +285,7 @@ pub fn train_multimodel(
             }
             // Pull the true class's best model toward H: flip disagreements.
             {
-                let right = &mut model.models[label][target];
+                let right = &mut model.models[target];
                 for bit in 0..d {
                     if right.get(bit) != hv.get(bit) && rng.random::<f32>() < p {
                         right.flip(bit);

@@ -2,7 +2,7 @@
 
 use hdc::{BinaryHv, Dim};
 use lehdc::io::{read_model, write_model};
-use lehdc::{EncodedDataset, HdcModel};
+use lehdc::{project_dims, EncodedDataset, HdcModel};
 use testkit::prelude::*;
 use testkit::Xoshiro256pp;
 
@@ -92,5 +92,34 @@ proptest! {
                 prop_assert_eq!(matrix.get(row, j), hvs[i].bipolar(j) as f32);
             }
         }
+    }
+
+    #[test]
+    fn project_dims_matches_the_per_bit_reference(
+        d_idx in 0usize..6,
+        keep_per_mille in 1u32..=1000,
+        seed in any::<u64>(),
+    ) {
+        let d = [1usize, 63, 64, 65, 2000, 10_000][d_idx];
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let hv = BinaryHv::random(Dim::new(d), &mut rng);
+        let per_bit = |dims: &[u32]| {
+            BinaryHv::from_fn(Dim::new(dims.len()), |j| hv.get(dims[j] as usize))
+        };
+        // a random strictly increasing selection, from one dim to all of them
+        let mut dims: Vec<u32> = (0..d as u32)
+            .filter(|_| rng.random_range(0u32..1000) < keep_per_mille)
+            .collect();
+        if dims.is_empty() {
+            dims.push(rng.random_range(0..d as u32));
+        }
+        prop_assert_eq!(project_dims(&hv, &dims), per_bit(&dims));
+        // selections that are not strictly increasing — a repeated dim in
+        // order, then reversed — still return the per-bit bits
+        let mut other = dims.clone();
+        other.insert(0, dims[0]);
+        prop_assert_eq!(project_dims(&hv, &other), per_bit(&other));
+        other.reverse();
+        prop_assert_eq!(project_dims(&hv, &other), per_bit(&other));
     }
 }

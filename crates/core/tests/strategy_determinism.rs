@@ -20,8 +20,8 @@
 //!   iterative strategies, on any engine of that grid;
 //! - pinned goldens on a fixed corpus catch any silent semantic drift.
 //!
-//! `scripts/check.sh` runs this suite under both `LEHDC_KERNEL=scalar` and
-//! `LEHDC_KERNEL=avx2`, so tier invariance is enforced as well.
+//! `scripts/check.sh` runs this suite under `LEHDC_KERNEL=scalar`, `avx2`
+//! and `avx512`, so tier invariance is enforced as well.
 
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RealHv};

@@ -417,6 +417,49 @@ impl BinaryHv {
         }
     }
 
+    /// Projects onto a dimension subset, overwriting every bit of `out`:
+    /// bit `j` of `out` becomes bit `dims[j]` of `self`.
+    ///
+    /// A strictly increasing `dims` (every selection a distilled model
+    /// stores) is gathered word by word: the kept bits of one source word
+    /// land next to each other in the output, so each source word is read
+    /// once, its kept bits extracted by a loop over the word's selection
+    /// mask, and the run ORed into at most two output words. Any other
+    /// order takes a bit-at-a-time loop; both give the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.dim()` differs from `dims.len()` or any index is out
+    /// of range.
+    pub fn project_into(&self, dims: &[u32], out: &mut BinaryHv) {
+        assert_eq!(out.dim.get(), dims.len(), "one output bit per kept dim");
+        if !dims.windows(2).all(|w| w[0] < w[1]) {
+            for (j, &d) in dims.iter().enumerate() {
+                out.set(j, self.get(d as usize));
+            }
+            return;
+        }
+        if let Some(&last) = dims.last() {
+            assert!((last as usize) < self.dim.get(), "dimension index out of range");
+        }
+        out.words.fill(0);
+        let mut written = 0;
+        let mut rest = dims;
+        while let Some(&first) = rest.first() {
+            let w = first as usize / 64;
+            let run = rest.partition_point(|&d| d as usize / 64 == w);
+            let mask = rest[..run].iter().fold(0u64, |m, &d| m | 1 << (d % 64));
+            let bits = gather_bits(self.words[w], mask);
+            let (ow, shift) = (written / 64, written % 64);
+            out.words[ow] |= bits << shift;
+            if shift + run > 64 {
+                out.words[ow + 1] |= bits >> (64 - shift);
+            }
+            written += run;
+            rest = &rest[run..];
+        }
+    }
+
     /// Writes the bipolar values (`±1.0`) into `out`, for building dense
     /// training batches.
     ///
@@ -451,6 +494,19 @@ impl BinaryHv {
         }
         Ok(())
     }
+}
+
+/// The bits of `word` at the set bits of `mask`, in ascending order from
+/// bit 0 up: a portable `pext`, one iteration per kept bit.
+fn gather_bits(word: u64, mut mask: u64) -> u64 {
+    let mut out = 0;
+    let mut k = 0;
+    while mask != 0 {
+        out |= ((word >> mask.trailing_zeros()) & 1) << k;
+        mask &= mask - 1;
+        k += 1;
+    }
+    out
 }
 
 /// The packed words, so the blocked kernels take hypervector slices as is.
@@ -647,6 +703,14 @@ mod tests {
     fn truncation_rejects_extension() {
         let a = BinaryHv::zeros(Dim::new(8));
         let _ = a.truncated(Dim::new(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension index out of range")]
+    fn projection_rejects_an_index_in_the_tail_word() {
+        // 70 sits in the last word of D = 65, above D
+        let a = BinaryHv::ones(Dim::new(65));
+        a.project_into(&[0, 70], &mut BinaryHv::zeros(Dim::new(2)));
     }
 
     #[test]

@@ -28,14 +28,17 @@
 //!
 //! # Kernel tiers
 //!
-//! Each popcount-shaped kernel exists in two tiers: the portable scalar
-//! reference (`*_scalar`, plain `u64::count_ones` loops) and an explicit
+//! Each popcount-shaped kernel exists in up to three tiers: the portable
+//! scalar reference (`*_scalar`, plain `u64::count_ones` loops), an explicit
 //! AVX2 implementation ([`avx2`], Harley–Seal CSA tree + `vpshufb` nibble
-//! LUT). The un-suffixed entry points dispatch on [`active_tier`], which is
-//! resolved **once** per process: the `LEHDC_KERNEL` env var (`scalar` or
-//! `avx2`) wins if set, otherwise `is_x86_feature_detected!("avx2")`
-//! decides. Both tiers compute exact integer popcounts, so their results are
-//! bit-identical — enforced by the differential parity suite in
+//! LUT), and for the three popcount kernels an AVX-512 one ([`avx512`], the
+//! scalar loops compiled for `VPOPCNTQ`). The un-suffixed entry points
+//! dispatch on [`active_tier`], which is resolved **once** per process: the
+//! `LEHDC_KERNEL` env var (`scalar`, `avx2` or `avx512`) wins if set,
+//! otherwise the highest tier the CPU supports is picked. A kernel without
+//! an AVX-512 body (the carry-save, tree and compare kernels) runs its AVX2
+//! body on the AVX-512 tier. Every tier computes exact integers, so their
+//! results are bit-identical — enforced by the differential parity suite in
 //! `tests/kernel_parity.rs`.
 //!
 //! [`BinaryHv`]: crate::BinaryHv
@@ -44,22 +47,32 @@ use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
+#[cfg(target_arch = "x86_64")]
+pub mod avx512;
 
-/// Env var that forces a kernel tier: `scalar` or `avx2` (case-insensitive).
+/// Env var that forces a kernel tier: `scalar`, `avx2` or `avx512`
+/// (case-insensitive).
 ///
-/// Unset means auto-detect. Forcing `avx2` on a CPU without AVX2 falls back
-/// to scalar with a one-time warning on stderr rather than crashing, so test
-/// suites can force both tiers unconditionally and skip gracefully.
+/// Unset means auto-detect: the highest tier the CPU supports. Forcing a
+/// tier the CPU lacks falls back down the chain `avx512` → `avx2` →
+/// `scalar`, to the highest tier it does support, with a one-time warning on
+/// stderr rather than crashing, so test suites can force every tier
+/// unconditionally and skip gracefully.
 pub const KERNEL_ENV: &str = "LEHDC_KERNEL";
 
-/// A compute tier the popcount kernels can run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A compute tier the popcount kernels can run on, ordered by capability:
+/// each tier is only selected on CPUs that run every lower one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KernelTier {
     /// Portable `u64::count_ones` loops — the always-compiled reference.
     Scalar,
     /// Explicit AVX2 Harley–Seal popcount (see [`avx2`]); x86-64 with
     /// runtime AVX2 support only.
     Avx2,
+    /// `VPOPCNTQ` popcount, Hamming and masked-Hamming kernels (see
+    /// [`avx512`]) and the AVX2 bodies of every other kernel; x86-64 with
+    /// runtime AVX-512F, AVX-512 VPOPCNTDQ and AVX2 support only.
+    Avx512,
 }
 
 impl KernelTier {
@@ -69,6 +82,17 @@ impl KernelTier {
         match self {
             KernelTier::Scalar => "scalar",
             KernelTier::Avx2 => "avx2",
+            KernelTier::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether the CPU this process runs on supports the tier.
+    #[must_use]
+    pub fn available(self) -> bool {
+        match self {
+            KernelTier::Scalar => true,
+            KernelTier::Avx2 => avx2_available(),
+            KernelTier::Avx512 => avx512_available(),
         }
     }
 }
@@ -86,6 +110,20 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// Whether the AVX-512 tier can run on this host (x86-64 with runtime
+/// AVX-512F, AVX-512 VPOPCNTDQ, POPCNT and AVX2).
+#[must_use]
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx512::available()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 static ACTIVE_TIER: OnceLock<KernelTier> = OnceLock::new();
 
 /// The tier the un-suffixed kernels dispatch to, resolved once per process
@@ -93,38 +131,52 @@ static ACTIVE_TIER: OnceLock<KernelTier> = OnceLock::new();
 ///
 /// # Panics
 ///
-/// Panics if `LEHDC_KERNEL` is set to anything other than `scalar` or
-/// `avx2`.
+/// Panics if `LEHDC_KERNEL` is set to anything other than `scalar`, `avx2`
+/// or `avx512`.
 #[inline]
 pub fn active_tier() -> KernelTier {
     *ACTIVE_TIER.get_or_init(detect_tier)
 }
 
 fn detect_tier() -> KernelTier {
-    match std::env::var(KERNEL_ENV) {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "scalar" => KernelTier::Scalar,
-            "avx2" => {
-                if avx2_available() {
-                    KernelTier::Avx2
-                } else {
-                    eprintln!(
-                        "{KERNEL_ENV}=avx2 requested but this CPU lacks AVX2; \
-                         falling back to the scalar kernels"
-                    );
-                    KernelTier::Scalar
-                }
-            }
-            other => panic!("{KERNEL_ENV} must be `scalar` or `avx2`, got `{other}`"),
-        },
-        Err(_) => {
-            if avx2_available() {
-                KernelTier::Avx2
-            } else {
-                KernelTier::Scalar
-            }
-        }
+    let best = [KernelTier::Avx512, KernelTier::Avx2]
+        .into_iter()
+        .find(|tier| tier.available())
+        .unwrap_or(KernelTier::Scalar);
+    resolve_tier(std::env::var(KERNEL_ENV).ok().as_deref(), best)
+}
+
+/// The tier for the `LEHDC_KERNEL` value `requested` on a CPU whose highest
+/// tier is `best`: `best` when unset, else the requested tier, capped at
+/// `best` with a warning.
+fn resolve_tier(requested: Option<&str>, best: KernelTier) -> KernelTier {
+    let Some(requested) = requested else {
+        return best;
+    };
+    let tier = match requested.to_ascii_lowercase().as_str() {
+        "scalar" => KernelTier::Scalar,
+        "avx2" => KernelTier::Avx2,
+        "avx512" => KernelTier::Avx512,
+        other => panic!("{KERNEL_ENV} must be `scalar`, `avx2` or `avx512`, got `{other}`"),
+    };
+    if tier > best {
+        eprintln!(
+            "{KERNEL_ENV}={} requested but this CPU lacks it; \
+             falling back to the {} kernels",
+            tier.name(),
+            best.name()
+        );
+        return best;
     }
+    tier
+}
+
+/// Whether the active tier runs the AVX2 bodies of the kernels that have no
+/// AVX-512 body: true on the AVX2 tier and on the AVX-512 tier, which is
+/// only selected on CPUs that also have AVX2.
+#[inline]
+fn avx2_bodies() -> bool {
+    matches!(active_tier(), KernelTier::Avx2 | KernelTier::Avx512)
 }
 
 /// Number of set bits across a packed slice (dispatches on [`active_tier`]).
@@ -132,9 +184,13 @@ fn detect_tier() -> KernelTier {
 #[must_use]
 pub fn popcount_words(a: &[u64]) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
+    match active_tier() {
+        // SAFETY: the Avx512 tier is only selected where
+        // `avx512::available()` detected AVX-512F, VPOPCNTDQ and POPCNT.
+        KernelTier::Avx512 => return unsafe { avx512::popcount_words(a) },
         // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
-        return unsafe { avx2::popcount_words(a) };
+        KernelTier::Avx2 => return unsafe { avx2::popcount_words(a) },
+        KernelTier::Scalar => {}
     }
     popcount_words_scalar(a)
 }
@@ -159,15 +215,36 @@ pub fn popcount_words_avx2(a: &[u64]) -> usize {
     unsafe { avx2::popcount_words(a) }
 }
 
+/// [`popcount_words`] forced onto the AVX-512 tier, for differential testing.
+///
+/// # Panics
+///
+/// Panics if the AVX-512 tier is unavailable — check [`avx512_available`]
+/// first.
+#[cfg(target_arch = "x86_64")]
+#[must_use]
+pub fn popcount_words_avx512(a: &[u64]) -> usize {
+    assert!(
+        avx512_available(),
+        "the AVX-512 kernels need a CPU with AVX-512F and VPOPCNTDQ"
+    );
+    // SAFETY: availability checked above.
+    unsafe { avx512::popcount_words(a) }
+}
+
 /// Hamming distance between two packed vectors: `popcount(a XOR b)`
 /// (dispatches on [`active_tier`]).
 #[inline]
 #[must_use]
 pub fn hamming_words(a: &[u64], b: &[u64]) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
+    match active_tier() {
+        // SAFETY: the Avx512 tier is only selected where
+        // `avx512::available()` detected AVX-512F, VPOPCNTDQ and POPCNT.
+        KernelTier::Avx512 => return unsafe { avx512::hamming_words(a, b) },
         // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
-        return unsafe { avx2::hamming_words(a, b) };
+        KernelTier::Avx2 => return unsafe { avx2::hamming_words(a, b) },
+        KernelTier::Scalar => {}
     }
     hamming_words_scalar(a, b)
 }
@@ -196,6 +273,23 @@ pub fn hamming_words_avx2(a: &[u64], b: &[u64]) -> usize {
     unsafe { avx2::hamming_words(a, b) }
 }
 
+/// [`hamming_words`] forced onto the AVX-512 tier, for differential testing.
+///
+/// # Panics
+///
+/// Panics if the AVX-512 tier is unavailable — check [`avx512_available`]
+/// first.
+#[cfg(target_arch = "x86_64")]
+#[must_use]
+pub fn hamming_words_avx512(a: &[u64], b: &[u64]) -> usize {
+    assert!(
+        avx512_available(),
+        "the AVX-512 kernels need a CPU with AVX-512F and VPOPCNTDQ"
+    );
+    // SAFETY: availability checked above.
+    unsafe { avx512::hamming_words(a, b) }
+}
+
 /// Bipolar dot product `d − 2·hamming` of two packed `d`-dimensional
 /// vectors — the BNN pre-activation `En(x)ᵀ c_k` of the paper's Eq. 6.
 #[inline]
@@ -210,9 +304,13 @@ pub fn dot_words(d: usize, a: &[u64], b: &[u64]) -> i64 {
 #[must_use]
 pub fn masked_hamming_words(a: &[u64], b: &[u64], mask: &[u64]) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
+    match active_tier() {
+        // SAFETY: the Avx512 tier is only selected where
+        // `avx512::available()` detected AVX-512F, VPOPCNTDQ and POPCNT.
+        KernelTier::Avx512 => return unsafe { avx512::masked_hamming_words(a, b, mask) },
         // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
-        return unsafe { avx2::masked_hamming_words(a, b, mask) };
+        KernelTier::Avx2 => return unsafe { avx2::masked_hamming_words(a, b, mask) },
+        KernelTier::Scalar => {}
     }
     masked_hamming_words_scalar(a, b, mask)
 }
@@ -244,6 +342,24 @@ pub fn masked_hamming_words_avx2(a: &[u64], b: &[u64], mask: &[u64]) -> usize {
     unsafe { avx2::masked_hamming_words(a, b, mask) }
 }
 
+/// [`masked_hamming_words`] forced onto the AVX-512 tier, for differential
+/// testing.
+///
+/// # Panics
+///
+/// Panics if the AVX-512 tier is unavailable — check [`avx512_available`]
+/// first.
+#[cfg(target_arch = "x86_64")]
+#[must_use]
+pub fn masked_hamming_words_avx512(a: &[u64], b: &[u64], mask: &[u64]) -> usize {
+    assert!(
+        avx512_available(),
+        "the AVX-512 kernels need a CPU with AVX-512F and VPOPCNTDQ"
+    );
+    // SAFETY: availability checked above.
+    unsafe { avx512::masked_hamming_words(a, b, mask) }
+}
+
 // ---------------------------------------------------------------------------
 // Bit-sliced carry-save accumulation kernels
 //
@@ -272,8 +388,9 @@ pub const TREE_INPUTS: usize = 8;
 #[inline]
 pub fn csa_step_words(plane: &mut [u64], carry: &mut [u64]) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
-        // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
+    if avx2_bodies() {
+        // SAFETY: the Avx2 and Avx512 tiers are only selected on CPUs with
+        // AVX2.
         return unsafe { avx2::csa_step_words(plane, carry) };
     }
     csa_step_words_scalar(plane, carry)
@@ -313,8 +430,9 @@ pub fn csa_step_words_avx2(plane: &mut [u64], carry: &mut [u64]) -> u64 {
 #[inline]
 pub fn csa_input_step_words(plane: &mut [u64], input: &[u64], carry: &mut [u64]) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
-        // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
+    if avx2_bodies() {
+        // SAFETY: the Avx2 and Avx512 tiers are only selected on CPUs with
+        // AVX2.
         return unsafe { avx2::csa_input_step_words(plane, input, carry) };
     }
     csa_input_step_words_scalar(plane, input, carry)
@@ -360,8 +478,9 @@ pub fn csa_input_step_words_avx2(plane: &mut [u64], input: &[u64], carry: &mut [
 #[inline]
 pub fn csa_bind_step_words(plane: &mut [u64], a: &[u64], b: &[u64], carry: &mut [u64]) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
-        // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
+    if avx2_bodies() {
+        // SAFETY: the Avx2 and Avx512 tiers are only selected on CPUs with
+        // AVX2.
         return unsafe { avx2::csa_bind_step_words(plane, a, b, carry) };
     }
     csa_bind_step_words_scalar(plane, a, b, carry)
@@ -484,8 +603,9 @@ fn tree8_scalar(
 #[inline]
 pub fn csa_tree8_words(low: &mut [u64], carry: &mut [u64], inputs: &[&[u64]; TREE_INPUTS]) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
-        // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
+    if avx2_bodies() {
+        // SAFETY: the Avx2 and Avx512 tiers are only selected on CPUs with
+        // AVX2.
         return unsafe { avx2::csa_tree8_words(low, carry, inputs) };
     }
     csa_tree8_words_scalar(low, carry, inputs)
@@ -544,8 +664,9 @@ pub fn csa_tree8_bind_words(
     last_mask: u64,
 ) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
-        // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
+    if avx2_bodies() {
+        // SAFETY: the Avx2 and Avx512 tiers are only selected on CPUs with
+        // AVX2.
         return unsafe { avx2::csa_tree8_bind_words(low, carry, pairs, last_mask) };
     }
     csa_tree8_bind_words_scalar(low, carry, pairs, last_mask)
@@ -608,8 +729,9 @@ pub fn csa_tree8_bind_words_avx2(
 #[inline]
 pub fn bitsliced_cmp_words(planes: &[u64], words: usize, k: u64, gt: &mut [u64], eq: &mut [u64]) {
     #[cfg(target_arch = "x86_64")]
-    if active_tier() == KernelTier::Avx2 {
-        // SAFETY: the Avx2 tier is only selected on CPUs with AVX2.
+    if avx2_bodies() {
+        // SAFETY: the Avx2 and Avx512 tiers are only selected on CPUs with
+        // AVX2.
         return unsafe { avx2::bitsliced_cmp_words(planes, words, k, gt, eq) };
     }
     bitsliced_cmp_words_scalar(planes, words, k, gt, eq);
@@ -704,6 +826,10 @@ where
 /// cache-resident while each class row streams against the whole block.
 pub const QUERY_BLOCK: usize = 64;
 
+/// Largest query block [`argmax_dot_blocked_into`] tiles: the size of its
+/// stack tile of running minima, and [`query_block_for`]'s upper clamp.
+const MAX_QUERY_BLOCK: usize = 256;
+
 /// Picks a query-block size so one block of packed queries (`words_per_row`
 /// `u64`s each) occupies roughly 16 KB — small enough to stay L1-resident
 /// while a class row streams against it, large enough to amortize the row
@@ -713,7 +839,7 @@ pub const QUERY_BLOCK: usize = 64;
 #[must_use]
 pub fn query_block_for(words_per_row: usize) -> usize {
     const TARGET_BYTES: usize = 16 * 1024;
-    (TARGET_BYTES / (words_per_row.max(1) * 8)).clamp(8, 256)
+    (TARGET_BYTES / (words_per_row.max(1) * 8)).clamp(8, MAX_QUERY_BLOCK)
 }
 
 /// Packs the signs of `values` into bits, 64 per word: bit `j` of the
@@ -780,7 +906,10 @@ pub fn argmax_dot_blocked_into<Q: AsRef<[u64]>, R: AsRef<[u64]>>(
         }
         return;
     }
-    let mut best_h = vec![usize::MAX; block.min(queries.len())];
+    // The running minima live in a stack tile; a larger block is cut to
+    // it, which block invariance makes a pure tiling choice.
+    let block = block.min(MAX_QUERY_BLOCK);
+    let mut best_h = [usize::MAX; MAX_QUERY_BLOCK];
     for (q_blk, out_blk) in queries.chunks(block).zip(out.chunks_mut(block)) {
         let best = &mut best_h[..q_blk.len()];
         best.fill(usize::MAX);
@@ -1029,12 +1158,39 @@ mod tests {
     fn tier_names_and_detection_are_consistent() {
         assert_eq!(KernelTier::Scalar.name(), "scalar");
         assert_eq!(KernelTier::Avx2.name(), "avx2");
+        assert_eq!(KernelTier::Avx512.name(), "avx512");
+        assert!(KernelTier::Scalar < KernelTier::Avx2 && KernelTier::Avx2 < KernelTier::Avx512);
         let tier = active_tier();
-        if tier == KernelTier::Avx2 {
-            assert!(avx2_available(), "Avx2 tier requires AVX2 hardware");
+        match tier {
+            KernelTier::Avx512 => assert!(avx512_available(), "Avx512 tier requires AVX-512"),
+            KernelTier::Avx2 => assert!(avx2_available(), "Avx2 tier requires AVX2 hardware"),
+            KernelTier::Scalar => {}
+        }
+        if std::env::var_os(KERNEL_ENV).is_none() {
+            // auto-detection picks the highest tier the CPU runs
+            let best = if avx512_available() {
+                KernelTier::Avx512
+            } else if avx2_available() {
+                KernelTier::Avx2
+            } else {
+                KernelTier::Scalar
+            };
+            assert_eq!(tier, best);
         }
         // the active tier is stable across calls (resolved once)
         assert_eq!(active_tier(), tier);
+    }
+
+    #[test]
+    fn forced_tiers_fall_back_to_the_highest_available() {
+        use KernelTier::{Avx2, Avx512, Scalar};
+        for best in [Scalar, Avx2, Avx512] {
+            assert_eq!(resolve_tier(None, best), best);
+            assert_eq!(resolve_tier(Some("scalar"), best), Scalar);
+            assert_eq!(resolve_tier(Some("AVX2"), best), best.min(Avx2));
+            // without AVX-512 this is avx2, and scalar without AVX2 either
+            assert_eq!(resolve_tier(Some("avx512"), best), best);
+        }
     }
 
     #[test]

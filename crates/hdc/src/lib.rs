@@ -66,7 +66,7 @@ pub use encoder::{Encode, EncodeScratch, NgramEncoder, RecordEncoder, RecordEnco
 pub use error::HdcError;
 pub use item_memory::{LevelMemory, PositionMemory};
 pub use kernels::{
-    active_tier, avx2_available, dot_words, hamming_words, masked_dot_words,
+    active_tier, avx2_available, avx512_available, dot_words, hamming_words, masked_dot_words,
     masked_hamming_words, KernelTier,
 };
 pub use permutation::Permutation;

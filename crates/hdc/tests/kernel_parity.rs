@@ -1,26 +1,86 @@
-//! Differential kernel-parity suite: the SIMD tier must agree with the
-//! scalar reference **bit-for-bit** on every kernel entry point.
+//! Differential kernel-parity suite: every SIMD tier (AVX2 and AVX-512)
+//! must agree with the scalar reference **bit-for-bit** on every kernel
+//! entry point.
 //!
 //! All kernels compute exact integer popcounts — no floating point — so
 //! SIMD-vs-scalar equality is `==`, never an epsilon. The property tests
 //! generate widths straddling every word (64-bit) and lane (256-bit)
 //! boundary plus the Harley–Seal block boundary (1024 bits / 16 vectors),
 //! random tail words, and degenerate masks; the explicit regression cases
-//! pin the boundary widths from the issue (D ∈ {1, 63, 64, 65, 255, 256,
-//! 257, 1024, 10000}).
+//! pin the boundary widths (D ∈ {1, 63, 64, 65, 255, 256, 257, 511, 512,
+//! 513, 575, 576, 577, 1024, 10000}) and, for the 8-word registers of the
+//! AVX-512 tier, every tail length 0–7.
 //!
-//! On hosts without AVX2 the differential assertions skip (there is nothing
-//! to diff), but the scalar self-consistency and dispatch tests still run.
+//! A tier the host lacks is skipped (there is nothing to diff), but the
+//! scalar self-consistency and dispatch tests still run.
 
 use hdc::kernels;
 use hdc::{BinaryHv, Dim};
 use testkit::prelude::*;
 use testkit::Xoshiro256pp;
 
-/// Widths (in bits) straddling word, lane, and Harley–Seal block boundaries.
+/// Widths (in bits) straddling word, lane, Harley–Seal block and 8-word
+/// (512-bit) register boundaries.
 const BOUNDARY_DIMS: &[usize] = &[
-    1, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 4096, 10_000,
+    1, 63, 64, 65, 255, 256, 257, 511, 512, 513, 575, 576, 577, 1023, 1024, 1025, 4096, 10_000,
 ];
+
+/// The forced popcount entry points of one SIMD tier.
+struct SimdTier {
+    name: &'static str,
+    popcount: fn(&[u64]) -> usize,
+    hamming: fn(&[u64], &[u64]) -> usize,
+    masked_hamming: fn(&[u64], &[u64], &[u64]) -> usize,
+}
+
+/// The SIMD tiers this host runs, each with its forced entry points.
+fn simd_tiers() -> Vec<SimdTier> {
+    #[allow(unused_mut)]
+    let mut tiers = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if kernels::avx2_available() {
+            tiers.push(SimdTier {
+                name: "avx2",
+                popcount: kernels::popcount_words_avx2,
+                hamming: kernels::hamming_words_avx2,
+                masked_hamming: kernels::masked_hamming_words_avx2,
+            });
+        }
+        if kernels::avx512_available() {
+            tiers.push(SimdTier {
+                name: "avx512",
+                popcount: kernels::popcount_words_avx512,
+                hamming: kernels::hamming_words_avx512,
+                masked_hamming: kernels::masked_hamming_words_avx512,
+            });
+        }
+    }
+    tiers
+}
+
+/// Asserts that every SIMD tier matches the scalar reference on one operand
+/// triple.
+fn assert_tiers_match_scalar(a: &[u64], b: &[u64], m: &[u64], context: &str) {
+    for t in simd_tiers() {
+        let name = t.name;
+        assert_eq!(
+            (t.popcount)(a),
+            kernels::popcount_words_scalar(a),
+            "{name} popcount {context}"
+        );
+        assert_eq!(
+            (t.hamming)(a, b),
+            kernels::hamming_words_scalar(a, b),
+            "{name} hamming {context}"
+        );
+        assert_eq!(
+            (t.masked_hamming)(a, b, m),
+            kernels::masked_hamming_words_scalar(a, b, m),
+            "{name} masked {context}"
+        );
+    }
+}
 
 fn hv(dim: usize, seed: u64) -> BinaryHv {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -56,35 +116,28 @@ fn arb_word_triple() -> impl Strategy<Value = (Vec<u64>, Vec<u64>, Vec<u64>)> {
     })
 }
 
-#[cfg(target_arch = "x86_64")]
 proptest! {
     #[test]
     fn popcount_simd_matches_scalar(words in arb_words()) {
-        if kernels::avx2_available() {
-            prop_assert_eq!(
-                kernels::popcount_words_avx2(&words),
-                kernels::popcount_words_scalar(&words)
-            );
+        for t in simd_tiers() {
+            prop_assert_eq!((t.popcount)(&words), kernels::popcount_words_scalar(&words));
         }
     }
 
     #[test]
     fn hamming_simd_matches_scalar(pair in arb_word_pair()) {
         let (a, b) = pair;
-        if kernels::avx2_available() {
-            prop_assert_eq!(
-                kernels::hamming_words_avx2(&a, &b),
-                kernels::hamming_words_scalar(&a, &b)
-            );
+        for t in simd_tiers() {
+            prop_assert_eq!((t.hamming)(&a, &b), kernels::hamming_words_scalar(&a, &b));
         }
     }
 
     #[test]
     fn masked_hamming_simd_matches_scalar(triple in arb_word_triple()) {
         let (a, b, m) = triple;
-        if kernels::avx2_available() {
+        for t in simd_tiers() {
             prop_assert_eq!(
-                kernels::masked_hamming_words_avx2(&a, &b, &m),
+                (t.masked_hamming)(&a, &b, &m),
                 kernels::masked_hamming_words_scalar(&a, &b, &m)
             );
         }
@@ -93,12 +146,12 @@ proptest! {
     #[test]
     fn degenerate_masks_simd_matches_scalar(pair in arb_word_pair()) {
         let (a, b) = pair;
-        if kernels::avx2_available() {
-            let zeros = vec![0u64; a.len()];
-            let ones = vec![u64::MAX; a.len()];
-            prop_assert_eq!(kernels::masked_hamming_words_avx2(&a, &b, &zeros), 0);
+        let zeros = vec![0u64; a.len()];
+        let ones = vec![u64::MAX; a.len()];
+        for t in simd_tiers() {
+            prop_assert_eq!((t.masked_hamming)(&a, &b, &zeros), 0);
             prop_assert_eq!(
-                kernels::masked_hamming_words_avx2(&a, &b, &ones),
+                (t.masked_hamming)(&a, &b, &ones),
                 kernels::hamming_words_scalar(&a, &b)
             );
         }
@@ -107,7 +160,7 @@ proptest! {
 
 proptest! {
     // Tier-independent: whatever tier this process dispatches to (set
-    // LEHDC_KERNEL to pin it — check.sh runs the suite under both), the
+    // LEHDC_KERNEL to pin it — check.sh runs the suite under each), the
     // public entry points must equal the scalar reference.
     #[test]
     fn dispatched_kernels_match_scalar(triple in arb_word_triple()) {
@@ -167,64 +220,47 @@ proptest! {
 // cases the generators reach only rarely.
 // ---------------------------------------------------------------------------
 
-#[cfg(target_arch = "x86_64")]
 #[test]
 fn boundary_widths_simd_matches_scalar() {
-    if !kernels::avx2_available() {
-        eprintln!("skipping: no AVX2 on this host");
-        return;
-    }
     for &d in BOUNDARY_DIMS {
         let a = hv(d, 2 * d as u64);
         let b = hv(d, 2 * d as u64 + 1);
         let mask = BinaryHv::from_fn(Dim::new(d), |i| i % 3 != 0);
-        assert_eq!(
-            kernels::popcount_words_avx2(a.as_words()),
-            kernels::popcount_words_scalar(a.as_words()),
-            "popcount d={d}"
-        );
-        assert_eq!(
-            kernels::hamming_words_avx2(a.as_words(), b.as_words()),
-            kernels::hamming_words_scalar(a.as_words(), b.as_words()),
-            "hamming d={d}"
-        );
-        assert_eq!(
-            kernels::masked_hamming_words_avx2(a.as_words(), b.as_words(), mask.as_words()),
-            kernels::masked_hamming_words_scalar(a.as_words(), b.as_words(), mask.as_words()),
-            "masked d={d}"
+        assert_tiers_match_scalar(
+            a.as_words(),
+            b.as_words(),
+            mask.as_words(),
+            &format!("d={d}"),
         );
     }
 }
 
-#[cfg(target_arch = "x86_64")]
 #[test]
 fn random_tail_words_simd_matches_scalar() {
     // Raw word slices whose last word is fully random (no zero tail bits):
     // the kernels must count whatever is there, identically.
-    if !kernels::avx2_available() {
-        eprintln!("skipping: no AVX2 on this host");
-        return;
-    }
     let mut rng = Xoshiro256pp::seed_from_u64(0xBEEF);
     for n in [1usize, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65, 157] {
         let a: Vec<u64> = (0..n).map(|_| rng.random::<u64>()).collect();
         let b: Vec<u64> = (0..n).map(|_| rng.random::<u64>()).collect();
         let m: Vec<u64> = (0..n).map(|_| rng.random::<u64>()).collect();
-        assert_eq!(
-            kernels::popcount_words_avx2(&a),
-            kernels::popcount_words_scalar(&a),
-            "popcount n={n}"
-        );
-        assert_eq!(
-            kernels::hamming_words_avx2(&a, &b),
-            kernels::hamming_words_scalar(&a, &b),
-            "hamming n={n}"
-        );
-        assert_eq!(
-            kernels::masked_hamming_words_avx2(&a, &b, &m),
-            kernels::masked_hamming_words_scalar(&a, &b, &m),
-            "masked n={n}"
-        );
+        assert_tiers_match_scalar(&a, &b, &m, &format!("n={n}"));
+    }
+}
+
+#[test]
+fn every_register_tail_length_matches_scalar() {
+    // Raw slices of 0–32 words: every count of words left over after whole
+    // 8-word registers (0–7), four times over, each under random, all-zero
+    // and all-one masks.
+    let mut rng = Xoshiro256pp::seed_from_u64(0x0512);
+    for n in 0..=32usize {
+        let a: Vec<u64> = (0..n).map(|_| rng.random::<u64>()).collect();
+        let b: Vec<u64> = (0..n).map(|_| rng.random::<u64>()).collect();
+        let m: Vec<u64> = (0..n).map(|_| rng.random::<u64>()).collect();
+        for mask in [m, vec![0; n], vec![u64::MAX; n]] {
+            assert_tiers_match_scalar(&a, &b, &mask, &format!("n={n} tail={}", n % 8));
+        }
     }
 }
 
@@ -234,11 +270,10 @@ fn empty_slices_count_zero_on_every_tier() {
     assert_eq!(kernels::popcount_words_scalar(&[]), 0);
     assert_eq!(kernels::hamming_words(&[], &[]), 0);
     assert_eq!(kernels::masked_hamming_words(&[], &[], &[]), 0);
-    #[cfg(target_arch = "x86_64")]
-    if kernels::avx2_available() {
-        assert_eq!(kernels::popcount_words_avx2(&[]), 0);
-        assert_eq!(kernels::hamming_words_avx2(&[], &[]), 0);
-        assert_eq!(kernels::masked_hamming_words_avx2(&[], &[], &[]), 0);
+    for t in simd_tiers() {
+        assert_eq!((t.popcount)(&[]), 0, "{}", t.name);
+        assert_eq!((t.hamming)(&[], &[]), 0, "{}", t.name);
+        assert_eq!((t.masked_hamming)(&[], &[], &[]), 0, "{}", t.name);
     }
 }
 
@@ -282,22 +317,22 @@ fn saturated_popcounts_stay_exact_integers_below_2_pow_24() {
 #[test]
 fn active_tier_honors_env_override() {
     // This process may have been launched with LEHDC_KERNEL set (check.sh
-    // runs the suite under both values); whatever was requested must be
-    // what dispatch resolved to.
+    // runs the suite under every value); whatever was requested must be
+    // what dispatch resolved to, falling back avx512 → avx2 → scalar to
+    // the highest tier the CPU runs.
+    use kernels::KernelTier::{Avx2, Avx512, Scalar};
+    let best = if kernels::avx512_available() {
+        Avx512
+    } else if kernels::avx2_available() {
+        Avx2
+    } else {
+        Scalar
+    };
     let tier = kernels::active_tier();
     match std::env::var(kernels::KERNEL_ENV).ok().as_deref() {
-        Some("scalar") => assert_eq!(tier, kernels::KernelTier::Scalar),
-        Some("avx2") => {
-            if kernels::avx2_available() {
-                assert_eq!(tier, kernels::KernelTier::Avx2);
-            } else {
-                assert_eq!(tier, kernels::KernelTier::Scalar, "graceful fallback");
-            }
-        }
-        _ => assert_eq!(
-            tier == kernels::KernelTier::Avx2,
-            kernels::avx2_available(),
-            "auto-detection follows the hardware"
-        ),
+        Some("scalar") => assert_eq!(tier, Scalar),
+        Some("avx2") => assert_eq!(tier, best.min(Avx2), "avx2, or the scalar fallback"),
+        Some("avx512") => assert_eq!(tier, best, "avx512, or the avx2/scalar fallback"),
+        _ => assert_eq!(tier, best, "auto-detection picks the highest available tier"),
     }
 }

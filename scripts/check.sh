@@ -24,6 +24,21 @@ else
     echo "== offline test suite (avx2 pass skipped: CPU lacks AVX2) =="
 fi
 
+# The AVX-512 tier needs both flags; /proc/cpuinfo spells the second one
+# avx512_vpopcntdq.
+has_avx512() {
+    grep -q '\bavx512f\b' /proc/cpuinfo 2>/dev/null \
+        && grep -q '\bavx512_vpopcntdq\b' /proc/cpuinfo 2>/dev/null
+}
+if has_avx512; then
+    echo "== offline test suite (kernel tier: avx512 forced) =="
+    LEHDC_KERNEL=avx512 cargo test -q --offline --workspace
+    echo "== accumulator/encoder parity suite (kernel tier: avx512 forced) =="
+    LEHDC_KERNEL=avx512 cargo test -q --offline -p hdc --test accum_parity
+else
+    echo "== offline test suite (avx512 pass skipped: CPU lacks AVX-512F or VPOPCNTDQ) =="
+fi
+
 echo "== observability crate =="
 cargo test -q --offline -p obs
 
@@ -69,6 +84,11 @@ cmp "$smoke_dir/offline.txt" "$smoke_dir/offline_recorded.txt" \
 serve_tiers="scalar"
 if grep -q '\bavx2\b' /proc/cpuinfo 2>/dev/null; then
     serve_tiers="scalar avx2"
+fi
+if has_avx512; then
+    serve_tiers="$serve_tiers avx512"
+else
+    echo "-- serve smoke (avx512 pass skipped: CPU lacks AVX-512F or VPOPCNTDQ) --"
 fi
 for tier in $serve_tiers; do
     echo "-- serve smoke (kernel tier: $tier) --"
