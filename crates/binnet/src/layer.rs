@@ -258,7 +258,7 @@ impl BinaryLinear {
     /// step. The result is bit-identical to clamping the whole gradient,
     /// calling [`Optimizer::step`](crate::Optimizer::step) on the latents,
     /// and packing every sign with `l >= 0.0`, at any thread count and on
-    /// either kernel tier:
+    /// every kernel tier:
     ///
     /// - The flat `K·wpr` packed words (`wpr` words per row) split into one
     ///   chunk per worker. Word `i` covers dims `[w·64, min(w·64 + 64, D))`
@@ -280,25 +280,15 @@ impl BinaryLinear {
         self.apply_gradient_fused_on(active_tier(), grad, opt, grad_clip);
     }
 
-    /// [`apply_gradient_fused`](Self::apply_gradient_fused) forced onto
-    /// `tier`, for differential testing.
-    ///
-    /// # Panics
-    ///
-    /// As [`apply_gradient_fused`](Self::apply_gradient_fused), and if this
-    /// CPU cannot run `tier` — check [`KernelTier::available`] first.
-    pub fn apply_gradient_fused_on(
+    /// [`apply_gradient_fused`](Self::apply_gradient_fused) on `tier`,
+    /// which this CPU must run.
+    fn apply_gradient_fused_on(
         &mut self,
         tier: KernelTier,
         grad: &Matrix,
         opt: &mut Adam,
         grad_clip: Option<f32>,
     ) {
-        assert!(
-            tier.available(),
-            "the {} kernels need a CPU that supports them",
-            tier.name()
-        );
         let (d, k) = (self.d_in, self.k_out);
         assert_eq!(
             (grad.rows(), grad.cols()),
@@ -645,6 +635,79 @@ mod tests {
     fn fused_step_refuses_a_nan_clip_on_every_tier() {
         let mut layer = BinaryLinear::new(4, 2, 0);
         layer.apply_gradient_fused(&Matrix::zeros(2, 4), &mut Adam::new(0.1), Some(f32::NAN));
+    }
+
+    /// Gradient entries that stress the float path: subnormals of both
+    /// signs, `±0.0`, magnitudes large enough that some Adam moments
+    /// overflow to `±∞`, and ordinary softmax-sized values.
+    fn awkward_gradient(rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| {
+                let sign = if rng.random::<bool>() { 1.0f32 } else { -1.0 };
+                sign * match rng.random_range(0u32..5) {
+                    0 => f32::from_bits(rng.random_range(1u32..0x0080_0000)), // subnormal
+                    1 => 0.0,
+                    2 => rng.random_range(1e36f32..3e38),
+                    3 => rng.random_range(1e-38f32..1e-30),
+                    _ => rng.random_range(0.0f32..1.0),
+                }
+            })
+            .collect();
+        Matrix::from_flat(rows, cols, data).unwrap()
+    }
+
+    #[test]
+    fn fused_step_tiers_match_scalar_bit_for_bit() {
+        // The AVX2 and AVX-512 tiers both run the AVX2 kernel; each must
+        // equal the scalar step bit for bit (latents compared as `to_bits`,
+        // so `+0.0` vs `-0.0` would count).
+        let tiers: Vec<KernelTier> = [KernelTier::Avx2, KernelTier::Avx512]
+            .into_iter()
+            .filter(|tier| tier.available())
+            .collect();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = Xoshiro256pp::seed_from_u64(0xF05E);
+        for d in [1usize, 7, 8, 9, 63, 64, 65, 200, 257] {
+            for k in [1usize, 3, 5] {
+                for threads in [1, 3] {
+                    for clip in [None, Some(0.05f32)] {
+                        let start =
+                            BinaryLinear::new(d, k, d as u64 * 31 + k as u64).with_threads(threads);
+                        let opt = Adam::new(0.05).weight_decay(0.01);
+                        let (mut scalar, mut scalar_opt) = (start.clone(), opt.clone());
+                        let mut simd: Vec<_> = tiers
+                            .iter()
+                            .map(|&tier| (tier, start.clone(), opt.clone()))
+                            .collect();
+                        for step in 0..4 {
+                            let grad = awkward_gradient(k, d, &mut rng);
+                            scalar.apply_gradient_fused_on(
+                                KernelTier::Scalar,
+                                &grad,
+                                &mut scalar_opt,
+                                clip,
+                            );
+                            for (tier, layer, opt) in &mut simd {
+                                layer.apply_gradient_fused_on(*tier, &grad, opt, clip);
+                                let context = format!(
+                                    "tier={} d={d} k={k} threads={threads} clip={clip:?} \
+                                     step={step}",
+                                    tier.name()
+                                );
+                                assert!(
+                                    bits(layer.latent()) == bits(scalar.latent()),
+                                    "latents: {context}"
+                                );
+                                assert!(
+                                    layer.packed_weights() == scalar.packed_weights(),
+                                    "packed weights: {context}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

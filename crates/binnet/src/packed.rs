@@ -46,8 +46,9 @@
 //!
 //! The parity tests in `tests/packed_parity.rs` enforce exact `==` on the
 //! resulting matrices across shapes, masks, and thread counts, and diff the
-//! gradient product and the fused optimizer step on the AVX2 and AVX-512
-//! tiers (both run the AVX2 kernels) against the scalar ones bit for bit.
+//! gradient product on the AVX2 and AVX-512 tiers (both run the AVX2
+//! kernel) against the scalar one bit for bit; `layer::tests` does the same
+//! for the fused optimizer step.
 //!
 //! [`BinaryHv`]: hdc::BinaryHv
 

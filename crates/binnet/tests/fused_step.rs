@@ -1,9 +1,9 @@
 //! The fused update (`BinaryLinear::apply_gradient_fused`) must be
 //! **bit-identical** to the reference sequence it replaces — clamp the
 //! gradient, `Adam::step` over the class-major latents, pack every sign with
-//! `>= 0.0` — at any thread count and on every kernel tier (`LEHDC_KERNEL`
-//! picks it; `scripts/check.sh` runs each), on ordinary and edge values, and
-//! it must not allocate once the layer exists.
+//! `>= 0.0` — at any thread count and on every kernel tier (auto-detected,
+//! or forced by `LEHDC_KERNEL`; `scripts/check.sh` runs each), on ordinary
+//! and edge values, and it must not allocate once the layer exists.
 
 use binnet::{Adam, BinaryLinear, Matrix, Optimizer, PackedMatrix};
 use testkit::{Rng, Xoshiro256pp};

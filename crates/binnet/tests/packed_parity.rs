@@ -262,9 +262,10 @@ fn layer_forward_is_blocked_identically_to_dense_for_large_batches() {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel tiers: on the AVX2 and AVX-512 tiers the gradient product and the
-// fused optimizer step must equal the scalar reference bit for bit
-// (compared as `to_bits`, so `+0.0` vs `-0.0` would count).
+// Kernel tiers: on the AVX2 and AVX-512 tiers the gradient product must
+// equal the scalar reference bit for bit (compared as `to_bits`, so `+0.0`
+// vs `-0.0` would count). The fused optimizer step's tier diff lives in
+// `layer::tests`.
 // ---------------------------------------------------------------------------
 
 /// The SIMD tiers this CPU runs.
@@ -353,57 +354,6 @@ fn avx2_gradient_matches_scalar_bit_for_bit() {
                             mask.is_some(),
                             pool.threads()
                         );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn fused_step_tiers_match_scalar_bit_for_bit() {
-    use binnet::Adam;
-
-    let tiers = simd_tiers();
-    if tiers.is_empty() {
-        eprintln!("skipping: no AVX2 on this host");
-        return;
-    }
-    let mut rng = Xoshiro256pp::seed_from_u64(0xF05E);
-    for d in [1usize, 7, 8, 9, 63, 64, 65, 200, 257] {
-        for k in [1usize, 3, 5] {
-            for threads in [1, 3] {
-                for clip in [None, Some(0.05f32)] {
-                    let start =
-                        BinaryLinear::new(d, k, d as u64 * 31 + k as u64).with_threads(threads);
-                    let opt = Adam::new(0.05).weight_decay(0.01);
-                    let mut scalar = (start.clone(), opt.clone());
-                    let mut simd: Vec<_> = tiers
-                        .iter()
-                        .map(|&tier| (tier, start.clone(), opt.clone()))
-                        .collect();
-                    for step in 0..4 {
-                        let grad = awkward_gradient(k, d, &mut rng);
-                        scalar.0.apply_gradient_fused_on(
-                            KernelTier::Scalar,
-                            &grad,
-                            &mut scalar.1,
-                            clip,
-                        );
-                        let expect = bits(scalar.0.latent());
-                        for (tier, layer, opt) in &mut simd {
-                            layer.apply_gradient_fused_on(*tier, &grad, opt, clip);
-                            let context = format!(
-                                "tier={} d={d} k={k} threads={threads} clip={clip:?} step={step}",
-                                tier.name()
-                            );
-                            assert!(bits(layer.latent()) == expect, "latents: {context}");
-                            assert!(
-                                layer.packed_weights() == scalar.0.packed_weights(),
-                                "packed weights: {context}"
-                            );
-                        }
                     }
                 }
             }

@@ -357,7 +357,8 @@ impl Classifier for HdcModel {
 ///
 /// # Panics
 ///
-/// Panics if `dims` is empty or any index is out of range.
+/// Panics if `dims` is empty, not strictly increasing (every selection
+/// [`HdcModel::distill`] returns is), or any index is out of range.
 #[must_use]
 pub fn project_dims(hv: &BinaryHv, dims: &[u32]) -> BinaryHv {
     let mut out = BinaryHv::zeros(Dim::new(dims.len()));

@@ -2,8 +2,9 @@
 //! classification.
 //!
 //! The claim under test: batch predictions are **bit-identical**
-//! across kernel tiers (`LEHDC_KERNEL=scalar|avx2|avx512` — check.sh runs
-//! this suite under each), query block sizes {1, 7, 64, full}, and thread counts
+//! across kernel tiers (scalar, avx2 and avx512 — check.sh runs this suite
+//! under `LEHDC_KERNEL=scalar`, `LEHDC_KERNEL=avx2` and, for the highest
+//! tier, with it unset), query block sizes {1, 7, 64, full}, and thread counts
 //! {1, 4}. The anchor is an explicitly-scalar per-query argmax reference
 //! computed with `hamming_words_scalar`, so whichever tier this process
 //! dispatches to is diffed against the scalar reference, and the argmax

@@ -103,9 +103,6 @@ proptest! {
         let d = [1usize, 63, 64, 65, 2000, 10_000][d_idx];
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let hv = BinaryHv::random(Dim::new(d), &mut rng);
-        let per_bit = |dims: &[u32]| {
-            BinaryHv::from_fn(Dim::new(dims.len()), |j| hv.get(dims[j] as usize))
-        };
         // a random strictly increasing selection, from one dim to all of them
         let mut dims: Vec<u32> = (0..d as u32)
             .filter(|_| rng.random_range(0u32..1000) < keep_per_mille)
@@ -113,13 +110,7 @@ proptest! {
         if dims.is_empty() {
             dims.push(rng.random_range(0..d as u32));
         }
-        prop_assert_eq!(project_dims(&hv, &dims), per_bit(&dims));
-        // selections that are not strictly increasing — a repeated dim in
-        // order, then reversed — still return the per-bit bits
-        let mut other = dims.clone();
-        other.insert(0, dims[0]);
-        prop_assert_eq!(project_dims(&hv, &other), per_bit(&other));
-        other.reverse();
-        prop_assert_eq!(project_dims(&hv, &other), per_bit(&other));
+        let per_bit = BinaryHv::from_fn(Dim::new(dims.len()), |j| hv.get(dims[j] as usize));
+        prop_assert_eq!(project_dims(&hv, &dims), per_bit);
     }
 }

@@ -20,8 +20,9 @@
 //!   iterative strategies, on any engine of that grid;
 //! - pinned goldens on a fixed corpus catch any silent semantic drift.
 //!
-//! `scripts/check.sh` runs this suite under `LEHDC_KERNEL=scalar`, `avx2`
-//! and `avx512`, so tier invariance is enforced as well.
+//! `scripts/check.sh` runs this suite under `LEHDC_KERNEL=scalar`, under
+//! `LEHDC_KERNEL=avx2` and, on AVX-512 hosts, with it unset (the avx512
+//! tier), so tier invariance is enforced as well.
 
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RealHv};

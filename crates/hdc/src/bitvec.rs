@@ -420,25 +420,22 @@ impl BinaryHv {
     /// Projects onto a dimension subset, overwriting every bit of `out`:
     /// bit `j` of `out` becomes bit `dims[j]` of `self`.
     ///
-    /// A strictly increasing `dims` (every selection a distilled model
-    /// stores) is gathered word by word: the kept bits of one source word
-    /// land next to each other in the output, so each source word is read
-    /// once, its kept bits extracted by a loop over the word's selection
-    /// mask, and the run ORed into at most two output words. Any other
-    /// order takes a bit-at-a-time loop; both give the same bits.
+    /// `dims` must be strictly increasing, as every selection a distilled
+    /// model stores is, so the kept bits of one source word land next to
+    /// each other in the output: each source word is read once, its kept
+    /// bits extracted by a loop over the word's selection mask, and the run
+    /// ORed into at most two output words.
     ///
     /// # Panics
     ///
-    /// Panics if `out.dim()` differs from `dims.len()` or any index is out
-    /// of range.
+    /// Panics if `out.dim()` differs from `dims.len()`, `dims` is not
+    /// strictly increasing, or any index is out of range.
     pub fn project_into(&self, dims: &[u32], out: &mut BinaryHv) {
         assert_eq!(out.dim.get(), dims.len(), "one output bit per kept dim");
-        if !dims.windows(2).all(|w| w[0] < w[1]) {
-            for (j, &d) in dims.iter().enumerate() {
-                out.set(j, self.get(d as usize));
-            }
-            return;
-        }
+        assert!(
+            dims.windows(2).all(|w| w[0] < w[1]),
+            "selection dims must be strictly increasing"
+        );
         if let Some(&last) = dims.last() {
             assert!((last as usize) < self.dim.get(), "dimension index out of range");
         }
@@ -711,6 +708,20 @@ mod tests {
         // 70 sits in the last word of D = 65, above D
         let a = BinaryHv::ones(Dim::new(65));
         a.project_into(&[0, 70], &mut BinaryHv::zeros(Dim::new(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn projection_rejects_a_repeated_dim() {
+        let a = BinaryHv::ones(Dim::new(65));
+        a.project_into(&[3, 3], &mut BinaryHv::zeros(Dim::new(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn projection_rejects_a_decreasing_selection() {
+        let a = BinaryHv::ones(Dim::new(65));
+        a.project_into(&[64, 0], &mut BinaryHv::zeros(Dim::new(2)));
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //! LUT), and for the three popcount kernels an AVX-512 one ([`avx512`], the
 //! scalar loops compiled for `VPOPCNTQ`). The un-suffixed entry points
 //! dispatch on [`active_tier`], which is resolved **once** per process: the
-//! `LEHDC_KERNEL` env var (`scalar`, `avx2` or `avx512`) wins if set,
-//! otherwise the highest tier the CPU supports is picked. A kernel without
-//! an AVX-512 body (the carry-save, tree and compare kernels) runs its AVX2
-//! body on the AVX-512 tier. Every tier computes exact integers, so their
+//! highest tier the CPU supports, unless the `LEHDC_KERNEL` env var forces a
+//! lower one (`scalar` or `avx2`). A kernel without an AVX-512 body (the
+//! carry-save, tree and compare kernels) runs its AVX2 body on the AVX-512
+//! tier. Every tier computes exact integers, so their
 //! results are bit-identical — enforced by the differential parity suite in
 //! `tests/kernel_parity.rs`.
 //!
@@ -50,14 +50,14 @@ pub mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub mod avx512;
 
-/// Env var that forces a kernel tier: `scalar`, `avx2` or `avx512`
+/// Env var that forces a kernel tier below the highest: `scalar` or `avx2`
 /// (case-insensitive).
 ///
-/// Unset means auto-detect: the highest tier the CPU supports. Forcing a
-/// tier the CPU lacks falls back down the chain `avx512` → `avx2` →
-/// `scalar`, to the highest tier it does support, with a one-time warning on
-/// stderr rather than crashing, so test suites can force every tier
-/// unconditionally and skip gracefully.
+/// Unset means auto-detect: the highest tier the CPU supports, `avx512`
+/// where it has AVX-512F and VPOPCNTDQ, else `avx2` where it has AVX2, else
+/// `scalar`. Forcing `avx2` on a CPU without AVX2 falls back to scalar with
+/// a one-time warning on stderr rather than crashing, so test suites can
+/// force both values unconditionally and skip gracefully.
 pub const KERNEL_ENV: &str = "LEHDC_KERNEL";
 
 /// A compute tier the popcount kernels can run on, ordered by capability:
@@ -131,8 +131,8 @@ static ACTIVE_TIER: OnceLock<KernelTier> = OnceLock::new();
 ///
 /// # Panics
 ///
-/// Panics if `LEHDC_KERNEL` is set to anything other than `scalar`, `avx2`
-/// or `avx512`.
+/// Panics if `LEHDC_KERNEL` is set to anything other than `scalar` or
+/// `avx2`.
 #[inline]
 pub fn active_tier() -> KernelTier {
     *ACTIVE_TIER.get_or_init(detect_tier)
@@ -156,8 +156,7 @@ fn resolve_tier(requested: Option<&str>, best: KernelTier) -> KernelTier {
     let tier = match requested.to_ascii_lowercase().as_str() {
         "scalar" => KernelTier::Scalar,
         "avx2" => KernelTier::Avx2,
-        "avx512" => KernelTier::Avx512,
-        other => panic!("{KERNEL_ENV} must be `scalar`, `avx2` or `avx512`, got `{other}`"),
+        other => panic!("{KERNEL_ENV} must be `scalar` or `avx2`, got `{other}`"),
     };
     if tier > best {
         eprintln!(
@@ -1187,9 +1186,8 @@ mod tests {
         for best in [Scalar, Avx2, Avx512] {
             assert_eq!(resolve_tier(None, best), best);
             assert_eq!(resolve_tier(Some("scalar"), best), Scalar);
+            // without AVX2 this falls back to scalar
             assert_eq!(resolve_tier(Some("AVX2"), best), best.min(Avx2));
-            // without AVX-512 this is avx2, and scalar without AVX2 either
-            assert_eq!(resolve_tier(Some("avx512"), best), best);
         }
     }
 

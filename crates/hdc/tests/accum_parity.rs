@@ -7,9 +7,9 @@
 //!    odd/even counts (ties), and any chunked-merge order.
 //! 2. **Tier parity** — the AVX2 carry-save, carry-save tree and compare
 //!    kernels are bit-identical to their always-compiled scalar references
-//!    (run when the CPU has AVX2; `scripts/check.sh` additionally forces the
-//!    whole suite under every `LEHDC_KERNEL` tier; the AVX-512 tier runs
-//!    these AVX2 bodies), and the grouped adds
+//!    (run when the CPU has AVX2; `scripts/check.sh` additionally runs the
+//!    whole suite on every kernel tier; the AVX-512 tier runs these AVX2
+//!    bodies), and the grouped adds
 //!    equal the per-input ripple and the `u32` reference.
 //! 3. **Golden pins** — encoder outputs and the `sgn(0)` tie-break RNG
 //!    stream are byte-identical to the pre-bit-slicing seed encoder, pinned

@@ -25,16 +25,17 @@ else
 fi
 
 # The AVX-512 tier needs both flags; /proc/cpuinfo spells the second one
-# avx512_vpopcntdq.
+# avx512_vpopcntdq. It is the highest tier, so an unset LEHDC_KERNEL
+# selects it.
 has_avx512() {
     grep -q '\bavx512f\b' /proc/cpuinfo 2>/dev/null \
         && grep -q '\bavx512_vpopcntdq\b' /proc/cpuinfo 2>/dev/null
 }
 if has_avx512; then
-    echo "== offline test suite (kernel tier: avx512 forced) =="
-    LEHDC_KERNEL=avx512 cargo test -q --offline --workspace
-    echo "== accumulator/encoder parity suite (kernel tier: avx512 forced) =="
-    LEHDC_KERNEL=avx512 cargo test -q --offline -p hdc --test accum_parity
+    echo "== offline test suite (kernel tier: avx512, LEHDC_KERNEL unset) =="
+    env -u LEHDC_KERNEL cargo test -q --offline --workspace
+    echo "== accumulator/encoder parity suite (kernel tier: avx512, LEHDC_KERNEL unset) =="
+    env -u LEHDC_KERNEL cargo test -q --offline -p hdc --test accum_parity
 else
     echo "== offline test suite (avx512 pass skipped: CPU lacks AVX-512F or VPOPCNTDQ) =="
 fi
@@ -92,7 +93,13 @@ else
 fi
 for tier in $serve_tiers; do
     echo "-- serve smoke (kernel tier: $tier) --"
-    LEHDC_KERNEL=$tier ./target/release/lehdc_serve \
+    if [ "$tier" = avx512 ]; then
+        tier_env="-u LEHDC_KERNEL"
+    else
+        tier_env="LEHDC_KERNEL=$tier"
+    fi
+    # $tier_env is unquoted on purpose: `-u LEHDC_KERNEL` is two words.
+    env $tier_env ./target/release/lehdc_serve \
         --model "$smoke_dir/model.lehdc" --addr 127.0.0.1:0 --threads 2 \
         > "$smoke_dir/serve_$tier.log" 2> "$smoke_dir/serve_$tier.err" &
     serve_pid=$!
@@ -106,7 +113,7 @@ for tier in $serve_tiers; do
         sleep 0.1
     done
     [ -n "$serve_addr" ] || { echo "ERROR: lehdc_serve never printed its address" >&2; exit 1; }
-    LEHDC_KERNEL=$tier ./target/release/lehdc_loadgen \
+    env $tier_env ./target/release/lehdc_loadgen \
         --addr "$serve_addr" --data "$smoke_dir/features.csv" \
         --requests 360 --connections 4 --window 8 \
         --check "$smoke_dir/offline.txt" --stats --shutdown \
