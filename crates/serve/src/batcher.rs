@@ -16,7 +16,6 @@
 //! [`ModelBundle::encode_batch`]: lehdc::io::ModelBundle::encode_batch
 
 use std::sync::mpsc::SyncSender;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lehdc::io::QueryBuffers;
@@ -47,16 +46,16 @@ impl AsRef<[f32]> for ClassifyRequest {
     }
 }
 
-pub(crate) struct Collector {
-    pub queue: Arc<RingBuffer<ClassifyRequest>>,
-    pub state: Arc<ModelState>,
+pub(crate) struct Collector<'a> {
+    pub queue: &'a RingBuffer<ClassifyRequest>,
+    pub state: &'a ModelState,
     pub engine: EpochEngine,
     pub max_batch: usize,
     pub max_wait: Duration,
-    pub rec: Recorder,
+    pub rec: &'a Recorder,
 }
 
-impl Collector {
+impl Collector<'_> {
     /// Runs until the queue is closed *and* drained, so every request that
     /// made it into the ring is answered even during shutdown.
     pub(crate) fn run(&self) {
@@ -115,7 +114,6 @@ impl Collector {
                 }
                 self.rec.add("serve/requests_total", n as u64);
                 self.rec.add("serve/batches_total", 1);
-                self.rec.add(&format!("serve/epoch/{}/requests", snap.epoch), n as u64);
                 self.rec.gauge("serve/epoch", snap.epoch as f64);
                 self.rec.gauge("serve/last_batch_size", n as f64);
                 self.rec.observe_since("serve/batch_ns", &batch_timer);

@@ -12,7 +12,7 @@ use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame, Request, Response, BINARY_MAGIC,
+    decode_response, encode_classify, encode_request, read_frame, Request, Response, BINARY_MAGIC,
 };
 
 /// A connected binary-mode client.
@@ -94,17 +94,7 @@ impl Client {
     ///
     /// Returns write failures.
     pub fn send_classify(&mut self, features: &[f32]) -> io::Result<()> {
-        // Avoid cloning the feature slice into a Request just to encode it.
-        self.frame.clear();
-        self.frame.extend_from_slice(&[0u8; 4]);
-        self.frame.push(0x01);
-        self.frame
-            .extend_from_slice(&(features.len() as u32).to_le_bytes());
-        for &f in features {
-            self.frame.extend_from_slice(&f.to_le_bytes());
-        }
-        let len = (self.frame.len() - 4) as u32;
-        self.frame[..4].copy_from_slice(&len.to_le_bytes());
+        encode_classify(features, &mut self.frame);
         self.writer.write_all(&self.frame)
     }
 

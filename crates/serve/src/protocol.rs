@@ -126,24 +126,31 @@ pub enum Response {
 /// Serializes a request into `buf` (cleared first): length prefix plus
 /// payload, ready for a single `write_all`.
 pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
+    let (op, payload): (u8, &[u8]) = match req {
+        Request::Classify(features) => return encode_classify(features, buf),
+        Request::Ping => (OP_PING, &[]),
+        Request::Stats => (OP_STATS, &[]),
+        Request::Info => (OP_INFO, &[]),
+        Request::Swap(path) => (OP_SWAP, path.as_bytes()),
+        Request::Shutdown => (OP_SHUTDOWN, &[]),
+    };
     buf.clear();
     buf.extend_from_slice(&[0u8; 4]); // length back-patched below
-    match req {
-        Request::Classify(features) => {
-            buf.push(OP_CLASSIFY);
-            buf.extend_from_slice(&(features.len() as u32).to_le_bytes());
-            for &f in features {
-                buf.extend_from_slice(&f.to_le_bytes());
-            }
-        }
-        Request::Ping => buf.push(OP_PING),
-        Request::Stats => buf.push(OP_STATS),
-        Request::Info => buf.push(OP_INFO),
-        Request::Swap(path) => {
-            buf.push(OP_SWAP);
-            buf.extend_from_slice(path.as_bytes());
-        }
-        Request::Shutdown => buf.push(OP_SHUTDOWN),
+    buf.push(op);
+    buf.extend_from_slice(payload);
+    patch_len(buf);
+}
+
+/// Serializes the CLASSIFY request for `features` into `buf` (cleared
+/// first), as [`encode_request`] does for [`Request::Classify`], without
+/// copying the features into a request first.
+pub fn encode_classify(features: &[f32], buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0u8; 4]); // length back-patched below
+    buf.push(OP_CLASSIFY);
+    buf.extend_from_slice(&(features.len() as u32).to_le_bytes());
+    for &f in features {
+        buf.extend_from_slice(&f.to_le_bytes());
     }
     patch_len(buf);
 }

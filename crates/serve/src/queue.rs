@@ -127,18 +127,6 @@ impl<T> RingBuffer<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// Number of items currently queued (racy — diagnostics only).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().slots.len()
-    }
-
-    /// Whether the queue is currently empty (racy — diagnostics only).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]

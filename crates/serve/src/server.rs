@@ -1,14 +1,17 @@
 //! The TCP daemon: accept loop, per-connection reader/writer threads, and
 //! shutdown orchestration around the shared micro-batch collector.
 //!
-//! Threading model — one collector, two threads per connection:
+//! Threading model — one daemon thread owns all the others through one
+//! [`std::thread::scope`]: the collector, and two threads per connection.
 //!
 //! ```text
-//! accept thread ──spawns──▶ connection thread (reader)
-//!                             │  classify ──▶ ring buffer ──▶ collector ──▶ pool
-//!                             │  admin ops answered inline
-//!                             ▼ per-request [`Pending`] entries, in order
-//!                           writer thread (resolves + frames + coalesced flush)
+//! daemon thread: accept loop, in one scope
+//!   ├── collector thread ──▶ pool
+//!   └── per connection: reader thread, with its writer in a nested scope
+//!         │  classify ──▶ ring buffer ──▶ collector
+//!         │  admin ops answered inline
+//!         ▼ per-request [`Pending`] entries, in order
+//!       writer thread (resolves + frames + coalesced flush)
 //! ```
 //!
 //! The reader never waits for a classification: it enqueues the request and
@@ -17,17 +20,23 @@
 //! clients get responses in the order they asked — that ordering plus the
 //! epoch stamp is what the determinism suite checks.
 //!
+//! Nothing outlives its connection: no one holds a connection thread's
+//! handle, so its stack goes as soon as it finishes, and [`Server::join`]
+//! waits for the scope to end. A connection whose threads cannot be
+//! spawned is closed, and the daemon keeps accepting.
+//!
 //! Shutdown never drops an accepted request: the ring is closed (pushes
-//! start failing with a clean error), the collector drains what is already
-//! queued, and only then are connection sockets shut down to unblock any
-//! reader parked in `read_exact`.
+//! start failing with a clean error) and the collector drains what is
+//! already queued, while connection sockets are shut down for reading only,
+//! which unblocks any reader parked in `read_exact` and still lets queued
+//! replies reach their clients.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use lehdc::io::ModelBundle;
@@ -67,12 +76,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// Everything the accept loop, connections, and collector share. The model
-/// state and ring are their own `Arc`s because the collector thread borrows
-/// exactly those two, not the connection bookkeeping.
+/// Everything the accept loop, connections, and collector share; the
+/// daemon's threads borrow it from inside its scope.
 struct Shared {
-    state: Arc<ModelState>,
-    queue: Arc<RingBuffer<ClassifyRequest>>,
+    state: ModelState,
+    queue: RingBuffer<ClassifyRequest>,
     rec: Recorder,
     shutting_down: AtomicBool,
     local_addr: SocketAddr,
@@ -81,9 +89,6 @@ struct Shared {
     /// connection ends — otherwise the clone would hold the socket open
     /// past the client's close.
     streams: Mutex<Vec<(u64, TcpStream)>>,
-    conn_handles: Mutex<Vec<JoinHandle<()>>>,
-    active_conns: AtomicU64,
-    next_conn_id: AtomicU64,
 }
 
 impl Shared {
@@ -101,9 +106,37 @@ impl Shared {
         // Shut down only the read half: parked readers wake with EOF, but
         // the write direction stays open so already-queued replies (and
         // the shutdown ack itself) still reach their clients.
-        for (_, stream) in self.streams.lock().unwrap().drain(..) {
+        for (_, stream) in self.streams.lock().unwrap().iter() {
             let _ = stream.shutdown(Shutdown::Read);
         }
+    }
+
+    /// Registers an accepted connection so shutdown can wake its reader.
+    /// Returns `false` — the caller then drops the socket — if the socket
+    /// cannot be cloned or shutdown has begun: checking the flag under the
+    /// lock means every registered socket is one shutdown will see.
+    fn open_connection(&self, conn_id: u64, stream: &TcpStream) -> bool {
+        let Ok(clone) = stream.try_clone() else {
+            return false;
+        };
+        let mut streams = self.streams.lock().unwrap();
+        if self.shutting_down.load(Ordering::SeqCst) {
+            return false;
+        }
+        streams.push((conn_id, clone));
+        self.rec.add("serve/connections_total", 1);
+        self.rec
+            .gauge("serve/connections_active", streams.len() as f64);
+        true
+    }
+
+    /// Forgets a connection's socket clone, closing the socket once the
+    /// connection's own handles are gone too.
+    fn close_connection(&self, conn_id: u64) {
+        let mut streams = self.streams.lock().unwrap();
+        streams.retain(|(id, _)| *id != conn_id);
+        self.rec
+            .gauge("serve/connections_active", streams.len() as f64);
     }
 }
 
@@ -111,8 +144,7 @@ impl Shared {
 /// threads running; call [`Server::join`] to block until it exits.
 pub struct Server {
     shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
-    collector_handle: Option<JoinHandle<()>>,
+    daemon: JoinHandle<()>,
 }
 
 impl Server {
@@ -121,8 +153,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error, if any; everything after the bind is
-    /// infallible thread spawning.
+    /// Returns the bind error, or the error of spawning the daemon thread.
     pub fn start<A: ToSocketAddrs>(
         bundle: ModelBundle,
         addr: A,
@@ -132,51 +163,38 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            state: Arc::new(ModelState::new(bundle)),
-            queue: Arc::new(RingBuffer::new(cfg.queue_capacity)),
+            state: ModelState::new(bundle),
+            queue: RingBuffer::new(cfg.queue_capacity),
             rec,
             shutting_down: AtomicBool::new(false),
             local_addr,
             streams: Mutex::new(Vec::new()),
-            conn_handles: Mutex::new(Vec::new()),
-            active_conns: AtomicU64::new(0),
-            next_conn_id: AtomicU64::new(0),
         });
-
-        let collector_handle = {
-            let shared = Arc::clone(&shared);
-            let engine = EpochEngine::new(cfg.threads);
-            let max_batch = cfg.max_batch.max(1);
-            let max_wait = cfg.max_wait;
-            std::thread::Builder::new()
-                .name("lehdc-serve-collector".into())
-                .spawn(move || {
-                    Collector {
-                        queue: Arc::clone(&shared.queue),
-                        state: Arc::clone(&shared.state),
-                        engine,
-                        max_batch,
-                        max_wait,
-                        rec: shared.rec.clone(),
-                    }
-                    .run();
-                })
-                .expect("spawning the collector thread")
-        };
-
-        let accept_handle = {
+        let engine = EpochEngine::new(cfg.threads);
+        let (max_batch, max_wait) = (cfg.max_batch.max(1), cfg.max_wait);
+        let daemon = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("lehdc-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawning the accept thread")
+                .spawn(move || {
+                    std::thread::scope(|scope| {
+                        let collector = Collector {
+                            queue: &shared.queue,
+                            state: &shared.state,
+                            engine,
+                            max_batch,
+                            max_wait,
+                            rec: &shared.rec,
+                        };
+                        std::thread::Builder::new()
+                            .name("lehdc-serve-collector".into())
+                            .spawn_scoped(scope, move || collector.run())
+                            .expect("spawning the collector thread");
+                        accept_loop(scope, &listener, &shared);
+                    });
+                })?
         };
-
-        Ok(Server {
-            shared,
-            accept_handle: Some(accept_handle),
-            collector_handle: Some(collector_handle),
-        })
+        Ok(Server { shared, daemon })
     }
 
     /// The bound address — the way to learn the port after binding `:0`.
@@ -193,59 +211,42 @@ impl Server {
 
     /// Blocks until the daemon has fully exited (accept loop, collector,
     /// and every connection thread).
-    pub fn join(mut self) {
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.collector_handle.take() {
-            let _ = h.join();
-        }
-        loop {
-            let handle = self.shared.conn_handles.lock().unwrap().pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any daemon thread that panicked.
+    pub fn join(self) {
+        if let Err(panic) = self.daemon.join() {
+            std::panic::resume_unwind(panic);
         }
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
+fn accept_loop<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    listener: &TcpListener,
+    shared: &'scope Shared,
+) {
+    for (conn_id, accepted) in (0u64..).zip(listener.incoming()) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             return;
         }
+        let Ok(stream) = accepted else { continue };
         let _ = stream.set_nodelay(true);
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared.streams.lock().unwrap().push((conn_id, clone));
+        if !shared.open_connection(conn_id, &stream) {
+            continue;
         }
-        shared.rec.add("serve/connections_total", 1);
-        shared
-            .rec
-            .gauge("serve/connections_active", shared.active_conns.fetch_add(1, Ordering::SeqCst) as f64 + 1.0);
-        let shared_conn = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name(format!("lehdc-serve-conn-{conn_id}"))
-            .spawn(move || {
-                handle_connection(&shared_conn, stream, conn_id);
-                shared_conn.streams.lock().unwrap().retain(|(id, _)| *id != conn_id);
-                let remaining = shared_conn.active_conns.fetch_sub(1, Ordering::SeqCst) - 1;
-                shared_conn.rec.gauge("serve/connections_active", remaining as f64);
-            })
-            .expect("spawning a connection thread");
-        shared.conn_handles.lock().unwrap().push(handle);
+            .spawn_scoped(scope, move || {
+                handle_connection(shared, stream, conn_id);
+                shared.close_connection(conn_id);
+            });
+        if spawned.is_err() {
+            // The unspawned closure dropped the socket; this drops the
+            // clone, which closes it.
+            shared.close_connection(conn_id);
+        }
     }
 }
 
@@ -258,7 +259,7 @@ enum Pending {
     Close,
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
+fn handle_connection(shared: &Shared, stream: TcpStream, conn_id: u64) {
     // Mode detection: binary clients lead with the 4-byte magic; anything
     // else is the first bytes of a line-mode command (all commands are at
     // least 4 bytes long, so this read never straddles a whole command).
@@ -273,22 +274,22 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
         return;
     };
     let (tx, rx) = mpsc::channel::<Pending>();
-    let writer_handle = std::thread::Builder::new()
-        .name(format!("lehdc-serve-write-{conn_id}"))
-        .spawn(move || writer_loop(write_half, &rx, binary))
-        .expect("spawning a connection writer thread");
-
-    let requests = if binary {
-        binary_reader_loop(shared, BufReader::new(read_half), &tx)
-    } else {
-        let reader = BufReader::new(preamble.as_slice().chain(read_half));
-        line_reader_loop(shared, reader, &tx)
-    };
-    drop(tx); // writer drains, flushes, and exits
-    let _ = writer_handle.join();
-    if shared.rec.enabled() {
-        shared.rec.add(&format!("serve/conn/{conn_id}/requests"), requests);
-    }
+    std::thread::scope(|scope| {
+        let writer = std::thread::Builder::new()
+            .name(format!("lehdc-serve-write-{conn_id}"))
+            .spawn_scoped(scope, move || writer_loop(write_half, &rx, binary));
+        if writer.is_err() {
+            return;
+        }
+        // The reader owns `tx`: once it returns, the writer drains what is
+        // queued, flushes, and exits, which ends the scope.
+        if binary {
+            binary_reader_loop(shared, BufReader::new(read_half), tx);
+        } else {
+            let reader = BufReader::new(preamble.as_slice().chain(read_half));
+            line_reader_loop(shared, reader, tx);
+        }
+    });
 }
 
 fn writer_loop(stream: TcpStream, rx: &Receiver<Pending>, binary: bool) {
@@ -335,7 +336,7 @@ fn writer_loop(stream: TcpStream, rx: &Receiver<Pending>, binary: bool) {
 /// Handles one decoded request on the reader thread. Classifications go to
 /// the ring; everything else is answered inline. Returns `false` when the
 /// connection should close (client shutdown command).
-fn handle_request(shared: &Arc<Shared>, req: Request, tx: &Sender<Pending>) -> bool {
+fn handle_request(shared: &Shared, req: Request, tx: &Sender<Pending>) -> bool {
     match req {
         Request::Classify(features) => {
             let (reply_tx, reply_rx) = mpsc::sync_channel::<ClassifyReply>(1);
@@ -390,13 +391,8 @@ fn handle_request(shared: &Arc<Shared>, req: Request, tx: &Sender<Pending>) -> b
     true
 }
 
-fn binary_reader_loop<R: Read>(
-    shared: &Arc<Shared>,
-    mut reader: R,
-    tx: &Sender<Pending>,
-) -> u64 {
+fn binary_reader_loop<R: Read>(shared: &Shared, mut reader: R, tx: Sender<Pending>) {
     let mut payload = Vec::new();
-    let mut requests = 0u64;
     loop {
         match read_frame(&mut reader, &mut payload) {
             Ok(true) => {}
@@ -411,10 +407,9 @@ fn binary_reader_loop<R: Read>(
                 break;
             }
         }
-        requests += 1;
         match decode_request(&payload) {
             Ok(req) => {
-                if !handle_request(shared, req, tx) {
+                if !handle_request(shared, req, &tx) {
                     break;
                 }
             }
@@ -425,16 +420,10 @@ fn binary_reader_loop<R: Read>(
             }
         }
     }
-    requests
 }
 
-fn line_reader_loop<R: BufRead>(
-    shared: &Arc<Shared>,
-    mut reader: R,
-    tx: &Sender<Pending>,
-) -> u64 {
+fn line_reader_loop<R: BufRead>(shared: &Shared, mut reader: R, tx: Sender<Pending>) {
     let mut line = String::new();
-    let mut requests = 0u64;
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -444,10 +433,9 @@ fn line_reader_loop<R: BufRead>(
         if line.trim().is_empty() {
             continue;
         }
-        requests += 1;
         match parse_line(&line) {
             Ok(req) => {
-                if !handle_request(shared, req, tx) {
+                if !handle_request(shared, req, &tx) {
                     break;
                 }
             }
@@ -456,5 +444,4 @@ fn line_reader_loop<R: BufRead>(
             }
         }
     }
-    requests
 }

@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hdc::rng::rng_for;
 use hdc::{BinaryHv, Dim, RecordEncoder};
@@ -48,23 +48,45 @@ fn random_rows(n: usize, stream: u64) -> Vec<Vec<f32>> {
 }
 
 fn start(bundle: ModelBundle, max_batch: usize) -> Server {
+    start_with_capacity(bundle, max_batch, 256)
+}
+
+fn start_with_capacity(bundle: ModelBundle, max_batch: usize, queue_capacity: usize) -> Server {
     let cfg = ServeConfig {
         threads: 2,
         max_batch,
         max_wait: Duration::from_micros(200),
-        queue_capacity: 256,
+        queue_capacity,
     };
     Server::start(bundle, "127.0.0.1:0", &cfg, obs::Recorder::builder().build()).unwrap()
+}
+
+/// The integer value of the metric `name` in a STATS reply.
+fn metric(stats: &str, name: &str) -> Option<u64> {
+    stats
+        .split(&format!("\"{name}\": "))
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
 }
 
 #[test]
 fn concurrent_pipelined_clients_match_serial_at_every_batch_size() {
     // The determinism contract: whatever the batching, threading, or
     // interleaving, every response is bit-identical to a serial
-    // `bundle.classify` of the same row.
+    // `bundle.classify` of the same row. At queue capacity 1 every push
+    // meets backpressure.
     let bundle = test_bundle(1);
-    for max_batch in [1usize, 7, 64] {
-        let server = start(bundle.clone(), max_batch);
+    let configs = [
+        (1usize, 256usize),
+        (7, 256),
+        (64, 256),
+        (1, 1),
+        (7, 1),
+        (64, 1),
+    ];
+    for (max_batch, queue_capacity) in configs {
+        let server = start_with_capacity(bundle.clone(), max_batch, queue_capacity);
         let addr = server.local_addr();
         let handles: Vec<_> = (0..4)
             .map(|c| {
@@ -96,6 +118,40 @@ fn concurrent_pipelined_clients_match_serial_at_every_batch_size() {
         server.shutdown();
         server.join();
     }
+}
+
+#[test]
+fn a_client_that_closes_mid_pipeline_leaves_no_connection_behind() {
+    // The client pipelines 16 requests and closes without reading a reply,
+    // so the writer answers into a closed socket. The connection must end
+    // all the same, and the daemon keep answering other clients.
+    let bundle = test_bundle(1);
+    let server = start(bundle.clone(), 7);
+    let addr = server.local_addr();
+    let rows = random_rows(16, 21);
+    let mut vanishing = Client::connect(addr).unwrap();
+    for row in &rows {
+        vanishing.send_classify(row).unwrap();
+    }
+    drop(vanishing);
+
+    let mut admin = Client::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = admin.stats().unwrap();
+        if metric(&stats, "serve/connections_active") == Some(1) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "only the STATS client should be left: {stats}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut fresh = Client::connect(addr).unwrap();
+    for (i, row) in rows.iter().enumerate() {
+        let expected = bundle.classify(row).unwrap() as u32;
+        assert_eq!(fresh.classify(row).unwrap(), (expected, 0), "row {i}");
+    }
+    server.shutdown();
+    server.join();
 }
 
 #[test]

@@ -91,6 +91,8 @@ if has_avx512; then
 else
     echo "-- serve smoke (avx512 pass skipped: CPU lacks AVX-512F or VPOPCNTDQ) --"
 fi
+# The metric names (histogram fields included) in a STATS reply.
+stats_keys() { grep -o '"[^"]*":' "$1" | sort -u; }
 for tier in $serve_tiers; do
     echo "-- serve smoke (kernel tier: $tier) --"
     if [ "$tier" = avx512 ]; then
@@ -116,8 +118,19 @@ for tier in $serve_tiers; do
     env $tier_env ./target/release/lehdc_loadgen \
         --addr "$serve_addr" --data "$smoke_dir/features.csv" \
         --requests 360 --connections 4 --window 8 \
-        --check "$smoke_dir/offline.txt" --stats --shutdown \
+        --check "$smoke_dir/offline.txt" --stats \
         > "$smoke_dir/stats_$tier.json"
+    # A second checked run against the same daemon: the connections the
+    # first run closed must leave no metric key behind in STATS.
+    env $tier_env ./target/release/lehdc_loadgen \
+        --addr "$serve_addr" --data "$smoke_dir/features.csv" \
+        --requests 360 --connections 4 --window 8 \
+        --check "$smoke_dir/offline.txt" --stats --shutdown \
+        > "$smoke_dir/stats_${tier}_again.json"
+    diff <(stats_keys "$smoke_dir/stats_$tier.json") \
+        <(stats_keys "$smoke_dir/stats_${tier}_again.json") >&2 \
+        || { echo "ERROR: STATS key set changed between two runs against one daemon" >&2
+             exit 1; }
     grep -q '"serve/requests_total": 360' "$smoke_dir/stats_$tier.json" \
         || { echo "ERROR: STATS did not count all 360 requests" >&2
              cat "$smoke_dir/stats_$tier.json" >&2; exit 1; }

@@ -11,7 +11,7 @@
 //! ephemeral port; the daemon always prints one
 //! `lehdc_serve listening on <addr>` line to stdout once ready, which is
 //! what scripts scrape to find the port. The metrics recorder is always
-//! on — it feeds the `STATS` admin command — and `--metrics-out`extends it
+//! on — it feeds the `STATS` admin command — and `--metrics-out` extends it
 //! with a JSON-lines event sink.
 //!
 //! Protocol, batching, and hot-swap semantics live in the `lehdc-serve`
@@ -65,11 +65,16 @@ fn run(args: &[String]) -> Result<(), String> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:0".to_string());
+    let defaults = ServeConfig::default();
     let cfg = ServeConfig {
-        threads: parse_num(&flags, "threads", 2usize)?.max(1),
-        max_batch: parse_num(&flags, "max-batch", 64usize)?.max(1),
-        max_wait: Duration::from_micros(parse_num(&flags, "max-wait-us", 200u64)?),
-        queue_capacity: parse_num(&flags, "queue-cap", 1024usize)?.max(1),
+        threads: parse_num(&flags, "threads", defaults.threads)?.max(1),
+        max_batch: parse_num(&flags, "max-batch", defaults.max_batch)?.max(1),
+        max_wait: Duration::from_micros(parse_num(
+            &flags,
+            "max-wait-us",
+            defaults.max_wait.as_micros() as u64,
+        )?),
+        queue_capacity: parse_num(&flags, "queue-cap", defaults.queue_capacity)?.max(1),
     };
 
     // Always-on recorder: the STATS admin command drains these metrics.
