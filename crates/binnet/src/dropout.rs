@@ -87,18 +87,24 @@ impl Dropout {
     /// integer logits**, not to the inputs — that ordering is what keeps the
     /// packed path bit-identical to the dense `f32` reference (see
     /// [`crate::packed`]).
+    ///
+    /// Coordinate `i` is kept when the `i`-th uniform draw is `>= rate`.
+    /// Each word is built from its 64 draws with branchless compares and
+    /// `kept` is the popcount of the words, so a rate near 0.5 pays no
+    /// branch mispredictions.
     pub fn sample_mask(&mut self, dim: usize) -> Option<DropMask> {
         if self.rate == 0.0 {
             return None;
         }
         let mut words = vec![0u64; dim.div_ceil(64)];
-        let mut kept = 0usize;
-        for i in 0..dim {
-            if self.rng.random::<f32>() >= self.rate {
-                words[i / 64] |= 1 << (i % 64);
-                kept += 1;
+        for (w, word) in words.iter_mut().enumerate() {
+            let mut bits = 0u64;
+            for b in 0..(dim - w * 64).min(64) {
+                bits |= u64::from(self.rng.random::<f32>() >= self.rate) << b;
             }
+            *word = bits;
         }
+        let kept = words.iter().map(|w| w.count_ones() as usize).sum();
         Some(DropMask {
             words,
             dim,
@@ -281,6 +287,43 @@ mod tests {
         let first = d1.sample_mask(300);
         assert_eq!(first, d2.sample_mask(300));
         assert_ne!(first, d1.sample_mask(300), "consecutive masks should differ");
+    }
+
+    /// The reference for `sample_mask`'s branchless build: one `if` per
+    /// coordinate.
+    fn reference_mask(rng: &mut Xoshiro256pp, rate: f32, dim: usize) -> (Vec<u64>, usize) {
+        let mut words = vec![0u64; dim.div_ceil(64)];
+        let mut kept = 0usize;
+        for i in 0..dim {
+            if rng.random::<f32>() >= rate {
+                words[i / 64] |= 1 << (i % 64);
+                kept += 1;
+            }
+        }
+        (words, kept)
+    }
+
+    #[test]
+    fn branchless_masks_match_the_per_coordinate_loop() {
+        for dim in [1usize, 63, 64, 65, 1000, 10_000] {
+            for rate in [0.1f32, 0.5, 0.9] {
+                let seed = dim as u64 ^ u64::from(rate.to_bits());
+                let mut d = Dropout::new(rate, seed).unwrap();
+                let mut reference = Xoshiro256pp::seed_from_u64(seed);
+                // Consecutive masks check that each draws exactly `dim`
+                // numbers from the shared stream.
+                for draw in 0..5 {
+                    let mask = d.sample_mask(dim).unwrap();
+                    let (words, kept) = reference_mask(&mut reference, rate, dim);
+                    assert_eq!(
+                        mask.words(),
+                        &words[..],
+                        "dim={dim} rate={rate} draw={draw}"
+                    );
+                    assert_eq!(mask.kept(), kept, "dim={dim} rate={rate} draw={draw}");
+                }
+            }
+        }
     }
 
     #[test]

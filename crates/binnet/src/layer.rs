@@ -179,7 +179,7 @@ impl BinaryLinear {
     /// buffer has its steady capacity.
     ///
     /// Runs on the query-blocked, kernel-tier-dispatched product
-    /// ([`packed_matmul_into`](crate::packed_matmul_into)): each packed
+    /// ([`packed_matmul_into`]): each packed
     /// weight row streams once per block of batch rows, on the AVX2 popcount
     /// tier where available. Logits are bit-identical across tiers and block
     /// sizes, and to the dense `f32` product.
@@ -256,7 +256,7 @@ impl BinaryLinear {
     ///
     /// `grad_clip` clamps each gradient entry into `[-c, c]` before the
     /// step. The result is bit-identical to clamping the whole gradient,
-    /// calling [`Optimizer::step`](crate::Optimizer::step) on the latents,
+    /// calling [`Optimizer::step`] on the latents,
     /// and packing every sign with `l >= 0.0`, at any thread count and on
     /// every kernel tier:
     ///

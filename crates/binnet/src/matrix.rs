@@ -257,7 +257,8 @@ impl Matrix {
     }
 
     /// Packs this matrix into a [`PackedMatrix`] if every entry is exactly
-    /// `±1.0`, or `None` otherwise (see [`PackedMatrix::from_bipolar`]).
+    /// `±1.0`, or `None` otherwise (see
+    /// [`PackedMatrix::from_bipolar`](crate::packed::PackedMatrix::from_bipolar)).
     ///
     /// [`PackedMatrix`]: crate::packed::PackedMatrix
     #[must_use]

@@ -36,19 +36,21 @@
 //!   as the per-element accumulation order matches**: both run over the
 //!   batch index in ascending order ([`packed_transpose_matmul`] chunks
 //!   threads over *output dims*, never over the summed batch dimension).
-//! - The gradient product's AVX2 tier keeps that order as well. It puts 8
-//!   adjacent output *dims* in the lanes of a register, one register per
-//!   class, and adds `broadcast(g[b][k]) XOR flip` for `b` ascending, so
-//!   each lane runs the scalar computation of its own output element: the
-//!   same `+0.0` start, the same terms, the same order. The two tiers are
-//!   therefore bit-identical by construction, with no tolerance. Dropout is
-//!   applied once, at the store, and a dropped dim is `+0.0` in both tiers.
+//! - The gradient product's vector bodies keep that order as well. They
+//!   put adjacent output *dims* in the lanes of a register (8 per `ymm` on
+//!   the AVX2 tier, 16 per `zmm` on the AVX-512 tier), one register per
+//!   class, and add `broadcast(g[b][k])`, sign-flipped where the input bit
+//!   is 0, for `b` ascending, so each lane runs the scalar computation of
+//!   its own output element: the same `+0.0` start, the same terms, the same
+//!   order. The three tiers are therefore bit-identical by construction,
+//!   with no tolerance. Dropout is applied once, at the store, and a dropped
+//!   dim is `+0.0` on every tier.
 //!
 //! The parity tests in `tests/packed_parity.rs` enforce exact `==` on the
 //! resulting matrices across shapes, masks, and thread counts, and diff the
-//! gradient product on the AVX2 and AVX-512 tiers (both run the AVX2
-//! kernel) against the scalar one bit for bit; `layer::tests` does the same
-//! for the fused optimizer step.
+//! gradient product on the AVX2 tier (the 8-lane body) and the AVX-512 tier
+//! (the 16-lane body) against the scalar one bit for bit; `layer::tests`
+//! does the same for the fused optimizer step.
 //!
 //! [`BinaryHv`]: hdc::BinaryHv
 
@@ -59,6 +61,8 @@ use threadpool::{chunk_ranges, ThreadPool};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 use crate::dropout::DropMask;
 use crate::error::BinnetError;
@@ -628,23 +632,30 @@ const TILE_F32S: usize = 4096;
 /// buffer — identical results with zero allocation per call.
 ///
 /// The kernel dispatches on [`hdc::kernels::active_tier`] (the
-/// `LEHDC_KERNEL` override included). Both tiers chunk the pool over output
+/// `LEHDC_KERNEL` override included). Every tier chunks the pool over output
 /// dims — each chunk owns the `K` class-row sub-slices of its dim range —
-/// and compute every output element as `+0.0` plus the same `±g` terms in
-/// ascending batch order, so their results are bit-identical:
+/// and computes every output element as `+0.0` plus the same `±g` terms in
+/// ascending batch order, so the results are bit-identical:
 ///
 /// - **scalar** (the reference, and the path on hosts without AVX2):
 ///   cache-blocked — each pool chunk walks its output dims in tiles of at
-///   most [`TILE_F32S`] `f32`s, and within a tile iterates the batch
+///   most `TILE_F32S` (4,096) `f32`s, and within a tile iterates the batch
 ///   **outer** / dims **inner**, so row `b`'s packed words and gradient row
 ///   are loaded once per tile and the tile stays resident while the batch
 ///   streams over it. The ±1 sign is applied as a branchless sign-bit flip —
 ///   IEEE negation is exact — rather than a `±1.0` multiply, which pays the
 ///   subnormal-assist penalty that softmax gradients trigger at large D.
-/// - **AVX2**, on the AVX2 and AVX-512 tiers: lanes over 8 adjacent output
-///   dims with one register per class, each stored with one vector store
-///   into its class row (see the `avx2` submodule); chunk heads and tails
-///   that are not 8-aligned take the scalar code.
+/// - **AVX2**: lanes over 8 adjacent output dims with one `ymm` register
+///   per class, each stored with one vector store into its class row (see
+///   the `avx2` submodule). It is the only vector body on CPUs without
+///   AVX-512.
+/// - **AVX-512**: the same lanes over 16 adjacent output dims with one
+///   `zmm` register per class, the sign flips and the dropout keep-mask
+///   taken straight from the packed bits as `__mmask16` masks (see the
+///   `avx512` submodule).
+///
+/// On both vector tiers, chunk heads and tails that are not aligned to the
+/// register width take the scalar code.
 ///
 /// The result equals the dense reference at any `pool` width for finite
 /// gradients. Masked dims are exactly `+0.0` where the dense reference
@@ -672,8 +683,8 @@ pub fn packed_transpose_matmul_into(
 }
 
 /// [`packed_transpose_matmul_into`] forced onto `tier`, for differential
-/// testing. The scalar tier runs the reference code; the AVX2 and AVX-512
-/// tiers both run the AVX2 kernel, the only vector body of this product.
+/// testing. The scalar tier runs the reference code, the AVX2 tier the
+/// 8-lane body and the AVX-512 tier the 16-lane body.
 ///
 /// # Errors
 ///
@@ -736,11 +747,15 @@ pub fn packed_transpose_matmul_into_on(
     }
     pool.for_each_task(tasks, |_, (dims, mut rows)| match tier {
         KernelTier::Scalar => gradient_dims_scalar(op, dims.clone(), dims.start, &mut rows),
-        // SAFETY: `tier` is available (asserted above), and both SIMD tiers
-        // are only available on CPUs with AVX2.
+        // SAFETY: `tier` is available (asserted above): AVX2 on the AVX2
+        // tier, AVX-512F on the AVX-512 tier.
         #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 | KernelTier::Avx512 => unsafe {
-            gradient_dims_avx2(op, dims, &mut rows)
+        KernelTier::Avx2 => unsafe {
+            gradient_dims_lanes(op, dims, &mut rows, avx2::LANES, avx2::gradient_dims)
+        },
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx512 => unsafe {
+            gradient_dims_lanes(op, dims, &mut rows, avx512::LANES, avx512::gradient_dims)
         },
         #[cfg(not(target_arch = "x86_64"))]
         KernelTier::Avx2 | KernelTier::Avx512 => {
@@ -767,25 +782,32 @@ struct Operands<'a> {
     mask: Option<&'a [u64]>,
 }
 
-/// AVX2 tier: writes the gradient of `dims` into `rows`, where `rows[c]`
-/// holds class `c`'s outputs for exactly those dims. The 8-aligned body runs
-/// on the vector kernel; a chunk head or tail that is not 8-aligned takes
-/// the scalar code.
+/// Vector tiers: writes the gradient of `dims` into `rows`, where `rows[c]`
+/// holds class `c`'s outputs for exactly those dims. The `lanes`-aligned
+/// middle runs on the vector `body` (`body(op, dims, first, rows)` writes
+/// `rows[c][dim - first]` for each `dim` of its aligned range); a chunk head
+/// or tail that is not `lanes`-aligned takes the scalar code.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2.
+/// The CPU must support the target features `body` is built for, and
+/// `body` must accept any `lanes`-aligned dim range.
 #[cfg(target_arch = "x86_64")]
-unsafe fn gradient_dims_avx2(op: Operands<'_>, dims: Range<usize>, rows: &mut [&mut [f32]]) {
-    let lanes = avx2::LANES;
+unsafe fn gradient_dims_lanes(
+    op: Operands<'_>,
+    dims: Range<usize>,
+    rows: &mut [&mut [f32]],
+    lanes: usize,
+    body: unsafe fn(Operands<'_>, Range<usize>, usize, &mut [&mut [f32]]),
+) {
     let first = dims.start;
     let head_end = dims.start.next_multiple_of(lanes).min(dims.end);
     let body_end = head_end + (dims.end - head_end) / lanes * lanes;
     gradient_dims_scalar(op, dims.start..head_end, first, rows);
     if body_end > head_end {
-        // SAFETY: AVX2 is available (caller contract) and the body range is
-        // 8-aligned.
-        unsafe { avx2::gradient_dims(op, head_end..body_end, first, rows) };
+        // SAFETY: the CPU runs `body` (caller contract) and the body range
+        // is `lanes`-aligned.
+        unsafe { body(op, head_end..body_end, first, rows) };
     }
     gradient_dims_scalar(op, body_end..dims.end, first, rows);
 }

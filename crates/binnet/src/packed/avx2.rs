@@ -1,8 +1,10 @@
-//! AVX2 tier of the LeHDC training kernels: the packed gradient product
+//! AVX2 bodies of the LeHDC training kernels: the packed gradient product
 //! `Gᵀ·X` behind
-//! [`packed_transpose_matmul_into`](super::packed_transpose_matmul_into),
-//! and the fused Adam + sign-repack step behind
-//! [`BinaryLinear::apply_gradient_fused`](crate::BinaryLinear::apply_gradient_fused).
+//! [`packed_transpose_matmul_into`](super::packed_transpose_matmul_into)
+//! on the AVX2 tier (the AVX-512 tier has a 16-lane body of its own, in the
+//! `avx512` module), and the fused Adam + sign-repack step behind
+//! [`BinaryLinear::apply_gradient_fused`](crate::BinaryLinear::apply_gradient_fused)
+//! on both vector tiers.
 //!
 //! # Gradient product
 //!

@@ -314,7 +314,15 @@ fn avx2_gradient_matches_scalar_bit_for_bit() {
     }
     let mut rng = Xoshiro256pp::seed_from_u64(0x7AE5);
     let pools = [1, 3, 4].map(ThreadPool::new);
-    for d in [1usize, 7, 8, 9, 63, 64, 65, 257, 10_000] {
+    // Widths around the 8- and 16-lane registers and the 64-bit words.
+    let dims = [
+        1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 79, 80, 81, 257, 10_000,
+    ];
+    let classes = [1usize, 3, 4, 5, 10, 26];
+    // Around the class-group sizes of the AVX2 (12) and AVX-512 (27)
+    // bodies; run at one width with a scalar tail to keep the test short.
+    let (group_dim, group_classes) = (257, [12usize, 13, 27, 28, 29]);
+    for d in dims {
         for batch in [1usize, 63, 64, 65, 200] {
             let x = binnet::layer::random_sign_matrix(batch, d, &mut rng);
             let px = x.pack_bipolar().unwrap();
@@ -322,7 +330,12 @@ fn avx2_gradient_matches_scalar_bit_for_bit() {
                 .unwrap()
                 .sample_mask(d)
                 .unwrap();
-            for k in [1usize, 3, 4, 5, 10, 26] {
+            let edges = if d == group_dim {
+                &group_classes[..]
+            } else {
+                &[]
+            };
+            for &k in classes.iter().chain(edges) {
                 let g = awkward_gradient(batch, k, &mut rng);
                 for mask in [None, Some(&mask)] {
                     // NaN-filled outputs: every element must be written. The

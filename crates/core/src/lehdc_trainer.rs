@@ -16,7 +16,7 @@
 //!   inference path is the unchanged binary HDC classifier.
 //!
 //! The hot path runs on bit-packed XNOR/popcount kernels and allocates
-//! nothing per batch: every per-step buffer lives in a [`TrainScratch`]
+//! nothing per batch: every per-step buffer lives in a `TrainScratch`
 //! refilled in place. Batches come from
 //! [`EncodedDataset::packed_batch_pooled_into`] (a pool-parallel word copy,
 //! no `BinaryHv → f32` expansion per epoch), dropout is a per-batch bit mask

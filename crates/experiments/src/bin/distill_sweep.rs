@@ -1,6 +1,6 @@
 //! Accuracy-vs-dimension-vs-bytes sweep for **distilled deployment
 //! models**: train once at full width, then shrink the model to a ladder of
-//! sub-D dimensions via [`HdcModel::distill`] and report, for each rung,
+//! sub-D dimensions via [`HdcModel::distill`](lehdc::HdcModel::distill) and report, for each rung,
 //! the held-out accuracy and the serialized (`LHDC` container) size.
 //!
 //! The headline this sweep exists to check: a distilled model at

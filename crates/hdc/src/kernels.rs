@@ -70,8 +70,9 @@ pub enum KernelTier {
     /// runtime AVX2 support only.
     Avx2,
     /// `VPOPCNTQ` popcount, Hamming and masked-Hamming kernels (see
-    /// [`avx512`]) and the AVX2 bodies of every other kernel; x86-64 with
-    /// runtime AVX-512F, AVX-512 VPOPCNTDQ and AVX2 support only.
+    /// [`avx512`]), the 16-lane gradient product of `binnet::packed`, and
+    /// the AVX2 bodies of every other kernel; x86-64 with runtime AVX-512F,
+    /// AVX-512 VPOPCNTDQ and AVX2 support only.
     Avx512,
 }
 
@@ -466,7 +467,7 @@ pub fn csa_input_step_words_avx2(plane: &mut [u64], input: &[u64], carry: &mut [
 }
 
 /// Fused bind-and-add entry step: the XNOR bind `x = NOT (a XOR b)` (the
-/// bipolar Hadamard product under the [`BinaryHv`] bit convention) feeds the
+/// bipolar Hadamard product under the [`BinaryHv`](crate::BinaryHv) bit convention) feeds the
 /// plane ladder directly — `carry = plane AND x; plane ^= x` — so bundling a
 /// bound pair never materializes the bound hypervector. Returns the OR of
 /// the outgoing carry. Dispatches on [`active_tier`].

@@ -93,11 +93,20 @@ impl<T> RingBuffer<T> {
         }
         let deadline = Instant::now() + max_wait;
         loop {
+            let was_full = ring.slots.len() == ring.capacity;
             while out.len() < max_batch {
                 match ring.slots.pop_front() {
                     Some(item) => out.push(item),
                     None => break,
                 }
+            }
+            // The drain freed slots of a full ring: wake its blocked
+            // producers now, so they refill it while the batch collects (a
+            // ring smaller than `max_batch` would otherwise cap the batch at
+            // what it held). Producers block only on a full ring, so this
+            // is the one wake-up they need.
+            if was_full {
+                self.not_full.notify_all();
             }
             if out.len() >= max_batch || ring.closed {
                 break;
@@ -112,9 +121,6 @@ impl<T> RingBuffer<T> {
                 break;
             }
         }
-        drop(ring);
-        // Producers blocked on a full ring can move up now.
-        self.not_full.notify_all();
         Ok(())
     }
 
@@ -198,6 +204,26 @@ mod tests {
         producer.join().unwrap().unwrap();
         q.recv_batch(&mut batch, 2, Duration::ZERO).unwrap();
         assert_eq!(batch, vec![2]);
+    }
+
+    #[test]
+    fn a_full_ring_refills_while_a_batch_collects() {
+        let q = Arc::new(RingBuffer::new(1));
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                for i in 0..4u32 {
+                    let _ = q.push(i);
+                }
+            })
+        };
+        let mut batch = Vec::new();
+        q.recv_batch(&mut batch, 4, Duration::from_secs(2)).unwrap();
+        // Close before asserting, so a failing run cannot leave the
+        // producer blocked on the full ring.
+        q.close();
+        producer.join().unwrap();
+        assert_eq!(batch, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use std::net::TcpStream;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use hdc::rng::rng_for;
@@ -556,6 +557,86 @@ fn swap_to_an_oversized_encoder_is_refused_and_the_daemon_keeps_serving() {
     }
     let (_, _, _, epoch) = client.info().unwrap();
     assert_eq!(epoch, 0);
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn swap_to_a_truncated_bundle_under_load_is_refused_and_the_daemon_keeps_serving() {
+    // Two clients pipeline classifies while a third SWAPs to a saved bundle
+    // cut short: to its first 16 bytes, then to half its length. Each SWAP
+    // gets an error reply, nothing is published, and every classify reply,
+    // before, between and after the SWAPs, is the old model's.
+    let dir = std::env::temp_dir().join("lehdc_serve_truncated_swap_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let saved = dir.join("next.lehdc");
+    save_bundle(&test_bundle(2), &saved).unwrap();
+    let bytes = std::fs::read(&saved).unwrap();
+    let cuts = [
+        ("first_16_bytes.lehdc", &bytes[..16]),
+        ("first_half.lehdc", &bytes[..bytes.len() / 2]),
+    ];
+
+    let bundle = Arc::new(test_bundle(1));
+    let server = start((*bundle).clone(), 16);
+    let addr = server.local_addr();
+    let swapping = Arc::new(AtomicBool::new(true));
+    // The SWAPs start once both clients have a window in flight.
+    let loaded = Arc::new(Barrier::new(3));
+    let clients: Vec<_> = (0..2)
+        .map(|c| {
+            let (bundle, swapping) = (Arc::clone(&bundle), Arc::clone(&swapping));
+            let loaded = Arc::clone(&loaded);
+            std::thread::spawn(move || {
+                let rows = random_rows(64, 300 + c);
+                let mut client = Client::connect(addr).unwrap();
+                let window = 8;
+                for row in &rows[..window] {
+                    client.send_classify(row).unwrap();
+                }
+                loaded.wait();
+                // Keep a window in flight until the SWAPs are done and at
+                // least one full pass over the rows has been answered.
+                let mut answered = 0;
+                let mut in_flight = window;
+                while in_flight > 0 {
+                    let (class, epoch) = client.recv_classified().unwrap();
+                    let row = &rows[answered % rows.len()];
+                    assert_eq!(epoch, 0, "client {c}: a refused swap published");
+                    assert_eq!(
+                        class,
+                        bundle.classify(row).unwrap() as u32,
+                        "client {c}: reply {answered} diverged from the old model"
+                    );
+                    answered += 1;
+                    in_flight -= 1;
+                    if answered < rows.len() || swapping.load(Ordering::SeqCst) {
+                        client
+                            .send_classify(&rows[(answered + in_flight) % rows.len()])
+                            .unwrap();
+                        in_flight += 1;
+                    }
+                }
+                answered
+            })
+        })
+        .collect();
+
+    let mut admin = Client::connect(addr).unwrap();
+    loaded.wait();
+    for (name, cut) in cuts {
+        let path = dir.join(name);
+        std::fs::write(&path, cut).unwrap();
+        let err = admin.swap(path.to_str().unwrap()).unwrap_err();
+        assert!(err.to_string().contains("file truncated"), "{name}: {err}");
+    }
+    let (_, _, _, epoch) = admin.info().unwrap();
+    assert_eq!(epoch, 0, "a refused swap must not publish");
+    swapping.store(false, Ordering::SeqCst);
+    for h in clients {
+        assert!(h.join().unwrap() >= 64);
+    }
     server.shutdown();
     server.join();
     std::fs::remove_dir_all(&dir).ok();

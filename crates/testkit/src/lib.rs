@@ -19,7 +19,7 @@
 //!   ranges, [`prop::any`], [`prop::collection::vec`], tuples,
 //!   [`prop_oneof!`]), configurable case counts, failure-seed reporting,
 //!   and linear shrinking.
-//! - [`bench`]: a benchmark harness — warmup, calibrated iterations, and
+//! - [`bench`](mod@bench): a benchmark harness — warmup, calibrated iterations, and
 //!   median/σ reporting — driven by the [`bench_main!`] macro.
 //!
 //! Golden-vector tests under `tests/` pin the exact output streams of both

@@ -460,7 +460,7 @@ impl Strategy for AnyStrategy<bool> {
 pub mod collection {
     use super::*;
 
-    /// A fixed or bounded length for [`vec`].
+    /// A fixed or bounded length for [`vec`](fn@vec).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
@@ -491,7 +491,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         elem: S,

@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "== offline release build (all targets, including benches) =="
 cargo build --release --offline --workspace --all-targets
 
+echo "== rustdoc gate: the workspace docs build without a warning =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== offline test suite (kernel tier: scalar forced) =="
 LEHDC_KERNEL=scalar cargo test -q --offline --workspace
 
