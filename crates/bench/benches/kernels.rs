@@ -306,6 +306,14 @@ fn bench_classify_blocked(c: &mut Bench) {
 /// claims rest on: it should beat the sum of a separate backward +
 /// apply-gradient pair because the fused update makes one pool fan-out and
 /// repacks only in place.
+///
+/// The backward runs on two gradients. `backward` takes a uniform one,
+/// with no entry `±0.0`, so every term is added. `backward_softmax` takes
+/// the softmax gradient of the forward logits, as `full` computes it:
+/// mostly exact zeros at D = 10,000, where the softmax saturates, and
+/// fewer at D = 1,024. `apply_gradient` steps on the uniform product,
+/// computed in set-up, so it times the same gradient however the run is
+/// filtered.
 fn bench_train_step(c: &mut Bench) {
     use binnet::{Adam, BinaryLinear};
 
@@ -319,26 +327,29 @@ fn bench_train_step(c: &mut Bench) {
         dlogits.map_inplace(|_| rng.random_range(-1.0f32..1.0));
         for &threads in SCALING_THREADS {
             let mut layer = BinaryLinear::new(d, FWD_CLASSES, 3).with_threads(threads);
-            let pool = ThreadPool::new(threads);
+            let mut logits = Matrix::zeros(FWD_BATCH, FWD_CLASSES);
+            let mut softmax_g = Matrix::zeros(FWD_BATCH, FWD_CLASSES);
+            layer.forward_packed_into(&px, &mut logits);
+            binnet::softmax_cross_entropy_into(&logits, &labels, &mut softmax_g).unwrap();
             let mut grad = Matrix::zeros(FWD_CLASSES, d);
+            layer.backward_packed_into(&px, None, &dlogits, &mut grad);
+            let mut softmax_grad = Matrix::zeros(FWD_CLASSES, d);
             group.throughput(Throughput::Elements((FWD_BATCH * d) as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("backward/threads{threads}"), d),
-                &d,
-                |bencher, _| {
-                    bencher.iter(|| {
-                        binnet::packed_transpose_matmul_into(
-                            black_box(&px),
-                            &dlogits,
-                            None,
-                            &pool,
-                            &mut grad,
-                        )
-                        .unwrap();
-                        black_box(grad.as_slice()[0])
-                    });
-                },
-            );
+            for (name, g, out) in [
+                ("backward", &dlogits, &mut grad),
+                ("backward_softmax", &softmax_g, &mut softmax_grad),
+            ] {
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{name}/threads{threads}"), d),
+                    &d,
+                    |bencher, _| {
+                        bencher.iter(|| {
+                            layer.backward_packed_into(black_box(&px), None, g, out);
+                            black_box(out.as_slice()[0])
+                        });
+                    },
+                );
+            }
             let mut opt = Adam::new(1e-4).weight_decay(0.01);
             group.bench_with_input(
                 BenchmarkId::new(format!("apply_gradient/threads{threads}"), d),
@@ -350,7 +361,6 @@ fn bench_train_step(c: &mut Bench) {
                     });
                 },
             );
-            let mut logits = Matrix::zeros(FWD_BATCH, FWD_CLASSES);
             let mut dl = Matrix::zeros(FWD_BATCH, FWD_CLASSES);
             let mut full_opt = Adam::new(1e-4).weight_decay(0.01);
             group.bench_with_input(
@@ -361,8 +371,7 @@ fn bench_train_step(c: &mut Bench) {
                         layer.forward_packed_into(black_box(&px), &mut logits);
                         let loss =
                             binnet::softmax_cross_entropy_into(&logits, &labels, &mut dl).unwrap();
-                        binnet::packed_transpose_matmul_into(&px, &dl, None, &pool, &mut grad)
-                            .unwrap();
+                        layer.backward_packed_into(&px, None, &dl, &mut grad);
                         layer.apply_gradient_fused(&grad, &mut full_opt, None);
                         black_box(loss)
                     });

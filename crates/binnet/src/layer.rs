@@ -1,5 +1,7 @@
 //! The binary linear layer with straight-through gradients.
 
+use std::sync::{Mutex, PoisonError};
+
 use hdc::kernels::{active_tier, KernelTier};
 use testkit::Rng;
 use threadpool::{chunk_ranges, ThreadPool};
@@ -8,8 +10,8 @@ use crate::dropout::DropMask;
 use crate::matrix::Matrix;
 use crate::optim::{Adam, Optimizer};
 use crate::packed::{
-    fused_step_on, packed_matmul_into, packed_matmul_masked_into, packed_transpose_matmul_into,
-    FusedChunk, PackedMatrix,
+    fused_step_on, gradient_product, packed_matmul_into, packed_matmul_masked_into, FusedChunk,
+    GradTerms, PackedMatrix,
 };
 
 /// A fully connected layer with **binary effective weights** and **latent
@@ -60,8 +62,20 @@ pub struct BinaryLinear {
     packed: PackedMatrix, // K×D sign bits of `latent`, kept in sync
     pool: ThreadPool,
     rec: obs::Recorder,
+    terms: TermScratch,
     d_in: usize,
     k_out: usize,
+}
+
+/// The backward pass's term lists, kept by the layer so its warm calls
+/// allocate nothing. They are scratch, not state: a clone starts empty.
+#[derive(Debug, Default)]
+struct TermScratch(Mutex<GradTerms>);
+
+impl Clone for TermScratch {
+    fn clone(&self) -> Self {
+        TermScratch::default()
+    }
 }
 
 impl BinaryLinear {
@@ -104,6 +118,7 @@ impl BinaryLinear {
             latent: weights.transposed(),
             pool: ThreadPool::default(),
             rec: obs::Recorder::disabled(),
+            terms: TermScratch::default(),
             d_in,
             k_out,
         }
@@ -133,7 +148,10 @@ impl BinaryLinear {
     /// An enabled recorder collects per-call latency histograms
     /// (`layer/forward_ns`, `layer/backward_ns`, `layer/fused_step_ns`) from
     /// the packed `_into` hot paths — the distribution behind the trainer's
-    /// per-epoch aggregate spans. The default (disabled) recorder makes the
+    /// per-epoch aggregate spans — and two counters from the backward pass:
+    /// `layer/grad_terms` (the `B·K` entries of every gradient) and
+    /// `layer/grad_terms_nonzero` (those that are not `±0.0`, the terms the
+    /// vector kernels add). The default (disabled) recorder makes the
     /// instrumentation a dead branch: no clock reads, no locks.
     #[must_use]
     pub fn with_recorder(mut self, rec: obs::Recorder) -> Self {
@@ -220,10 +238,12 @@ impl BinaryLinear {
     /// latent-weight gradient `dlogitsᵀ · X`, class-major (`K×D`), with signs
     /// read from the packed bits and dropped dimensions (per `mask`)
     /// yielding exactly-zero gradient columns. It is written into a
-    /// caller-owned buffer reshaped to `K×D` — zero allocation once the
-    /// buffer has its steady capacity — and is bit-identical to the
+    /// caller-owned buffer reshaped to `K×D` and is bit-identical to the
     /// transposed dense product `Xᵀ · dlogits` on the expanded (and
-    /// mask-zeroed) batch.
+    /// mask-zeroed) batch. The vector tiers add only the entries of
+    /// `dlogits` that are not `±0.0`, from term lists the layer keeps: once
+    /// the output and those lists have their steady capacity, a call
+    /// allocates no buffer.
     ///
     /// # Panics
     ///
@@ -244,8 +264,16 @@ impl BinaryLinear {
         );
         let t = self.rec.start();
         out.reshape(self.k_out, self.d_in);
-        packed_transpose_matmul_into(x, dlogits, mask, &self.pool, out)
+        // A poisoned lock is safe to take: every call refills the lists
+        // before it reads them.
+        let mut terms = self.terms.0.lock().unwrap_or_else(PoisonError::into_inner);
+        gradient_product(active_tier(), x, dlogits, mask, &self.pool, out, &mut terms)
             .expect("batch sizes of x and dlogits must match");
+        if self.rec.enabled() {
+            self.rec
+                .add("layer/grad_terms", dlogits.as_slice().len() as u64);
+            self.rec.add("layer/grad_terms_nonzero", terms.len() as u64);
+        }
         self.rec.observe_since("layer/backward_ns", &t);
     }
 
@@ -637,6 +665,70 @@ mod tests {
         layer.apply_gradient_fused(&Matrix::zeros(2, 4), &mut Adam::new(0.1), Some(f32::NAN));
     }
 
+    #[test]
+    fn backward_reuses_its_term_lists() {
+        // After the first full batch, the layer's term lists keep their
+        // buffers through a smaller batch and back, so a warm backward pass
+        // allocates no term storage. Every third row is zero in the first
+        // class pair, so the rows that pair does not list are kept too.
+        let mut rng = Xoshiro256pp::seed_from_u64(12);
+        let layer = BinaryLinear::new(100, 5, 2).with_threads(2);
+        let mut batch = |rows: usize| {
+            let x = random_sign_matrix(rows, 100, &mut rng)
+                .pack_bipolar()
+                .unwrap();
+            let mut g = Matrix::zeros(rows, 5);
+            g.map_inplace(|_| rng.random_range(-1.0f32..1.0));
+            for b in (0..rows).step_by(3) {
+                g.row_mut(b)[..2].fill(0.0);
+            }
+            (x, g)
+        };
+        let (full, partial) = (batch(32), batch(7));
+        let mut out = Matrix::zeros(1, 1);
+        let fingerprint = |layer: &BinaryLinear| layer.terms.0.lock().unwrap().fingerprint();
+        layer.backward_packed_into(&full.0, None, &full.1, &mut out);
+        let fp = fingerprint(&layer);
+        for (x, g) in [&partial, &full, &partial, &full] {
+            layer.backward_packed_into(x, None, g, &mut out);
+            assert_eq!(fingerprint(&layer), fp, "term lists must not move");
+        }
+    }
+
+    #[test]
+    fn an_enabled_recorder_counts_the_gradient_terms() {
+        let rec = obs::Recorder::builder().build();
+        let layer = BinaryLinear::new(70, 3, 4).with_recorder(rec.clone());
+        let x = random_sign_matrix(4, 70, &mut Xoshiro256pp::seed_from_u64(5))
+            .pack_bipolar()
+            .unwrap();
+        // 5 of the 12 entries are terms: a subnormal counts, `±0.0` do not.
+        let g = Matrix::from_rows(&[
+            vec![0.0, -0.0, 0.0],
+            vec![0.5, -0.0, f32::from_bits(1)],
+            vec![-0.25, 0.0, 0.0],
+            vec![0.0, 1e-3, -0.75],
+        ])
+        .unwrap();
+        let mut out = Matrix::zeros(1, 1);
+        layer.backward_packed_into(&x, None, &g, &mut out);
+        layer.backward_packed_into(&x, None, &g, &mut out);
+        let counter = |name: &str| {
+            rec.metrics()
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v)
+        };
+        assert_eq!(
+            counter("layer/grad_terms"),
+            Some(obs::MetricValue::Counter(24))
+        );
+        assert_eq!(
+            counter("layer/grad_terms_nonzero"),
+            Some(obs::MetricValue::Counter(10))
+        );
+    }
+
     /// Gradient entries that stress the float path: subnormals of both
     /// signs, `±0.0`, magnitudes large enough that some Adam moments
     /// overflow to `±∞`, and ordinary softmax-sized values.
@@ -660,7 +752,10 @@ mod tests {
     fn fused_step_tiers_match_scalar_bit_for_bit() {
         // The AVX2 and AVX-512 tiers both run the AVX2 kernel; each must
         // equal the scalar step bit for bit (latents compared as `to_bits`,
-        // so `+0.0` vs `-0.0` would count).
+        // so `+0.0` vs `-0.0` would count). The d = 9, k = 1 shape (one
+        // 8-lane group and a scalar tail) runs past t = 17,321, where both
+        // bias corrections have rounded to 1.0 and the vector kernel skips
+        // their divisions.
         let tiers: Vec<KernelTier> = [KernelTier::Avx2, KernelTier::Avx512]
             .into_iter()
             .filter(|tier| tier.available())
@@ -679,7 +774,8 @@ mod tests {
                             .iter()
                             .map(|&tier| (tier, start.clone(), opt.clone()))
                             .collect();
-                        for step in 0..4 {
+                        let steps = if (d, k) == (9, 1) { 17_400 } else { 4 };
+                        for step in 0..steps {
                             let grad = awkward_gradient(k, d, &mut rng);
                             scalar.apply_gradient_fused_on(
                                 KernelTier::Scalar,

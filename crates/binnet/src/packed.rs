@@ -38,19 +38,33 @@
 //!   threads over *output dims*, never over the summed batch dimension).
 //! - The gradient product's vector bodies keep that order as well. They
 //!   put adjacent output *dims* in the lanes of a register (8 per `ymm` on
-//!   the AVX2 tier, 16 per `zmm` on the AVX-512 tier), one register per
-//!   class, and add `broadcast(g[b][k])`, sign-flipped where the input bit
-//!   is 0, for `b` ascending, so each lane runs the scalar computation of
-//!   its own output element: the same `+0.0` start, the same terms, the same
-//!   order. The three tiers are therefore bit-identical by construction,
-//!   with no tolerance. Dropout is applied once, at the store, and a dropped
-//!   dim is `+0.0` on every tier.
+//!   the AVX2 tier, 16 per `zmm` on the AVX-512 tier) and add
+//!   `broadcast(g[b][k])`, sign-flipped where the input bit is 0, for `b`
+//!   ascending, so each lane runs the scalar computation of its own output
+//!   element: the same `+0.0` start and the same order. Dropout is applied
+//!   once, at the store, and a dropped dim is `+0.0` on every tier.
+//! - The vector bodies add only the **nonzero** terms: entries of `G` that
+//!   are exactly `±0.0` are skipped (and a few are added, as the partner of
+//!   a nonzero entry in a class-pair term). The scalar reference adds every
+//!   term. This cannot change a bit, under round-to-nearest:
+//!   - every output starts at `+0.0` and adds its terms in ascending `b`;
+//!   - a sum that starts at `+0.0` is never `−0.0`: `x + y` is `−0.0` only
+//!     when both `x` and `y` are `−0.0`, and an exact cancellation gives
+//!     `+0.0`;
+//!   - `x + (±0.0)` is `x`, bit for bit, for every `x` other than `−0.0`
+//!     (NaN included: a NaN sum is already quiet and passes through).
+//!
+//!   So the running sum with the `±0.0` terms equals the one without them
+//!   after every step, and the three tiers are bit-identical by
+//!   construction, with no tolerance. "Nonzero" means
+//!   `g.to_bits() << 1 != 0`, so subnormals, `±∞` and NaN are all added.
 //!
 //! The parity tests in `tests/packed_parity.rs` enforce exact `==` on the
 //! resulting matrices across shapes, masks, and thread counts, and diff the
 //! gradient product on the AVX2 tier (the 8-lane body) and the AVX-512 tier
-//! (the 16-lane body) against the scalar one bit for bit; `layer::tests`
-//! does the same for the fused optimizer step.
+//! (the 16-lane body) against the scalar one bit for bit, on awkward
+//! gradients and on softmax-like ones that are mostly `±0.0`;
+//! `layer::tests` does the same for the fused optimizer step.
 //!
 //! [`BinaryHv`]: hdc::BinaryHv
 
@@ -629,30 +643,35 @@ pub fn packed_transpose_matmul(
 const TILE_F32S: usize = 4096;
 
 /// [`packed_transpose_matmul`] writing into a caller-owned `K×D` output
-/// buffer — identical results with zero allocation per call.
+/// buffer. The vector tiers' term lists are built fresh per call;
+/// [`BinaryLinear::backward_packed_into`](crate::BinaryLinear::backward_packed_into)
+/// keeps them in the layer, so its warm calls allocate nothing.
 ///
 /// The kernel dispatches on [`hdc::kernels::active_tier`] (the
 /// `LEHDC_KERNEL` override included). Every tier chunks the pool over output
 /// dims — each chunk owns the `K` class-row sub-slices of its dim range —
-/// and computes every output element as `+0.0` plus the same `±g` terms in
-/// ascending batch order, so the results are bit-identical:
+/// and computes every output element as `+0.0` plus its nonzero `±g` terms
+/// in ascending batch order, so the results are bit-identical (the module
+/// doc shows why the skipped `±0.0` terms cannot change a bit):
 ///
-/// - **scalar** (the reference, and the path on hosts without AVX2):
-///   cache-blocked — each pool chunk walks its output dims in tiles of at
-///   most `TILE_F32S` (4,096) `f32`s, and within a tile iterates the batch
-///   **outer** / dims **inner**, so row `b`'s packed words and gradient row
-///   are loaded once per tile and the tile stays resident while the batch
-///   streams over it. The ±1 sign is applied as a branchless sign-bit flip —
-///   IEEE negation is exact — rather than a `±1.0` multiply, which pays the
-///   subnormal-assist penalty that softmax gradients trigger at large D.
-/// - **AVX2**: lanes over 8 adjacent output dims with one `ymm` register
-///   per class, each stored with one vector store into its class row (see
-///   the `avx2` submodule). It is the only vector body on CPUs without
-///   AVX-512.
-/// - **AVX-512**: the same lanes over 16 adjacent output dims with one
-///   `zmm` register per class, the sign flips and the dropout keep-mask
-///   taken straight from the packed bits as `__mmask16` masks (see the
-///   `avx512` submodule).
+/// - **scalar** (the reference, and the path on hosts without AVX2): every
+///   term, cache-blocked — each pool chunk walks its output dims in tiles of
+///   at most `TILE_F32S` (4,096) `f32`s, and within a tile iterates the
+///   batch **outer** / dims **inner**, so row `b`'s packed words and
+///   gradient row are loaded once per tile and the tile stays resident while
+///   the batch streams over it. The ±1 sign is applied as a branchless
+///   sign-bit flip — IEEE negation is exact — rather than a `±1.0`
+///   multiply, which pays the subnormal-assist penalty that softmax
+///   gradients trigger at large D.
+/// - **AVX2** and **AVX-512**: only the nonzero terms. Before the pool
+///   fan-out, the entries of `G` that are not `±0.0` are listed for each
+///   pair of classes, in ascending batch row. Each pool chunk then walks
+///   its output dims in chunks of several registers (8 lanes per `ymm`, 16
+///   per `zmm`); for each class pair it adds the pair's terms into two sets
+///   of registers and stores them under the dropout keep-mask. A chunk's
+///   sign vectors are built once per live batch row (a row with at least
+///   one term) and shared by every class (see the `avx2` and `avx512`
+///   submodules).
 ///
 /// On both vector tiers, chunk heads and tails that are not aligned to the
 /// register width take the scalar code.
@@ -702,6 +721,21 @@ pub fn packed_transpose_matmul_into_on(
     pool: &ThreadPool,
     out: &mut Matrix,
 ) -> Result<(), BinnetError> {
+    gradient_product(tier, x, g, mask, pool, out, &mut GradTerms::default())
+}
+
+/// [`packed_transpose_matmul_into_on`] with the term lists in `terms`,
+/// refilled in place: once they have grown to the steady batch shape, a
+/// call allocates no term storage.
+pub(crate) fn gradient_product(
+    tier: KernelTier,
+    x: &PackedMatrix,
+    g: &Matrix,
+    mask: Option<&DropMask>,
+    pool: &ThreadPool,
+    out: &mut Matrix,
+    terms: &mut GradTerms,
+) -> Result<(), BinnetError> {
     assert!(
         tier.available(),
         "the {} kernels need a CPU that supports them",
@@ -723,13 +757,14 @@ pub fn packed_transpose_matmul_into_on(
         (k, d),
         "output buffer must be K×D"
     );
+    terms.refill(g);
     let op = Operands {
-        batch: x.rows,
         x: &x.words,
         wpr: x.words_per_row,
         g: g.as_slice(),
         k,
         mask: mask.map(DropMask::words),
+        terms,
     };
     // Split every class row at the chunk boundaries, so each task owns the
     // K sub-slices of its dim range.
@@ -768,18 +803,219 @@ pub fn packed_transpose_matmul_into_on(
 /// The operands of one gradient product, as the tier kernels see them.
 #[derive(Clone, Copy)]
 struct Operands<'a> {
-    /// Batch rows `B`.
-    batch: usize,
     /// Packed `B×D` batch, `wpr` words per row.
     x: &'a [u64],
     /// Words per packed batch row.
     wpr: usize,
-    /// Row-major `B×K` gradient.
+    /// Row-major `B×K` gradient (the scalar tier reads every entry).
     g: &'a [f32],
     /// Classes `K` (gradient columns).
     k: usize,
     /// Packed dropout keep-mask over `D`, if any.
     mask: Option<&'a [u64]>,
+    /// The nonzero entries of `g`, class by class (the vector tiers read
+    /// only these).
+    terms: &'a GradTerms,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Operands<'_> {
+    /// The packed input bits of batch row `b` as bytes: bit `j` of byte
+    /// `i` is dim `8i + j`, so a register's worth of bits (8 or 16) from a
+    /// dim aligned to that width is one byte or two.
+    #[inline(always)]
+    fn row_bytes(&self, b: usize) -> &[u8] {
+        let row = &self.x[b * self.wpr..][..self.wpr];
+        // SAFETY: the bytes lie inside `row`, `u8` has no alignment
+        // requirement, and x86-64 is little-endian, so byte `i` of the
+        // row holds bits `8i..8i + 8` of its words.
+        unsafe { std::slice::from_raw_parts(row.as_ptr().cast::<u8>(), row.len() * 8) }
+    }
+
+    /// The dropout keep bits from dim `d` to the end of `d`'s word, bit
+    /// `j` for dim `d + j`; all set without a mask.
+    #[inline(always)]
+    fn keep_from(&self, d: usize) -> u64 {
+        match self.mask {
+            Some(m) => m[d / 64] >> (d % 64),
+            None => u64::MAX,
+        }
+    }
+}
+
+/// One entry of a class pair's term list: the pair's two gradient entries
+/// `g[b][2p]` and `g[b][2p + 1]` of one batch row `b`, at least one of them
+/// not `±0.0`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Term {
+    /// The rank of batch row `b` among the live rows
+    /// ([`GradTerms::live`]), so a body can index its per-row sign data.
+    pub(crate) slot: u32,
+    /// The two entries, negated (an exact sign-bit flip): the bodies XOR
+    /// them with the sign bit where the input bit is 1, which gives `+g`
+    /// there and `−g` where it is 0. One entry may be `±0.0`, which the
+    /// bodies add all the same: a `±0.0` term never changes a sum that
+    /// starts at `+0.0`. With odd `K`, the last pair's second entry is
+    /// `−0.0`.
+    pub(crate) neg_g: [f32; 2],
+}
+
+/// The nonzero terms of a gradient `G`, in ascending batch row for each
+/// pair of classes: what the vector bodies of the gradient product walk
+/// instead of all `B·K` entries. A softmax over logits of magnitude ~10³
+/// saturates, so most entries of the LeHDC gradient are exactly `±0.0` at
+/// large `D`.
+///
+/// Classes go in pairs so that a body loads a row's sign vectors once for
+/// two classes' registers: on a dense gradient, one class per walk is
+/// bound by those loads. A pair lists a row when either class has a term
+/// in it.
+///
+/// The buffers are refilled in place, so once they have grown to the
+/// steady batch shape a refill allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GradTerms {
+    /// Batch rows with at least one term, ascending.
+    live: Vec<u32>,
+    /// Pair `p`'s terms are `terms[p·B..][..lens[p]]`, for `B` batch rows.
+    lens: Vec<usize>,
+    /// `B` slots per pair, of which pair `p` uses the first `lens[p]`.
+    terms: Vec<Term>,
+    /// The live-row ranks the first pair does not list, ascending: the
+    /// rows whose sign vectors a body builds before its walks, since the
+    /// first pair's walk builds those of the rows it lists.
+    unlisted: Vec<u32>,
+    /// Batch rows `B` of the last refill.
+    stride: usize,
+    /// Entries of `G` that are not `±0.0`.
+    nonzero: usize,
+}
+
+/// Whether a gradient entry is a term: anything but `±0.0`, so subnormals,
+/// `±∞` and NaN all count.
+fn is_term(v: f32) -> bool {
+    v.to_bits() << 1 != 0
+}
+
+impl GradTerms {
+    /// Rebuilds the lists from the row-major `B×K` gradient `g`: one pass
+    /// over its rows finds the live ones, then one pass per class pair
+    /// writes each live row's entries to the pair's next slot, which
+    /// advances only past a term, so no entry takes a branch.
+    fn refill(&mut self, g: &Matrix) {
+        let (rows, k) = (g.rows(), g.cols());
+        self.live.clear();
+        self.unlisted.clear();
+        self.nonzero = 0;
+        for (b, row) in g.as_slice().chunks_exact(k.max(1)).enumerate() {
+            let nonzero = row.iter().filter(|&&v| is_term(v)).count();
+            if nonzero > 0 {
+                let rank = |n: usize| u32::try_from(n).expect("batch rows fit in u32");
+                if !row.iter().take(2).any(|&v| is_term(v)) {
+                    self.unlisted.push(rank(self.live.len()));
+                }
+                self.live.push(rank(b));
+                self.nonzero += nonzero;
+            }
+        }
+        self.stride = rows;
+        self.terms.clear();
+        self.terms.resize(k.div_ceil(2) * rows, Term::default());
+        self.lens.clear();
+        for (c, list) in (0..k)
+            .step_by(2)
+            .zip(self.terms.chunks_exact_mut(rows.max(1)))
+        {
+            let mut len = 0;
+            for (slot, &b) in (0u32..).zip(&self.live) {
+                let at = b as usize * k + c;
+                let pair = [
+                    g.as_slice()[at],
+                    if c + 1 < k { g.as_slice()[at + 1] } else { 0.0 },
+                ];
+                list[len] = Term {
+                    slot,
+                    neg_g: [-pair[0], -pair[1]],
+                };
+                len += usize::from(is_term(pair[0]) | is_term(pair[1]));
+            }
+            self.lens.push(len);
+        }
+    }
+
+    /// Number of entries of `G` that are not `±0.0`.
+    pub(crate) fn len(&self) -> usize {
+        self.nonzero
+    }
+
+    /// The batch rows holding at least one term, ascending.
+    #[cfg(target_arch = "x86_64")]
+    fn live(&self) -> &[u32] {
+        &self.live
+    }
+
+    /// Pair `p`'s terms whose live-row rank lies in `slots`, ascending.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn pair_terms(&self, p: usize, slots: Range<usize>) -> &[Term] {
+        let all = &self.terms[p * self.stride..][..self.lens[p]];
+        if slots == (0..self.live.len()) {
+            return all;
+        }
+        let lo = all.partition_point(|t| (t.slot as usize) < slots.start);
+        let hi = all.partition_point(|t| (t.slot as usize) < slots.end);
+        &all[lo..hi]
+    }
+
+    /// The live-row ranks in `slots` that the first pair does not list,
+    /// ascending.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn unlisted(&self, slots: Range<usize>) -> &[u32] {
+        if slots == (0..self.live.len()) {
+            return &self.unlisted;
+        }
+        let lo = self
+            .unlisted
+            .partition_point(|&s| (s as usize) < slots.start);
+        let hi = self.unlisted.partition_point(|&s| (s as usize) < slots.end);
+        &self.unlisted[lo..hi]
+    }
+
+    /// The data pointers of the four buffers, for reuse checks.
+    #[cfg(test)]
+    pub(crate) fn fingerprint(&self) -> [usize; 4] {
+        [
+            self.live.as_ptr() as usize,
+            self.lens.as_ptr() as usize,
+            self.terms.as_ptr() as usize,
+            self.unlisted.as_ptr() as usize,
+        ]
+    }
+}
+
+/// Where a vector body's walk of one class pair over one block of live
+/// rows stores its sums.
+#[cfg(target_arch = "x86_64")]
+struct PairOut<'a, 'b, M, const G: usize> {
+    /// The pair's class rows (one with odd `K`'s last pair).
+    rows: &'a mut [&'b mut [f32]],
+    /// Offset of the chunk's first dim in each row.
+    at: usize,
+    /// The dropout keep-mask of each register's dims.
+    keep: &'a [M; G],
+    /// Whether this is the first block: the sums start at `+0.0`, not at
+    /// the partial sums stored in the rows.
+    first: bool,
+    /// Whether this is the last block, whose store applies `keep`.
+    last: bool,
+}
+
+/// Splits `live` rows into blocks of at most `rows` — always at least one
+/// block, empty when no row is live, so every output is still stored.
+#[cfg(target_arch = "x86_64")]
+fn row_blocks(live: usize, rows: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..live.div_ceil(rows).max(1)).map(move |i| i * rows..live.min((i + 1) * rows))
 }
 
 /// Vector tiers: writes the gradient of `dims` into `rows`, where `rows[c]`
@@ -971,11 +1207,8 @@ mod tests {
         let w = Matrix::from_rows(&[vec![0.5, -0.5], vec![-2.0, 0.0], vec![1.0, -1.0]]).unwrap();
         let p = PackedMatrix::from_sign_columns(&w);
         assert_eq!((p.rows(), p.cols()), (2, 3)); // K×D
-        // column 0 signs: +, −, + ; column 1: −, + (sgn 0 = +1), −
-        assert_eq!(
-            (p.get(0, 0), p.get(0, 1), p.get(0, 2)),
-            (true, false, true)
-        );
+                                                  // column 0 signs: +, −, + ; column 1: −, + (sgn 0 = +1), −
+        assert_eq!((p.get(0, 0), p.get(0, 1), p.get(0, 2)), (true, false, true));
         assert_eq!(
             (p.get(1, 0), p.get(1, 1), p.get(1, 2)),
             (false, true, false)
@@ -988,8 +1221,7 @@ mod tests {
     #[test]
     fn from_word_rows_validates_and_masks_tail() {
         let rows: Vec<Vec<u64>> = vec![vec![u64::MAX, u64::MAX], vec![0, 0]];
-        let p =
-            PackedMatrix::from_word_rows(70, rows.iter().map(Vec::as_slice)).unwrap();
+        let p = PackedMatrix::from_word_rows(70, rows.iter().map(Vec::as_slice)).unwrap();
         assert_eq!(p.row_words(0)[1], (1 << 6) - 1, "tail bits cleared");
         assert!(PackedMatrix::from_word_rows(70, [vec![0u64; 3].as_slice()]).is_err());
         assert!(PackedMatrix::from_word_rows(70, std::iter::empty()).is_err());
@@ -1004,9 +1236,8 @@ mod tests {
         let seq = PackedMatrix::from_word_rows(100, rows.iter().map(Vec::as_slice)).unwrap();
         for threads in [1, 2, 4] {
             let pool = ThreadPool::new(threads);
-            let par =
-                PackedMatrix::from_word_rows_pooled(100, 17, |r| rows[r].as_slice(), &pool)
-                    .unwrap();
+            let par = PackedMatrix::from_word_rows_pooled(100, 17, |r| rows[r].as_slice(), &pool)
+                .unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
         let pool = ThreadPool::new(2);
@@ -1059,7 +1290,9 @@ mod tests {
         assert_eq!(m.row_words(0).as_ptr(), ptr, "refill must not reallocate");
         // errors leave the buffer untouched
         let bad = [0u64; 3];
-        assert!(m.refill_word_rows_pooled(100, 2, |_| bad.as_slice(), &pool).is_err());
+        assert!(m
+            .refill_word_rows_pooled(100, 2, |_| bad.as_slice(), &pool)
+            .is_err());
         assert_eq!(m, seq);
     }
 
@@ -1147,7 +1380,10 @@ mod tests {
         let pool = ThreadPool::new(1);
         assert!(matches!(
             packed_matmul(&a, &b, &pool),
-            Err(BinnetError::ShapeMismatch { op: "packed_matmul", .. })
+            Err(BinnetError::ShapeMismatch {
+                op: "packed_matmul",
+                ..
+            })
         ));
         let g = Matrix::zeros(3, 2);
         assert!(matches!(

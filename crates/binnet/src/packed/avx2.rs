@@ -8,39 +8,57 @@
 //!
 //! # Gradient product
 //!
-//! The kernel vectorizes across **8 adjacent output dims**, never across
-//! the summed batch: one 256-bit register holds `out[k][d₀..d₀+8]` for one
-//! class `k`. For each (batch row `b`, 8-dim group) one byte of the packed
-//! row — bits `d₀..d₀+8` — is expanded once into a lane mask holding the
-//! `f32` sign bit wherever the input bit is `0` (bipolar `−1`). Then, for
-//! every class of the current register group,
+//! The kernel walks the nonzero terms of `G` (the class-pair term lists of
+//! `GradTerms`), so its cost follows their number rather than `B·K`. It
+//! vectorizes across **8 adjacent output dims**, never across the summed
+//! batch: one 256-bit register holds `out[k][d₀..d₀+8]` for one class `k`,
+//! and a pool chunk's dims are worked through [`GROUPS`] registers (32
+//! dims) at a time:
 //!
-//! ```text
-//! acc[k] += broadcast(g[b][k]) XOR flip
-//! ```
+//! 1. Every live batch row (one with at least one term) gets [`GROUPS`]
+//!    sign vectors for the chunk: each byte of its packed bits expanded to
+//!    the `f32` sign bit in the lanes whose input bit is 1. They go into a
+//!    stack buffer shared by every class pair. The first pair's walk builds
+//!    the vectors of the rows it lists as it adds them; the few live rows
+//!    it does not list are built before the walks.
+//! 2. For each pair of classes, two sets of registers start at `+0.0`, and
+//!    for each of the pair's terms `(b, −g₀, −g₁)` (the term lists hold
+//!    the entries negated), in ascending `b`, the row's sign vectors are
+//!    loaded once and
 //!
-//! with `b` ascending. Up to [`MAX_CLASSES`] accumulators stay in registers
-//! while the batch streams past them; wider class sets take several groups.
-//! The output is class-major, so each register is stored with one vector
-//! store into its class row. The dropout keep-mask is applied once, at the
-//! store, so dropped dims become `+0.0`.
+//!    ```text
+//!    acc₀[j] += broadcast(−g₀) XOR sign[b][j]
+//!    acc₁[j] += broadcast(−g₁) XOR sign[b][j]
+//!    ```
 //!
-//! Each lane performs exactly the scalar reference's operations on its own
-//! output element: it starts at `+0.0` and adds the same sign-flipped terms
-//! in the same ascending-`b` order (IEEE addition is lane-wise and
-//! commutative, and negation by sign-bit XOR is exact). The scalar path
-//! zeroes a dropped dim's terms instead of its sum, but a sum of `+0.0`
-//! terms is `+0.0` too. So the result is bit-identical to the scalar tier
-//! by construction; `tests/packed_parity.rs` diffs the two in one process.
+//!    which adds `+g` where the input bit is 1 and `−g` where it is 0.
+//! 3. Each register is stored into its class row under the dropout
+//!    keep-mask, so dropped dims become `+0.0`.
+//!
+//! The sign buffer holds [`BLOCK_ROWS`] rows (16 KB, an L1-sized block). A
+//! batch with more live rows takes several blocks per chunk: the partial
+//! sums wait in the output row between blocks, and only the last block's
+//! store applies the keep-mask.
+//!
+//! Each lane performs the scalar reference's operations on its own output
+//! element, minus `±0.0` terms: it starts at `+0.0` and adds the same
+//! nonzero sign-flipped terms in the same ascending-`b` order (negation by
+//! sign-bit XOR is exact). The scalar path zeroes a dropped dim's terms
+//! instead of its sum, but a sum of `+0.0` terms is `+0.0` too, and the
+//! `binnet::packed` module doc shows why adding or skipping a `±0.0` term
+//! never changes a bit. So the result is bit-identical to the scalar tier;
+//! `tests/packed_parity.rs` diffs the two in one process.
 //!
 //! # Fused optimizer step
 //!
 //! Latents, gradient and Adam moments are class-major, like the packed
 //! weight rows, so the 64 coordinates of one weight word are adjacent in
 //! every buffer. Each group of 8 runs [`AdamStep::update`] lane-wise —
-//! the same IEEE operations in the same order, with no FMA and every
-//! division kept a division — and packs its 8 sign bits with one
-//! `cmp_ge(l, 0)` + `movemask`. Two traps keep the tiers bit-identical:
+//! the same IEEE operations in the same order, with no FMA — and packs its
+//! 8 sign bits with one `cmp_ge(l, 0)` + `movemask`. The one operation it
+//! leaves out is a division by a bias correction that has rounded to
+//! exactly 1.0, which returns its operand bit for bit. Two traps keep the
+//! tiers bit-identical:
 //!
 //! - `f32::clamp` lets a NaN gradient through. `max`/`min` return their
 //!   *second* operand when either input is NaN, so the clip is
@@ -63,16 +81,20 @@ use core::arch::x86_64::{
 };
 use std::ops::Range;
 
-use super::{step_word_scalar, word_spans, FusedChunk, Operands};
+use super::{row_blocks, step_word_scalar, word_spans, FusedChunk, Operands, PairOut, Term};
 use crate::optim::AdamStep;
 
 /// Output dims per register.
 pub(super) const LANES: usize = 8;
 
-/// Class accumulators held in registers at once (of the 16 `ymm`
-/// registers, the rest hold the flip mask, the broadcast term, and the two
-/// constants of the mask expansion).
-const MAX_CLASSES: usize = 12;
+/// Registers per class in a chunk of output dims (32 dims). A pair's two
+/// sets of accumulators, one term's sign vectors and its two broadcasts
+/// take 14 of the 16 `ymm` registers.
+const GROUPS: usize = 4;
+
+/// Live batch rows per block of the sign buffer
+/// (`BLOCK_ROWS · GROUPS` vectors of 32 bytes: 16 KB).
+const BLOCK_ROWS: usize = 128;
 
 /// Moves bit `j` of `bits` to bit 31 of lane `j` (garbage below it); with
 /// `bits` a packed word shifted right by `d₀`, lane `j` gets dim `d₀ + j`.
@@ -109,77 +131,152 @@ pub(super) unsafe fn gradient_dims(
 ) {
     debug_assert!(dims.start.is_multiple_of(LANES) && dims.len().is_multiple_of(LANES));
     debug_assert_eq!(rows.len(), op.k);
-    // One monomorphized register group per width, so every accumulator
-    // array has a constant length and lives in registers.
-    macro_rules! class_group {
-        ($n:expr, $d0:expr, $k0:expr, $keep:expr; $($w:literal)*) => {
-            match $n {
-                // SAFETY: this function runs with AVX2 enabled.
-                $($w => unsafe { class_group::<$w>(op, $d0, $k0, $keep, first, rows) },)*
-                _ => unreachable!("class groups hold 1..={MAX_CLASSES} classes"),
-            }
-        };
+    let mut signs = [_mm256_setzero_ps(); BLOCK_ROWS * GROUPS];
+    let full_end = dims.start + dims.len() / (LANES * GROUPS) * (LANES * GROUPS);
+    for d0 in (dims.start..full_end).step_by(LANES * GROUPS) {
+        // SAFETY: this function runs with AVX2 enabled.
+        unsafe { chunk::<GROUPS>(op, d0, first, rows, &mut signs) };
     }
-    for d0 in dims.step_by(LANES) {
-        let keep = match op.mask {
-            Some(m) => {
-                let bits = (m[d0 / 64] >> (d0 % 64)) as u32;
-                // SAFETY: this function runs with AVX2 enabled.
-                let tops = unsafe { to_lane_tops(bits) };
-                _mm256_castsi256_ps(_mm256_srai_epi32(tops, 31))
-            }
-            None => _mm256_castsi256_ps(_mm256_set1_epi32(-1)),
-        };
-        let mut k0 = 0;
-        while k0 < op.k {
-            let n = (op.k - k0).min(MAX_CLASSES);
-            class_group!(n, d0, k0, keep; 1 2 3 4 5 6 7 8 9 10 11 12);
-            k0 += n;
-        }
+    for d0 in (full_end..dims.end).step_by(LANES) {
+        // SAFETY: as above.
+        unsafe { chunk::<1>(op, d0, first, rows, &mut signs) };
     }
 }
 
-/// Accumulates classes `k0..k0 + N` of one 8-dim group over the whole batch
-/// in `N` registers, then stores each (masked) into dims `d₀..d₀+8` of its
-/// class row.
+/// Writes the gradient of the `G · 8` dims from `d0` on, for every class,
+/// with `signs` as the sign buffer.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2 (this helper is inlined into
 /// [`gradient_dims`]).
 #[inline(always)]
-unsafe fn class_group<const N: usize>(
+unsafe fn chunk<const G: usize>(
     op: Operands<'_>,
     d0: usize,
-    k0: usize,
-    keep: __m256,
     first: usize,
     rows: &mut [&mut [f32]],
+    signs: &mut [__m256; BLOCK_ROWS * GROUPS],
 ) {
-    // Rows are walked by offset rather than `chunks_exact`, whose setup
-    // divides; this runs once per (8-dim group, class group).
-    let (word, shift) = (d0 / 64, d0 % 64);
-    // SAFETY: AVX2 is available (caller contract); every slice access
-    // below is bounds-checked, and each store covers one checked 8-lane
-    // sub-slice.
+    let live = op.terms.live();
+    let at = d0 - first;
+    // SAFETY: AVX2 is available (caller contract), which is all that
+    // `to_lane_tops`, `row_signs` and `walk` require.
     unsafe {
-        let sign = _mm256_set1_epi32(i32::MIN);
-        let mut acc = [_mm256_setzero_ps(); N];
-        for b in 0..op.batch {
-            // Sign bit set where the input bit is 0 (bipolar −1). Inverting
-            // the byte in a scalar register keeps the flip a plain AND, so
-            // each term stays one broadcast load, one XOR and one add.
-            let bits = !(op.x[b * op.wpr + word] >> shift) as u32;
-            let flip = _mm256_castsi256_ps(_mm256_and_si256(to_lane_tops(bits), sign));
-            let g_row = b * op.k + k0;
-            let g_terms: &[f32; N] = op.g[g_row..g_row + N].try_into().expect("N classes");
-            for (a, &gv) in acc.iter_mut().zip(g_terms) {
-                *a = _mm256_add_ps(*a, _mm256_xor_ps(_mm256_set1_ps(gv), flip));
+        let keep: [__m256; G] = std::array::from_fn(|j| {
+            let tops = to_lane_tops(op.keep_from(d0 + j * LANES) as u32);
+            _mm256_castsi256_ps(_mm256_srai_epi32(tops, 31))
+        });
+        for block in row_blocks(live.len(), BLOCK_ROWS) {
+            let signs = &mut signs[..block.len() * G];
+            for &slot in op.terms.unlisted(block.clone()) {
+                let at_slot = (slot as usize - block.start) * G;
+                signs[at_slot..at_slot + G].copy_from_slice(&row_signs::<G>(op, live, slot, d0));
+            }
+            let last = block.end == live.len();
+            for (p, pair) in rows.chunks_mut(2).enumerate() {
+                let terms = op.terms.pair_terms(p, block.clone());
+                let out = PairOut {
+                    rows: pair,
+                    at,
+                    keep: &keep,
+                    first: block.start == 0,
+                    last,
+                };
+                if p == 0 {
+                    walk::<G, true>(op, d0, terms, signs, block.start, out);
+                } else {
+                    walk::<G, false>(op, d0, terms, signs, block.start, out);
+                }
             }
         }
-        let at = d0 - first;
-        for (row, a) in rows[k0..k0 + N].iter_mut().zip(&acc) {
-            _mm256_storeu_ps(row[at..at + LANES].as_mut_ptr(), _mm256_and_ps(*a, keep));
+    }
+}
+
+/// The `G` sign vectors of live row `slot` for the dims from `d0` on: the
+/// `f32` sign bit in each lane whose input bit is 1.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (this helper is inlined into
+/// [`gradient_dims`]).
+#[inline(always)]
+unsafe fn row_signs<const G: usize>(
+    op: Operands<'_>,
+    live: &[u32],
+    slot: u32,
+    d0: usize,
+) -> [__m256; G] {
+    let bytes = &op.row_bytes(live[slot as usize] as usize)[d0 / 8..][..G];
+    // SAFETY: AVX2 is available (caller contract).
+    unsafe {
+        let mut s = [_mm256_setzero_ps(); G];
+        for (s, &bits) in s.iter_mut().zip(bytes) {
+            let tops = to_lane_tops(u32::from(bits));
+            *s = _mm256_castsi256_ps(_mm256_and_si256(tops, _mm256_set1_epi32(i32::MIN)));
+        }
+        s
+    }
+}
+
+/// Adds a class pair's `terms` (one block's) into two sets of `G`
+/// registers and stores them into `out`. `signs` holds `G` sign vectors
+/// per live row of the block that starts at live-row rank `first_slot`;
+/// with `BUILD`, the walk builds the vectors of each row it lists and
+/// stores them there for the other pairs, so the stores overlap its adds.
+/// The accumulators stay in registers from the first term to the store.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (this helper is inlined into
+/// [`gradient_dims`]).
+#[inline(always)]
+unsafe fn walk<const G: usize, const BUILD: bool>(
+    op: Operands<'_>,
+    d0: usize,
+    terms: &[Term],
+    signs: &mut [__m256],
+    first_slot: usize,
+    out: PairOut<'_, '_, __m256, G>,
+) {
+    // SAFETY: AVX2 is available (caller contract); every load and
+    // store covers one bounds-checked 8-lane sub-slice.
+    unsafe {
+        let live = op.terms.live();
+        let mut acc = [[_mm256_setzero_ps(); G]; 2];
+        if !out.first {
+            for (acc, row) in acc.iter_mut().zip(out.rows.iter()) {
+                let sums: &[f32] = &row[out.at..out.at + G * LANES];
+                for (a, sums) in acc.iter_mut().zip(sums.chunks_exact(LANES)) {
+                    *a = _mm256_loadu_ps(sums.as_ptr());
+                }
+            }
+        }
+        for t in terms {
+            let at_slot = (t.slot as usize - first_slot) * G;
+            let s: [__m256; G] = if BUILD {
+                let s = row_signs::<G>(op, live, t.slot, d0);
+                signs[at_slot..at_slot + G].copy_from_slice(&s);
+                s
+            } else {
+                signs[at_slot..at_slot + G]
+                    .try_into()
+                    .expect("G sign vectors")
+            };
+            for (acc, &neg_g) in acc.iter_mut().zip(&t.neg_g) {
+                // `(−g) XOR s`: `+g` where the input bit is 1, `−g` where 0.
+                let neg_g = _mm256_set1_ps(neg_g);
+                for (a, &s) in acc.iter_mut().zip(&s) {
+                    *a = _mm256_add_ps(*a, _mm256_xor_ps(neg_g, s));
+                }
+            }
+        }
+        for (acc, row) in acc.iter().zip(out.rows.iter_mut()) {
+            let sums: &mut [f32] = &mut row[out.at..out.at + G * LANES];
+            for ((&a, &keep), sums) in acc.iter().zip(out.keep).zip(sums.chunks_exact_mut(LANES)) {
+                let a = if out.last { _mm256_and_ps(a, keep) } else { a };
+                _mm256_storeu_ps(sums.as_mut_ptr(), a);
+            }
         }
     }
 }
@@ -197,6 +294,10 @@ struct StepLanes {
     bc2: __m256,
     lo: __m256,
     hi: __m256,
+    /// Whether `bc1` (`bc2`) has rounded to exactly 1.0, so its division
+    /// is skipped.
+    bc1_is_one: bool,
+    bc2_is_one: bool,
 }
 
 /// AVX2 tier of [`fused_step_on`](super::fused_step_on): each word of the
@@ -227,6 +328,8 @@ pub(super) unsafe fn fused_step(d: usize, wpr: usize, chunk: FusedChunk<'_>) {
         bc2: _mm256_set1_ps(s.bc2),
         lo: _mm256_set1_ps(-s.clip),
         hi: _mm256_set1_ps(s.clip),
+        bc1_is_one: s.bc1 == 1.0,
+        bc2_is_one: s.bc2 == 1.0,
     };
     for (out, r) in packed.iter_mut().zip(word_spans(d, wpr, words)) {
         // SAFETY: this function runs with AVX2 enabled.
@@ -282,8 +385,20 @@ unsafe fn step_word(
                 _mm256_mul_ps(c.beta2, vj),
                 _mm256_mul_ps(_mm256_mul_ps(c.one_minus_beta2, gv), gv),
             );
-            let m_hat = _mm256_div_ps(mj, c.bc1);
-            let v_hat = _mm256_div_ps(vj, c.bc2);
+            // `x / 1.0` returns `x` bit for bit unless `x` is a signalling
+            // NaN, and the moments are sums, never one. So once a bias
+            // correction has rounded to 1.0 (`bc1` at t = 165, `bc2` at
+            // t = 17,321) its division is skipped.
+            let m_hat = if c.bc1_is_one {
+                mj
+            } else {
+                _mm256_div_ps(mj, c.bc1)
+            };
+            let v_hat = if c.bc2_is_one {
+                vj
+            } else {
+                _mm256_div_ps(vj, c.bc2)
+            };
             let denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), c.eps);
             let pj = _mm256_sub_ps(pj, _mm256_div_ps(_mm256_mul_ps(c.lr, m_hat), denom));
             _mm256_storeu_ps(p[at.clone()].as_mut_ptr(), pj);

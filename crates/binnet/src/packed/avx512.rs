@@ -3,44 +3,66 @@
 //! The fused optimizer step has no AVX-512 body and runs its AVX2 one on
 //! this tier.
 //!
-//! The kernel is the AVX2 lanes-over-dims body (see the `avx2` module)
-//! widened to **16 adjacent output dims** per `zmm` register, one register
-//! per class. The 16 packed input bits of one (batch row, 16-dim group)
-//! are the `__mmask16` of the sign flip itself: for every class of the
-//! current register group,
+//! The kernel walks the nonzero terms of `G` (the class-pair term lists of
+//! `GradTerms`), so its cost follows their number rather than `B·K`. It
+//! puts **16 adjacent output dims** in each `zmm` register and works
+//! through a pool chunk's dims [`GROUPS`] registers (128 dims) at a time:
 //!
-//! ```text
-//! acc[k] += mask_xor(broadcast(g[b][k]), flip = !bits, sign)
-//! ```
+//! 1. Every live batch row (one with at least one term) gets [`GROUPS`]
+//!    sign vectors for the chunk, each holding the `f32` sign bit in the
+//!    lanes whose input bit is 1, built from the packed bits with one
+//!    zero-masking move per register. They go into a stack buffer shared
+//!    by every class pair. The first pair's walk builds the vectors of the
+//!    rows it lists as it adds them, so their stores overlap its adds; the
+//!    few live rows it does not list are built before the walks.
+//! 2. For each pair of classes, two sets of registers start at `+0.0`, and
+//!    for each of the pair's terms `(b, −g₀, −g₁)` (the term lists hold
+//!    the entries negated), in ascending `b`, the row's sign vectors are
+//!    loaded once and
 //!
-//! with `b` ascending, so no per-row lane-mask expansion is needed. Up to
-//! [`MAX_CLASSES`] accumulators stay in the 32 `zmm` registers while the
-//! batch streams past them; wider class sets take several groups. The
-//! dropout keep-mask is another `__mmask16`, applied once at the store with
-//! a zero-masking move, so dropped dims become `+0.0`.
+//!    ```text
+//!    acc₀[j] += broadcast(−g₀) XOR sign[b][j]
+//!    acc₁[j] += broadcast(−g₁) XOR sign[b][j]
+//!    ```
+//!
+//!    which adds `+g` where the input bit is 1 and `−g` where it is 0.
+//! 3. Each register is stored into its class row under the dropout
+//!    keep-mask, with a zero-masking move, so dropped dims become `+0.0`.
+//!
+//! The sign buffer holds [`BLOCK_ROWS`] rows (32 KB, within the 48 KB L1
+//! of the hosts this tier targets), so a batch of 64 is one block. A batch
+//! with more live rows takes several blocks per chunk: the partial sums
+//! wait in the output row between blocks, and only the last block's store
+//! applies the keep-mask.
 //!
 //! Each lane runs the scalar reference's computation of its own output
-//! element: it starts at `+0.0` and adds the same sign-flipped terms in the
-//! same ascending-`b` order, so the result is bit-identical to the scalar
-//! and AVX2 tiers by construction; `tests/packed_parity.rs` diffs the
-//! tiers in one process.
+//! element, minus `±0.0` terms: it starts at `+0.0` and adds the same
+//! nonzero sign-flipped terms in the same ascending-`b` order, plus the
+//! `±0.0` partner of a pair term whose other class is nonzero. The
+//! `binnet::packed` module doc shows why adding or skipping a `±0.0` term
+//! never changes a bit, so the result is bit-identical to the scalar and
+//! AVX2 tiers; `tests/packed_parity.rs` diffs the tiers in one process.
 
 use core::arch::x86_64::{
-    __mmask16, _mm512_add_ps, _mm512_castps_si512, _mm512_castsi512_ps, _mm512_mask_xor_epi32,
-    _mm512_maskz_mov_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    __m512i, __mmask16, _mm512_add_ps, _mm512_castps_si512, _mm512_castsi512_ps, _mm512_loadu_ps,
+    _mm512_maskz_mov_epi32, _mm512_maskz_mov_ps, _mm512_set1_epi32, _mm512_set1_ps,
+    _mm512_setzero_ps, _mm512_setzero_si512, _mm512_storeu_ps, _mm512_xor_si512,
 };
 use std::ops::Range;
 
-use super::Operands;
+use super::{row_blocks, Operands, PairOut, Term};
 
 /// Output dims per register.
 pub(super) const LANES: usize = 16;
 
-/// Class accumulators held in registers at once. Of the 32 `zmm`
-/// registers, the rest hold the sign constant and the broadcast terms; at
-/// 28 accumulators the compiler runs short of registers for the terms and
-/// spills accumulators to the stack on every batch row.
-const MAX_CLASSES: usize = 27;
+/// Registers per class in a chunk of output dims. A pair's two sets of
+/// accumulators and one term's sign vectors take 24 of the 32 `zmm`
+/// registers.
+const GROUPS: usize = 8;
+
+/// Live batch rows per block of the sign buffer
+/// (`BLOCK_ROWS · GROUPS` vectors of 64 bytes: 32 KB).
+const BLOCK_ROWS: usize = 64;
 
 /// Writes the gradient of the 16-aligned dims `dims` into `rows`, where
 /// `rows[c][dim - first]` is class `c`'s output for `dim`.
@@ -59,73 +81,153 @@ pub(super) unsafe fn gradient_dims(
 ) {
     debug_assert!(dims.start.is_multiple_of(LANES) && dims.len().is_multiple_of(LANES));
     debug_assert_eq!(rows.len(), op.k);
-    // One monomorphized register group per width, so every accumulator
-    // array has a constant length and lives in registers.
-    macro_rules! class_group {
-        ($n:expr, $d0:expr, $k0:expr, $keep:expr; $($w:literal)*) => {
-            match $n {
-                // SAFETY: this function runs with AVX-512F enabled.
-                $($w => unsafe { class_group::<$w>(op, $d0, $k0, $keep, first, rows) },)*
-                _ => unreachable!("class groups hold 1..={MAX_CLASSES} classes"),
-            }
-        };
+    let mut signs = [_mm512_setzero_si512(); BLOCK_ROWS * GROUPS];
+    let full_end = dims.start + dims.len() / (LANES * GROUPS) * (LANES * GROUPS);
+    for d0 in (dims.start..full_end).step_by(LANES * GROUPS) {
+        // SAFETY: this function runs with AVX-512F enabled.
+        unsafe { chunk::<GROUPS>(op, d0, first, rows, &mut signs) };
     }
-    for d0 in dims.step_by(LANES) {
-        let keep: __mmask16 = match op.mask {
-            Some(m) => (m[d0 / 64] >> (d0 % 64)) as u16,
-            None => u16::MAX,
-        };
-        let mut k0 = 0;
-        while k0 < op.k {
-            let n = (op.k - k0).min(MAX_CLASSES);
-            class_group!(n, d0, k0, keep;
-                1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27);
-            k0 += n;
-        }
+    for d0 in (full_end..dims.end).step_by(LANES) {
+        // SAFETY: as above.
+        unsafe { chunk::<1>(op, d0, first, rows, &mut signs) };
     }
 }
 
-/// Accumulates classes `k0..k0 + N` of one 16-dim group over the whole
-/// batch in `N` registers, then stores each (masked) into dims
-/// `d₀..d₀+16` of its class row.
+/// Writes the gradient of the `G · 16` dims from `d0` on, for every class,
+/// with `signs` as the sign buffer.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX-512F (this helper is inlined into
 /// [`gradient_dims`]).
 #[inline(always)]
-unsafe fn class_group<const N: usize>(
+unsafe fn chunk<const G: usize>(
     op: Operands<'_>,
     d0: usize,
-    k0: usize,
-    keep: __mmask16,
     first: usize,
     rows: &mut [&mut [f32]],
+    signs: &mut [__m512i; BLOCK_ROWS * GROUPS],
 ) {
-    let (word, shift) = (d0 / 64, d0 % 64);
-    // SAFETY: AVX-512F is available (caller contract); every slice access
-    // below is bounds-checked, and each store covers one checked 16-lane
-    // sub-slice.
+    let live = op.terms.live();
+    let keep: [__mmask16; G] = std::array::from_fn(|j| op.keep_from(d0 + j * LANES) as u16);
+    let at = d0 - first;
+    // SAFETY: AVX-512F is available (caller contract), which is all that
+    // `row_signs` and `walk` require.
     unsafe {
-        let sign = _mm512_set1_epi32(i32::MIN);
-        let mut acc = [_mm512_setzero_ps(); N];
-        for b in 0..op.batch {
-            // Lane j flips where input bit d₀ + j is 0 (bipolar −1).
-            let flip: __mmask16 = !(op.x[b * op.wpr + word] >> shift) as u16;
-            let g_row = b * op.k + k0;
-            let g_terms: &[f32; N] = op.g[g_row..g_row + N].try_into().expect("N classes");
-            for (a, &gv) in acc.iter_mut().zip(g_terms) {
-                let gv = _mm512_castps_si512(_mm512_set1_ps(gv));
-                let term = _mm512_mask_xor_epi32(gv, flip, gv, sign);
-                *a = _mm512_add_ps(*a, _mm512_castsi512_ps(term));
+        for block in row_blocks(live.len(), BLOCK_ROWS) {
+            let signs = &mut signs[..block.len() * G];
+            for &slot in op.terms.unlisted(block.clone()) {
+                let at_slot = (slot as usize - block.start) * G;
+                signs[at_slot..at_slot + G].copy_from_slice(&row_signs::<G>(op, live, slot, d0));
+            }
+            let last = block.end == live.len();
+            for (p, pair) in rows.chunks_mut(2).enumerate() {
+                let terms = op.terms.pair_terms(p, block.clone());
+                let out = PairOut {
+                    rows: pair,
+                    at,
+                    keep: &keep,
+                    first: block.start == 0,
+                    last,
+                };
+                if p == 0 {
+                    walk::<G, true>(op, d0, terms, signs, block.start, out);
+                } else {
+                    walk::<G, false>(op, d0, terms, signs, block.start, out);
+                }
             }
         }
-        let at = d0 - first;
-        for (row, a) in rows[k0..k0 + N].iter_mut().zip(&acc) {
-            _mm512_storeu_ps(
-                row[at..at + LANES].as_mut_ptr(),
-                _mm512_maskz_mov_ps(keep, *a),
-            );
+    }
+}
+
+/// Adds a class pair's `terms` (one block's) into two sets of `G`
+/// registers and stores them into `out`. `signs` holds `G` sign vectors
+/// per live row of the block that starts at live-row rank `first_slot`;
+/// with `BUILD`, the walk builds the vectors of each row it lists and
+/// stores them there for the other pairs, so the stores overlap its adds.
+/// The accumulators stay in registers from the first term to the store.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F (this helper is inlined into
+/// [`gradient_dims`]).
+#[inline(always)]
+unsafe fn walk<const G: usize, const BUILD: bool>(
+    op: Operands<'_>,
+    d0: usize,
+    terms: &[Term],
+    signs: &mut [__m512i],
+    first_slot: usize,
+    out: PairOut<'_, '_, __mmask16, G>,
+) {
+    // SAFETY: AVX-512F is available (caller contract); every load and
+    // store covers one bounds-checked 16-lane sub-slice.
+    unsafe {
+        let live = op.terms.live();
+        let mut acc = [[_mm512_setzero_ps(); G]; 2];
+        if !out.first {
+            for (acc, row) in acc.iter_mut().zip(out.rows.iter()) {
+                let sums: &[f32] = &row[out.at..out.at + G * LANES];
+                for (a, sums) in acc.iter_mut().zip(sums.chunks_exact(LANES)) {
+                    *a = _mm512_loadu_ps(sums.as_ptr());
+                }
+            }
         }
+        for t in terms {
+            let at_slot = (t.slot as usize - first_slot) * G;
+            let s: [__m512i; G] = if BUILD {
+                let s = row_signs::<G>(op, live, t.slot, d0);
+                signs[at_slot..at_slot + G].copy_from_slice(&s);
+                s
+            } else {
+                signs[at_slot..at_slot + G]
+                    .try_into()
+                    .expect("G sign vectors")
+            };
+            for (acc, &neg_g) in acc.iter_mut().zip(&t.neg_g) {
+                // `(−g) XOR s`: `+g` where the input bit is 1, `−g` where 0.
+                let neg_g = _mm512_castps_si512(_mm512_set1_ps(neg_g));
+                for (a, &s) in acc.iter_mut().zip(&s) {
+                    *a = _mm512_add_ps(*a, _mm512_castsi512_ps(_mm512_xor_si512(neg_g, s)));
+                }
+            }
+        }
+        for (acc, row) in acc.iter().zip(out.rows.iter_mut()) {
+            let sums: &mut [f32] = &mut row[out.at..out.at + G * LANES];
+            for ((&a, &keep), sums) in acc.iter().zip(out.keep).zip(sums.chunks_exact_mut(LANES)) {
+                let a = if out.last {
+                    _mm512_maskz_mov_ps(keep, a)
+                } else {
+                    a
+                };
+                _mm512_storeu_ps(sums.as_mut_ptr(), a);
+            }
+        }
+    }
+}
+
+/// The `G` sign vectors of live row `slot` for the dims from `d0` on: the
+/// `f32` sign bit in each lane whose input bit is 1.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F (this helper is inlined into
+/// [`gradient_dims`]).
+#[inline(always)]
+unsafe fn row_signs<const G: usize>(
+    op: Operands<'_>,
+    live: &[u32],
+    slot: u32,
+    d0: usize,
+) -> [__m512i; G] {
+    let bytes = &op.row_bytes(live[slot as usize] as usize)[d0 / 8..][..G * 2];
+    // SAFETY: AVX-512F is available (caller contract).
+    unsafe {
+        let mut s = [_mm512_setzero_si512(); G];
+        for (s, bits) in s.iter_mut().zip(bytes.chunks_exact(2)) {
+            let bits = u16::from_le_bytes([bits[0], bits[1]]);
+            *s = _mm512_maskz_mov_epi32(bits, _mm512_set1_epi32(i32::MIN));
+        }
+        s
     }
 }

@@ -81,10 +81,20 @@ proptest! {
             .map(|_| rng.random_range(-50.0f32..50.0))
             .collect::<Vec<f32>>();
         let g = Matrix::from_flat(x.rows(), 3, g_strategy_sub).unwrap();
-        let seq = x.transpose_matmul(&g).unwrap();
-        for threads in [2, 3, 5] {
-            let pooled = x.transpose_matmul_pooled(&g, &ThreadPool::new(threads)).unwrap();
-            prop_assert_eq!(&pooled, &seq, "threads={}", threads);
+        let softmax_like = softmax_like_gradient(x.rows(), 3, &mut rng);
+        let px = x.pack_bipolar().unwrap();
+        for g in [&g, &softmax_like] {
+            let seq = x.transpose_matmul(g).unwrap();
+            for threads in [2, 3, 5] {
+                let pool = ThreadPool::new(threads);
+                let pooled = x.transpose_matmul_pooled(g, &pool).unwrap();
+                prop_assert_eq!(&pooled, &seq, "threads={}", threads);
+                // The packed product on the active kernel tier against the
+                // dense oracle, bit for bit: with no mask, even the sign of
+                // a zero must agree.
+                let packed = packed_transpose_matmul(&px, g, None, &pool).unwrap();
+                prop_assert_eq!(bits(&packed), bits(&seq.transposed()), "packed threads={}", threads);
+            }
         }
     }
 
@@ -297,9 +307,51 @@ fn awkward_gradient(rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Matrix 
     Matrix::from_flat(rows, cols, data).unwrap()
 }
 
-#[cfg(target_arch = "x86_64")]
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A gradient shaped like the LeHDC softmax gradient at large `D`, where
+/// the softmax saturates and most entries are exact zeros: one call in
+/// eight returns an all-`±0.0` gradient; otherwise every other call picks
+/// one class that is `±0.0` in every row, and each row is all `±0.0`,
+/// only subnormals (but for that class), or a one-hot `p − 1` beside tiny
+/// probabilities that are partly flushed to `±0.0`. Zeros come with both
+/// signs.
+fn softmax_like_gradient(rows: usize, cols: usize, rng: &mut Xoshiro256pp) -> Matrix {
+    let zero = |rng: &mut Xoshiro256pp| if rng.random::<bool>() { 0.0f32 } else { -0.0 };
+    if rng.random_range(0u32..8) == 0 {
+        let data = (0..rows * cols).map(|_| zero(rng)).collect();
+        return Matrix::from_flat(rows, cols, data).unwrap();
+    }
+    let silent_class = if rng.random::<bool>() {
+        Some(rng.random_range(0..cols))
+    } else {
+        None
+    };
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        let kind = rng.random_range(0u32..3);
+        let label = rng.random_range(0..cols);
+        for c in 0..cols {
+            let v = match kind {
+                _ if Some(c) == silent_class => zero(rng),
+                0 => zero(rng),
+                1 => {
+                    let sign = if rng.random::<bool>() { 1.0f32 } else { -1.0 };
+                    sign * f32::from_bits(rng.random_range(1u32..0x0080_0000))
+                }
+                _ if c == label => -rng.random_range(0.0f32..1.0),
+                _ => match rng.random_range(0u32..3) {
+                    0 => zero(rng),
+                    1 => f32::from_bits(rng.random_range(1u32..0x0080_0000)),
+                    _ => rng.random_range(1e-30f32..1.0),
+                },
+            };
+            data.push(v);
+        }
+    }
+    Matrix::from_flat(rows, cols, data).unwrap()
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -336,8 +388,12 @@ fn avx2_gradient_matches_scalar_bit_for_bit() {
                 &[]
             };
             for &k in classes.iter().chain(edges) {
-                let g = awkward_gradient(batch, k, &mut rng);
-                for mask in [None, Some(&mask)] {
+                let awkward = awkward_gradient(batch, k, &mut rng);
+                let softmax_like = softmax_like_gradient(batch, k, &mut rng);
+                for ((kind, g), mask) in [("awkward", &awkward), ("softmax_like", &softmax_like)]
+                    .into_iter()
+                    .flat_map(|g| [(g, None), (g, Some(&mask))])
+                {
                     // NaN-filled outputs: every element must be written. The
                     // scalar tier is thread-invariant (the dense-reference
                     // tests above pin it), so one reference serves every
@@ -347,7 +403,7 @@ fn avx2_gradient_matches_scalar_bit_for_bit() {
                     packed_transpose_matmul_into_on(
                         KernelTier::Scalar,
                         &px,
-                        &g,
+                        g,
                         mask,
                         &pools[0],
                         &mut scalar,
@@ -358,11 +414,11 @@ fn avx2_gradient_matches_scalar_bit_for_bit() {
                         tiers.iter().flat_map(|t| pools.iter().map(move |p| (t, p)))
                     {
                         let mut simd = nan.clone();
-                        packed_transpose_matmul_into_on(tier, &px, &g, mask, pool, &mut simd)
+                        packed_transpose_matmul_into_on(tier, &px, g, mask, pool, &mut simd)
                             .unwrap();
                         assert!(
                             bits(&simd) == expect,
-                            "tier={} d={d} batch={batch} k={k} masked={} threads={}",
+                            "tier={} g={kind} d={d} batch={batch} k={k} masked={} threads={}",
                             tier.name(),
                             mask.is_some(),
                             pool.threads()

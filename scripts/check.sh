@@ -43,6 +43,10 @@ else
     echo "== offline test suite (avx512 pass skipped: CPU lacks AVX-512F or VPOPCNTDQ) =="
 fi
 
+echo "== benchmark helpers: perfbench builds against the workspace and its tests pass =="
+# --locked: a stale perfbench/Cargo.lock fails here instead of being rewritten.
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== observability crate =="
 cargo test -q --offline -p obs
 
@@ -63,6 +67,11 @@ awk 'BEGIN {
 for event in train_epoch encode strategy_run pool pool_totals metric; do
     grep -q "\"event\": \"$event\"" "$smoke_dir/run.jsonl" \
         || { echo "ERROR: no \"$event\" event in run.jsonl" >&2; exit 1; }
+done
+# The gradient product's term counters: the share of B·K entries it skips.
+for counter in layer/grad_terms layer/grad_terms_nonzero; do
+    grep -q "\"name\": \"$counter\"" "$smoke_dir/run.jsonl" \
+        || { echo "ERROR: no \"$counter\" metric in run.jsonl" >&2; exit 1; }
 done
 
 echo "== serve smoke: daemon answers the offline predictions over TCP =="
